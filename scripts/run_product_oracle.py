@@ -28,7 +28,7 @@ def run(n_t: int, factor: float, budget: float, seed: int):
     for s, (i0, j0) in enumerate(res.sources):
         dt = np.abs(grid.t_levels[lv] - grid.t_levels[i0])
         dd = fiber.dist[j0, fb]
-        causal = dd <= np.abs(grid.g_levels[lv] - grid.g_levels[i0]) + grid.causal_slack
+        causal = grid.causal_row(i0, j0).ravel()
         err = np.abs(res.rows[s] - np.maximum(factor * dd, dt))
         worst_c = max(worst_c, float(err[causal].max()))
         worst_nc = max(worst_nc, float(err[~causal].max()))

@@ -7,7 +7,8 @@ parameters, seed and library version. Outputs are byte-deterministic for
 identical manifests.
 
 Exit status: 0 all checks passed, 1 invariant failures (report still
-written), 2 parse/usage errors.
+written), 2 parse/usage errors, 3 engine errors (a computation that could
+not finish, e.g. null-distance sweeps that did not stabilize).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 
 from . import formats
 from .cone import (
+    ConeGrid,
     all_grid_points,
     null_distance,
     null_distance_guarantees,
@@ -34,7 +36,20 @@ from .metric_core import epsilon_net, gh_distance_exact, validate_metric, verify
 from .nullcurve import null_curve, verify_null_curve
 from .warping import Interval
 
-PARSE_ERROR, CHECK_FAILED, OK = 2, 1, 0
+ENGINE_ERROR, PARSE_ERROR, CHECK_FAILED, OK = 3, 2, 1, 0
+
+
+def _override(cfg, key, default):
+    """The command-line override `key` when given (zero included), else default."""
+    value = cfg.get(key)
+    return default if value is None else value
+
+
+def _load_grid(cfg, paths):
+    grid = formats.load_cone_json(paths["cone"])
+    if cfg.get("n_t_override") is None:
+        return grid
+    return ConeGrid(grid.interval, grid.fiber, grid.warping, int(cfg["n_t_override"]))
 
 
 def _node_labels(grid):
@@ -80,10 +95,8 @@ def run_validate(cfg, paths, out, seed):
 
 
 def run_nulldist(cfg, paths, out, seed):
-    grid = formats.load_cone_json(paths["cone"])
+    grid = _load_grid(cfg, paths)
     params = cfg.get("params", {})
-    if cfg.get("n_t_override"):
-        grid = type(grid)(grid.interval, grid.fiber, grid.warping, int(cfg["n_t_override"]))
     sources = _pick_sources(grid, params, seed)
     res = null_distance(grid, sources=sources)
     unit = None
@@ -102,7 +115,7 @@ def run_nulldist(cfg, paths, out, seed):
 
 
 def run_timesep(cfg, paths, out, seed):
-    grid = formats.load_cone_json(paths["cone"])
+    grid = _load_grid(cfg, paths)
     params = cfg.get("params", {})
     sources = _pick_sources(grid, params, seed)
     res = time_separation(grid, sources=sources)
@@ -133,7 +146,7 @@ def run_timesep(cfg, paths, out, seed):
 
 
 def run_nullcurve(cfg, paths, out, seed):
-    grid = formats.load_cone_json(paths["cone"])
+    grid = _load_grid(cfg, paths)
     params = cfg.get("params", {})
     p = tuple(map(int, params["p"]))
     q = tuple(map(int, params["q"]))
@@ -172,7 +185,7 @@ def run_converge(cfg, paths, out, seed):
     limit = formats.warping_from_dict(doc["limit"], interval)
     members = tuple(formats.warping_from_dict(m, interval) for m in doc["family"])
     seq = WarpingSequence(members, limit, float(doc["lower_bound"]))
-    n_t = int(cfg.get("n_t_override") or default_n_t)
+    n_t = int(_override(cfg, "n_t_override", default_n_t))
     rep = null_convergence_check(
         seq, fiber, n_t, max_entries=int(doc.get("sample_pairs", 1_000_000)), seed=seed
     )
@@ -218,7 +231,7 @@ def run_gh(cfg, paths, out, seed):
 
 def run_net(cfg, paths, out, seed):
     space = formats.load_space(paths["space"])
-    eps = float(cfg.get("params", {}).get("eps", cfg.get("tol_override") or 0.25))
+    eps = float(cfg.get("params", {}).get("eps", _override(cfg, "tol_override", 0.25)))
     net = epsilon_net(space, eps)
     verdict = verify_net(space, net)
     formats.write_table_csv(
@@ -243,10 +256,9 @@ def run_curvature(cfg, paths, out, seed):
     interval = Interval(float(a), float(b))
     fiber = formats.load_space(base / doc["fiber"])
     warping = formats.warping_from_dict(doc["warping"], interval)
-    from .cone import ConeGrid
-
-    grid = ConeGrid(interval, fiber, warping, int(doc.get("n_t", 50)))
-    tol = float(cfg.get("tol_override") or doc.get("tol", 0.05))
+    n_t = int(_override(cfg, "n_t_override", doc.get("n_t", 50)))
+    grid = ConeGrid(interval, fiber, warping, n_t)
+    tol = float(_override(cfg, "tol_override", doc.get("tol", 0.05)))
     tris, diag = sample_timelike_triangles(
         grid,
         int(doc.get("n_triangles", 10)),
@@ -295,11 +307,11 @@ def run_persist(cfg, paths, out, seed):
         fibers,
         limit,
         interval=interval,
-        n_t=int(doc.get("n_t", 50)),
+        n_t=int(_override(cfg, "n_t_override", doc.get("n_t", 50))),
         seed=int(doc.get("seed", seed)),
         n_triangles=int(doc.get("n_triangles", 8)),
         n_probe=int(doc.get("n_probe", 5)),
-        tol=float(cfg.get("tol_override") or doc.get("tol", 0.05)),
+        tol=float(_override(cfg, "tol_override", doc.get("tol", 0.05))),
         side_cap=doc.get("side_cap"),
         k_prime=float(doc.get("k_prime", 0.0)),
         **kwargs,
@@ -385,6 +397,9 @@ def main(argv=None) -> int:
     except (InvalidInputError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return ENGINE_ERROR
 
     formats.write_manifest(
         out / "manifest.json",

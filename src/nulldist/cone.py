@@ -27,12 +27,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError, SizeBoundError
+from .lpls import _dijkstra_dense, _walk
 from .metric_core import FiniteLengthSpace
 from .reporting import GuaranteeReport
 from .warping import Interval, WarpingFunction
 
 DEFAULT_N_T = 200
 _TABLE_CAP = 3e8  # entries per threshold table
+_GATHER_CAP = 1 << 20  # move-by-source candidates per time-separation block
 CHRONOLOGICAL, CAUSAL, NONE = "chronological", "causal", "none"
 
 
@@ -71,7 +73,7 @@ class ConeGrid:
         )
         self.causal_slack = 32.0 * np.finfo(float).eps * scale
         self._tables: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._offset_min_dist: Optional[np.ndarray] = None
+        self._moves: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- indexing ----------------------------------------------------------
 
@@ -93,9 +95,6 @@ class ConeGrid:
 
     def point(self, node: int) -> tuple[int, int]:
         return divmod(int(node), self.m)
-
-    def coords(self, i: int, j: int) -> tuple[float, float]:
-        return float(self.t_levels[i]), j
 
     def _check_point(self, i: int, j: int) -> None:
         if not (0 <= i < self.n_levels):
@@ -129,12 +128,6 @@ class ConeGrid:
         in either time direction."""
         gaps = np.abs(self.g_levels - self.g_levels[i])[:, None]
         return self.fiber.dist[j][None, :] <= gaps + self.causal_slack
-
-    def product_metric(self, p: tuple[int, int], q: tuple[int, int]) -> float:
-        """Background product metric |dt| + d(x, x')."""
-        return abs(self.t_levels[p[0]] - self.t_levels[q[0]]) + float(
-            self.fiber.dist[p[1], q[1]]
-        )
 
     # -- threshold tables for the sweep engine -----------------------------
 
@@ -195,26 +188,16 @@ class ConeGrid:
         self._tables = (t_up, t_dn)
         return self._tables
 
-    def offset_min_dist(self) -> np.ndarray:
-        """min_j d(j, (j+o) mod m) per offset o; bounds the index window that
-        contains all fiber moves below a distance threshold."""
-        if self._offset_min_dist is None:
-            m = self.m
-            d = self.fiber.dist
-            idx = np.arange(m)
-            self._offset_min_dist = np.array(
-                [d[idx, (idx + o) % m].min() for o in range(m)]
-            )
-        return self._offset_min_dist
-
-
-def build_cone(
-    interval: tuple[float, float],
-    fiber: FiniteLengthSpace,
-    warping: WarpingFunction,
-    n_t: int = DEFAULT_N_T,
-) -> ConeGrid:
-    return ConeGrid(Interval(*interval), fiber, warping, n_t)
+    def _fiber_moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fiber pairs (src, dst) causal across the widest level step, sorted
+        by dst and then src; returns (src, dst, indptr) with the moves into
+        dst at indptr[dst]:indptr[dst + 1]. Every dst has its self-move."""
+        if self._moves is None:
+            gap = float(np.max(np.diff(self.g_levels)))
+            dst, src = np.nonzero(self.fiber.dist.T <= gap + self.causal_slack)
+            indptr = np.searchsorted(dst, np.arange(self.m + 1))
+            self._moves = (src, dst, indptr)
+        return self._moves
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +300,10 @@ def _sweep_rows(
 ) -> np.ndarray:
     t_up, t_dn = grid._threshold_tables()
     n_lv, m, b = grid.n_levels, grid.m, len(sources)
-    d = grid.fiber.dist
-    g = grid.g_levels
 
     val = np.full((n_lv, m, b), np.inf)
     for s, (i0, j0) in enumerate(sources):
-        mask = d[j0][None, :] <= np.abs(g - g[i0])[:, None] + grid.causal_slack
+        mask = grid.causal_row(i0, j0)
         w = np.abs(pi - pi[i0])[:, None]
         col = val[:, :, s]
         col[mask] = np.broadcast_to(w, (n_lv, m))[mask]
@@ -389,15 +370,13 @@ def null_distance_guarantees(
     tol_fmax = (2.0 + grid.f_max) * grid.grid_step() if grid_tol is None else grid_tol
     rep = GuaranteeReport()
     d = grid.fiber.dist
-    g = grid.g_levels
     pi = result.weight_levels
     lv = np.repeat(np.arange(grid.n_levels), grid.m)
     fb = np.tile(np.arange(grid.m), grid.n_levels)
     for s, (i0, j0) in enumerate(result.sources):
         row = result.rows[s]
-        gaps = np.abs(g[lv] - g[i0])
         dists = d[j0, fb]
-        causal = dists <= gaps + grid.causal_slack
+        causal = grid.causal_row(i0, j0).ravel()
         wgap = np.abs(pi[lv] - pi[i0])
 
         err = np.abs(row[causal] - wgap[causal])
@@ -473,23 +452,34 @@ class TimeSeparationResult:
         return float(self.rows[s, self.grid.node(*q)])
 
 
-def _level_step_weights(grid: ConeGrid, i: int, offsets: np.ndarray):
-    """Per-offset fiber moves for the step level i -> i+1: admissible mask and
-    segment lengths sqrt(dt^2 - f(mid)^2 d^2), zero on exactly-null moves."""
-    d = grid.fiber.dist
-    m = grid.m
-    idx = np.arange(m)
+def _level_step_weights(
+    grid: ConeGrid, i: int, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Lengths of the fiber moves src -> dst on the step level i -> i+1:
+    sqrt(dt^2 - f(mid)^2 d^2) on strict moves, zero on exactly-null moves and
+    -inf on moves that are not causal."""
+    dist = grid.fiber.dist[src, dst]
     gap = grid.g_levels[i + 1] - grid.g_levels[i]
     dt = grid.t_levels[i + 1] - grid.t_levels[i]
     f_mid = float(grid.warping.value(0.5 * (grid.t_levels[i] + grid.t_levels[i + 1])))
-    dest = (idx[None, :] + offsets[:, None]) % m
-    dist = d[idx[None, :], dest]
-    allowed = dist <= gap + grid.causal_slack
-    strict = dist < gap - grid.causal_slack
-    disc = dt * dt - (f_mid * dist) ** 2
-    w = np.sqrt(np.clip(disc, 0.0, None))
-    w = np.where(strict, w, 0.0)
-    return dest, allowed, w
+    fd = f_mid * dist
+    w = np.sqrt(np.clip(dt * dt - fd * fd, 0.0, None))
+    w = np.where(dist < gap - grid.causal_slack, w, 0.0)
+    return np.where(dist <= gap + grid.causal_slack, w, -np.inf)
+
+
+def _dp_step(grid: ConeGrid, val: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """One longest-path step: values (m, b) at level i -> level i+1, and the
+    move weights used. Source columns go in blocks of bounded gather size."""
+    src, dst, indptr = grid._fiber_moves()
+    w = _level_step_weights(grid, i, src, dst)
+    nxt = np.empty_like(val)
+    cols = max(1, _GATHER_CAP // src.size)
+    for lo in range(0, val.shape[1], cols):
+        cand = val[src, lo : lo + cols]
+        cand += w[:, None]
+        nxt[:, lo : lo + cols] = np.maximum.reduceat(cand, indptr[:-1], axis=0)
+    return nxt, w
 
 
 def time_separation(
@@ -512,37 +502,18 @@ def time_separation(
     for i, j in sources:
         grid._check_point(i, j)
     m, n_lv = grid.m, grid.n_levels
-    dmin = grid.offset_min_dist()
     rows = np.full((len(sources), grid.n_points), -np.inf)
-    order = np.argsort([s[0] for s in sources], kind="stable")
     val = np.full((m, len(sources)), -np.inf)
-    started = np.zeros(len(sources), dtype=bool)
     by_level: dict[int, list[int]] = {}
     for s, (i0, j0) in enumerate(sources):
         by_level.setdefault(i0, []).append(s)
         rows[s, grid.node(i0, j0)] = 0.0
 
-    for i in range(n_lv):
+    for i in range(min(by_level, default=n_lv), n_lv - 1):
         for s in by_level.get(i, ()):
-            val[sources[s][1], s] = np.maximum(val[sources[s][1], s], 0.0)
-            started[s] = True
-        if i == n_lv - 1 or not started.any():
-            continue
-        gap = grid.g_levels[i + 1] - grid.g_levels[i]
-        thr = gap + grid.causal_slack
-        win = int(np.max(np.nonzero(dmin <= thr)[0])) if np.any(dmin <= thr) else 0
-        offs = np.arange(-win, win + 1) if win < m / 2 else np.arange(m)
-        dest, allowed, w = _level_step_weights(grid, i, offs)
-        nxt = np.full_like(val, -np.inf)
-        for o in range(offs.size):
-            ok = allowed[o]
-            if not np.any(ok):
-                continue
-            cand = val[ok] + w[o][ok][:, None]
-            tgt = dest[o][ok]
-            nxt[tgt] = np.maximum(nxt[tgt], cand)
-        val = nxt
-        lvl_nodes = (i + 1) * m + np.arange(m)
+            val[sources[s][1], s] = 0.0
+        val, _ = _dp_step(grid, val, i)
+        lvl_nodes = slice((i + 1) * m, (i + 2) * m)
         rows[:, lvl_nodes] = np.maximum(rows[:, lvl_nodes], val.T)
 
     out = np.where(np.isfinite(rows), np.maximum(rows, 0.0), 0.0)
@@ -562,48 +533,28 @@ def time_separation_path(
         return 0.0, [(i0, j0)]
     if i1 < i0:
         return 0.0, []
-    m = grid.m
-    dmin = grid.offset_min_dist()
-    vals = [np.full(m, -np.inf)]
-    vals[0][j0] = 0.0
-    steps = []
+    val = np.full((grid.m, 1), -np.inf)
+    val[j0] = 0.0
+    vals, weights = [val[:, 0]], []
     for i in range(i0, i1):
-        gap = grid.g_levels[i + 1] - grid.g_levels[i]
-        thr = gap + grid.causal_slack
-        win = int(np.max(np.nonzero(dmin <= thr)[0])) if np.any(dmin <= thr) else 0
-        offs = np.arange(-win, win + 1) if win < m / 2 else np.arange(m)
-        dest, allowed, w = _level_step_weights(grid, i, offs)
-        cur = vals[-1]
-        nxt = np.full(m, -np.inf)
-        for o in range(offs.size):
-            ok = allowed[o] & np.isfinite(cur)
-            if not np.any(ok):
-                continue
-            cand = cur[ok] + w[o][ok]
-            np.maximum.at(nxt, dest[o][ok], cand)
-        steps.append((offs, dest, allowed, w))
-        vals.append(nxt)
+        val, w = _dp_step(grid, val, i)
+        vals.append(val[:, 0])
+        weights.append(w)
     total = vals[-1][j1]
     if not math.isfinite(total):
         return 0.0, []
     # backtrack deterministically: smallest admissible predecessor index
+    src, _, indptr = grid._fiber_moves()
     path = [(i1, j1)]
-    cur_j = j1
-    for back, (offs, dest, allowed, w) in enumerate(reversed(steps)):
-        i = i1 - back - 1
-        level_vals = vals[i - i0]
-        best = None
-        for o in range(offs.size):
-            srcs = np.nonzero(allowed[o] & (dest[o] == cur_j))[0]
-            for j in srcs:
-                v = level_vals[j] + w[o][j]
-                if math.isfinite(v) and abs(v - vals[i - i0 + 1][cur_j]) <= 1e-12:
-                    if best is None or j < best:
-                        best = int(j)
-        if best is None:
+    cur = j1
+    for i in range(i1 - 1, i0 - 1, -1):
+        seg = slice(indptr[cur], indptr[cur + 1])
+        cand = vals[i - i0][src[seg]] + weights[i - i0][seg]
+        hit = np.nonzero(np.isfinite(cand) & (np.abs(cand - vals[i - i0 + 1][cur]) <= 1e-12))[0]
+        if hit.size == 0:
             raise RuntimeError("backtracking lost the maximizing path")
-        path.append((i, best))
-        cur_j = best
+        cur = int(src[seg][hit[0]])
+        path.append((i, cur))
     return float(max(total, 0.0)), path[::-1]
 
 
@@ -667,7 +618,7 @@ def null_distance_phi(
         row = result.rows[s]
         gaps = np.abs(g[lv] - g[i0])
         dists = d[j0, fb]
-        causal = dists <= gaps + grid.causal_slack
+        causal = grid.causal_row(i0, j0).ravel()
         n_checked += row.size
         err = np.abs(row[causal] - np.abs(phi_levels[lv[causal]] - phi_levels[i0]))
         if err.size:
@@ -760,43 +711,6 @@ class MinimizerAnalysis:
     diagnostic: str = ""
 
 
-def _dijkstra_pair(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]):
-    """Dense Dijkstra over the implicit causal graph, with predecessors."""
-    n = grid.n_points
-    if n > 40000:
-        raise SizeBoundError("per-pair minimizer extraction capped at 40000 points")
-    lv = np.repeat(np.arange(grid.n_levels), grid.m)
-    fb = np.tile(np.arange(grid.m), grid.n_levels)
-    g = grid.g_levels
-    t = grid.t_levels
-    d = grid.fiber.dist
-    src = grid.node(*p)
-    dst = grid.node(*q)
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-    dist[src] = 0.0
-    for _ in range(n):
-        u = int(np.argmin(np.where(done, np.inf, dist)))
-        if not math.isfinite(dist[u]) or done[u]:
-            break
-        if u == dst:
-            break
-        done[u] = True
-        iu, ju = grid.point(u)
-        mask = d[ju, fb] <= np.abs(g[lv] - g[iu]) + grid.causal_slack
-        cand = dist[u] + np.abs(t[lv] - t[iu])
-        better = mask & (cand < dist)
-        pred[better] = u
-        dist = np.where(better, cand, dist)
-    if not math.isfinite(dist[dst]):
-        return None, None
-    path = [dst]
-    while path[-1] != src:
-        path.append(int(pred[path[-1]]))
-    return dist[dst], [grid.point(v) for v in path[::-1]]
-
-
 def minimizer_analysis(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -> MinimizerAnalysis:
     """Extract one minimizing path and report, per maximal monotone run, the
     nullity defect (G(t_end) - G(t_start)) - d(fiber endpoints of the run)."""
@@ -811,9 +725,19 @@ def minimizer_analysis(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -
         return MinimizerAnalysis(
             [p, q], [], grid.grid_step(), "causal pair: the direct edge minimizes"
         )
-    _, path = _dijkstra_pair(grid, p, q)
-    if path is None:
+    if grid.n_points > 40000:
+        raise SizeBoundError("per-pair minimizer extraction capped at 40000 points")
+    t_node = np.repeat(grid.t_levels, grid.m)
+
+    def row(u: int) -> np.ndarray:
+        i, j = grid.point(u)
+        return np.where(grid.causal_row(i, j).ravel(), np.abs(t_node - t_node[u]), np.inf)
+
+    src, dst = grid.node(*p), grid.node(*q)
+    dist, pred = _dijkstra_dense(grid.n_points, row, src, target=dst)
+    if not math.isfinite(dist[dst]):
         return MinimizerAnalysis([], [], grid.grid_step(), "unreachable pair")
+    path = [grid.point(v) for v in _walk(pred, src, dst)]
     runs = []
     start = 0
     for k in range(1, len(path)):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import ConeGrid, time_separation, time_separation_path
+from .cone import ConeGrid, _level_step_weights, time_separation, time_separation_path
 from .errors import InvalidInputError, ModelConstraintError, ParameterError
 from .metric_core import (
     Correspondence,
@@ -67,14 +67,8 @@ class CurvatureVerdict:
 def _accumulate(grid: ConeGrid, path: list) -> np.ndarray:
     """Accumulated single-step segment lengths along a DP path."""
     acc = [0.0]
-    for u, v in zip(path, path[1:]):
-        i = u[0]
-        dt = grid.t_levels[v[0]] - grid.t_levels[i]
-        gap = grid.g_levels[v[0]] - grid.g_levels[i]
-        d = float(grid.fiber.dist[u[1], v[1]])
-        f_mid = float(grid.warping.value(0.5 * (grid.t_levels[i] + grid.t_levels[v[0]])))
-        seg = 0.0 if d >= gap else math.sqrt(max(dt * dt - (f_mid * d) ** 2, 0.0))
-        acc.append(acc[-1] + seg)
+    for (i, j), (_, k) in zip(path, path[1:]):
+        acc.append(acc[-1] + float(_level_step_weights(grid, i, j, k)))
     return np.asarray(acc)
 
 

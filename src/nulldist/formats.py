@@ -112,11 +112,6 @@ def warping_from_dict(doc: dict, domain: Interval) -> WarpingFunction:
     raise InvalidInputError(f"unknown warping kind {kind!r}")
 
 
-def warping_to_dict(w: WarpingFunction) -> dict:
-    kind = "cosh" if w.kind == "cosh" else w.kind
-    return {"kind": kind, "params": dict(w.params)}
-
-
 def load_cone_json(path: PathLike):
     """Cone document: {interval: [a, b], n_t, fiber: <csv ref>, warping: {...}}."""
     from .cone import ConeGrid  # deferred to keep module import light
@@ -225,6 +220,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         if math.isinf(v):
@@ -234,8 +231,6 @@ def _jsonable(obj):
         return v
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if obj is None or isinstance(obj, str):

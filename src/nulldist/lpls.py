@@ -12,7 +12,7 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -196,10 +196,13 @@ def _weight_matrix(space: DiscretePreLengthSpace, tau: np.ndarray) -> np.ndarray
     return np.where(related, w, np.inf)
 
 
-def _dijkstra_dense(w: np.ndarray, source: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense Dijkstra; strict-improvement updates keep predecessors (and hence
-    witnesses) lexicographically minimal for the visitation order."""
-    n = w.shape[0]
+def _dijkstra_dense(
+    n: int, row: Callable[[int], np.ndarray], source: int, target: Optional[int] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense Dijkstra over n nodes; row(u) gives the edge weights out of u
+    (+inf for no edge). Strict-improvement updates keep predecessors (and
+    hence witnesses) lexicographically minimal for the visitation order. The
+    search stops once `target` is settled."""
     dist = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=int)
     done = np.zeros(n, dtype=bool)
@@ -207,14 +210,22 @@ def _dijkstra_dense(w: np.ndarray, source: int) -> tuple[np.ndarray, np.ndarray]
     for _ in range(n):
         masked = np.where(done, np.inf, dist)
         u = int(np.argmin(masked))
-        if not math.isfinite(masked[u]):
+        if not math.isfinite(masked[u]) or u == target:
             break
         done[u] = True
-        cand = dist[u] + w[u]
+        cand = dist[u] + row(u)
         better = cand < dist
         pred[better] = u
         dist = np.where(better, cand, dist)
     return dist, pred
+
+
+def _walk(pred: np.ndarray, src: int, dst: int) -> list[int]:
+    """Node sequence src -> dst along a predecessor array."""
+    path = [dst]
+    while path[-1] != src:
+        path.append(int(pred[path[-1]]))
+    return path[::-1]
 
 
 def null_distance_matrix(
@@ -230,7 +241,7 @@ def null_distance_matrix(
     w = _weight_matrix(space, tau)
     out = np.empty((space.n, space.n))
     for s in range(space.n):
-        out[s], _ = _dijkstra_dense(w, s)
+        out[s], _ = _dijkstra_dense(space.n, w.__getitem__, s)
     if np.any(np.isinf(out)):
         warnings.warn(
             "causal graph is disconnected; unreachable pairs reported as +inf "
@@ -244,13 +255,12 @@ def minimizing_path(
     space: DiscretePreLengthSpace, tau: Sequence[float], src: int, dst: int
 ) -> Optional[list[int]]:
     tau = np.asarray(tau, dtype=float)
-    dist, pred = _dijkstra_dense(_weight_matrix(space, tau), src)
+    dist, pred = _dijkstra_dense(
+        space.n, _weight_matrix(space, tau).__getitem__, src, target=dst
+    )
     if not math.isfinite(dist[dst]):
         return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(int(pred[path[-1]]))
-    return path[::-1]
+    return _walk(pred, src, dst)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,6 @@ _CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
-class RiemannianModelPlane:
-    k: float
-
-
-@dataclass(frozen=True)
 class LorentzianModelPlane:
     K: float
 

@@ -199,10 +199,6 @@ class WarpingFunction:
 
     # -- derivatives -------------------------------------------------------
 
-    @property
-    def twice_differentiable(self) -> bool:
-        return self.kind in ("constant", "affine", "exponential", "cosh")
-
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
         p = self.params

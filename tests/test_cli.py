@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nulldist import FiniteLengthSpace, path_space
+from nulldist import cli
 from nulldist.cli import main
 from nulldist.formats import (
     load_distance_matrix_csv,
@@ -13,6 +14,7 @@ from nulldist.formats import (
     read_long_matrix_csv,
     save_distance_matrix_csv,
     write_long_matrix_csv,
+    write_report_json,
 )
 
 
@@ -52,6 +54,11 @@ class TestFormats:
         write_long_matrix_csv(tmp_path / "m.csv", mat, ["a", "b", "c"])
         _, _, back = read_long_matrix_csv(tmp_path / "m.csv")
         assert np.array_equal(back, mat)  # 17 significant digits round-trip
+
+    def test_report_booleans_stay_booleans(self, tmp_path):
+        write_report_json(tmp_path / "r.json", {"ok": True, "bad": np.bool_(False), "n": 1})
+        text = (tmp_path / "r.json").read_text()
+        assert '"ok": true' in text and '"bad": false' in text and '"n": 1' in text
 
 
 class TestCommands:
@@ -177,6 +184,8 @@ class TestCommands:
         table = (tmp_path / "out" / "converge.csv").read_text().splitlines()
         assert table[0].startswith("j,eps_j,sup_deviation")
         assert status in (0, 1)
+        report = (tmp_path / "out" / "report.json").read_text()
+        assert '"monotone_ok": true' in report
 
     def test_timesep_run(self, tmp_path):
         make_cone_inputs(tmp_path, n_fiber=21, n_t=8)
@@ -188,6 +197,111 @@ class TestCommands:
         }
         write(tmp_path / "cfg.json", json.dumps(cfg))
         assert main(["--config", str(tmp_path / "cfg.json")]) == 0
+
+
+def make_curvature_inputs(tmp: Path) -> Path:
+    """The sample curvature experiment: 41-point path fiber, n_t = 40 on
+    [0, 2], five triangles from seed 7, lower bound K = 0 at tol 0.1."""
+    save_distance_matrix_csv(tmp / "fiber.csv", path_space(41, 1.0))
+    experiment = {
+        "interval": [0.0, 2.0],
+        "n_t": 40,
+        "fiber": "fiber.csv",
+        "warping": {"kind": "constant", "params": {"value": 1.0}},
+        "bound": 0.0,
+        "direction": "lower",
+        "n_triangles": 5,
+        "n_probe": 4,
+        "tol": 0.1,
+        "seed": 7,
+    }
+    write(tmp / "curvature.json", json.dumps(experiment))
+    cfg = {"command": "curvature", "inputs": {"experiment": "curvature.json"}}
+    return write(tmp / "cfg.json", json.dumps(cfg))
+
+
+def make_persist_inputs(tmp: Path, n_t: int, tol: float) -> Path:
+    save_distance_matrix_csv(tmp / "f0.csv", path_space(11, 1.0))
+    save_distance_matrix_csv(tmp / "lim.csv", path_space(21, 1.0))
+    experiment = {
+        "mode": "product",
+        "fibers": ["f0.csv"],
+        "limit": "lim.csv",
+        "interval": [0.0, 3.0],
+        "n_t": n_t,
+        "seed": 11,
+        "n_triangles": 3,
+        "n_probe": 4,
+        "tol": tol,
+        "side_cap": 2.0,
+    }
+    write(tmp / "persist.json", json.dumps(experiment))
+    cfg = {"command": "persist", "inputs": {"experiment": "persist.json"}}
+    return write(tmp / "cfg.json", json.dumps(cfg))
+
+
+class TestOverrides:
+    def test_tol_zero_curvature(self, tmp_path):
+        cfg = make_curvature_inputs(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        # one probe pair sits 0.037 above the model, inside tol 0.1 only
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "b"), "--tol", "0"]) == 1
+
+    def test_tol_zero_persist(self, tmp_path):
+        cfg = make_persist_inputs(tmp_path, n_t=60, tol=0.25)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "b"), "--tol", "0"]) == 1
+        rep = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert rep["agreement"] is False
+
+    def test_tol_zero_net(self, tmp_path):
+        # without params.eps the tolerance is the net radius; zero is refused
+        save_distance_matrix_csv(tmp_path / "m.csv", path_space(11, 1.0))
+        cfg = {"command": "net", "inputs": {"space": "m.csv"}, "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 0
+        assert main(["--config", str(tmp_path / "cfg.json"), "--tol", "0"]) == 2
+
+    def test_n_t_timesep(self, tmp_path):
+        make_cone_inputs(tmp_path, n_fiber=21, n_t=8)
+        cfg = {
+            "command": "timesep",
+            "inputs": {"cone": "cone.json"},
+            "params": {"sources": [[0, 0], [2, 10]]},
+            "output_dir": str(tmp_path / "out"),
+        }
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json"), "--n-t", "4"]) == 0
+        _, cols, _ = read_long_matrix_csv(tmp_path / "out" / "timesep.csv")
+        assert len(cols) == 5 * 21
+
+    def test_n_t_curvature(self, tmp_path):
+        cfg = make_curvature_inputs(tmp_path)
+        main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--n-t", "10"])
+        witness = json.loads((tmp_path / "out" / "report.json").read_text())["worst_witness"]
+        levels = [v[0] for v in witness["triangle"]] + [v[0] for v in witness["probes"]]
+        assert max(levels) <= 10
+
+    def test_n_t_persist(self, tmp_path):
+        # at tol 0.05 the limit cone misses K = 0 at n_t = 60 (margin -0.21)
+        # and meets it at n_t = 8
+        cfg = make_persist_inputs(tmp_path, n_t=60, tol=0.05)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "b"), "--n-t", "8"]) == 0
+
+
+class TestEngineErrors:
+    def test_runtime_error_exits_three(self, tmp_path, monkeypatch, capsys):
+        make_cone_inputs(tmp_path)
+        cfg = {"command": "nulldist", "inputs": {"cone": "cone.json"}, "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+
+        def stuck(*args, **kwargs):
+            raise RuntimeError("null-distance sweeps did not stabilize")
+
+        monkeypatch.setattr(cli, "null_distance", stuck)
+        assert main(["--config", str(tmp_path / "cfg.json")]) == cli.ENGINE_ERROR == 3
+        assert "error: null-distance sweeps did not stabilize" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from nulldist import (
     FiniteLengthSpace,
     Interval,
     WarpingFunction,
+    circle_space,
     fiber_metric_comparison,
     minimizer_analysis,
     null_distance,
@@ -18,6 +21,7 @@ from nulldist import (
     path_space,
     time_separation,
     time_separation_path,
+    tripod_space,
 )
 from nulldist.cone import CAUSAL, CHRONOLOGICAL, NONE, all_grid_points, stratified_sources
 from nulldist.errors import InvalidInputError, ParameterError, SizeBoundError
@@ -156,6 +160,32 @@ class TestGuarantees:
         assert rep.worst["sandwich-lower"] >= -1e-12
 
 
+def reference_time_separation_row(grid, p):
+    """Longest single-step paths from p, one fiber move at a time over every
+    fiber pair, with the step length of the time-separation DP."""
+    m = grid.m
+    row = np.zeros(grid.n_points)
+    val = {p[1]: 0.0}
+    for i in range(p[0], grid.n_t):
+        gap = grid.g_levels[i + 1] - grid.g_levels[i]
+        dt = grid.t_levels[i + 1] - grid.t_levels[i]
+        f_mid = float(grid.warping.value(0.5 * (grid.t_levels[i] + grid.t_levels[i + 1])))
+        nxt = {}
+        for j, v in val.items():
+            for k in range(m):
+                d = grid.fiber.dist[j, k]
+                if d > gap + grid.causal_slack:
+                    continue
+                w = 0.0
+                if d < gap - grid.causal_slack:
+                    w = math.sqrt(max(dt * dt - (f_mid * d) * (f_mid * d), 0.0))
+                nxt[k] = max(nxt.get(k, -math.inf), v + w)
+        val = nxt
+        for k, v in val.items():
+            row[(i + 1) * m + k] = max(v, 0.0)
+    return row
+
+
 class TestTimeSeparation:
     def test_product_pair(self):
         # kappa = dt/h = 5 keeps the longest-path error around a percent
@@ -206,6 +236,48 @@ class TestTimeSeparation:
         assert path[0] == (0, 0) and path[-1] == (10, 10)
         direct = time_separation(g, sources=[(0, 0)]).value((0, 0), (10, 10))
         assert val == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "fiber,warping",
+        [
+            (circle_space(24, 1.0), WarpingFunction.affine(1.0, 0.8, IV)),
+            (tripod_space(10, 0.3), WarpingFunction.cosh_type(1.0, 1.2, IV)),
+            (path_space(31, 1.0), WarpingFunction.exponential(1.0, -0.6, IV)),
+        ],
+    )
+    def test_path_realizes_the_row_value(self, fiber, warping):
+        g = ConeGrid(IV, fiber, warping, 12)
+        rng = np.random.default_rng(3)
+        positive = 0
+        for _ in range(12):
+            p = (int(rng.integers(0, 4)), int(rng.integers(0, g.m)))
+            q = (int(rng.integers(p[0] + 4, g.n_levels)), int(rng.integers(0, g.m)))
+            res = time_separation(g, sources=[p])
+            assert np.array_equal(res.rows[0], reference_time_separation_row(g, p))
+            val, path = time_separation_path(g, p, q)
+            assert val == res.value(p, q)  # bitwise
+            if val > 0:
+                positive += 1
+                assert path[0] == p and path[-1] == q
+                for u, v in zip(path, path[1:]):
+                    assert v[0] == u[0] + 1
+                    assert g.causal_relation(u, v) != NONE
+        assert positive >= 3
+
+    def test_all_sources_memory_stays_bounded(self):
+        # every fiber pair is causal across a level step: 90000 moves, 900
+        # sources; one gather over all of them would take 650 MB
+        g = ConeGrid(IV, path_space(300, 0.5), WarpingFunction.constant(1.0, IV), 2)
+        tracemalloc.start()
+        try:
+            res = time_separation(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        for p in [(0, 0), (0, 299), (1, 150)]:
+            single = time_separation(g, sources=[p]).rows[0]
+            assert np.array_equal(res.rows[res.sources.index(p)], single)
 
     def test_monotone_under_fiber_refinement(self):
         vals = []

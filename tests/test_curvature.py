@@ -16,7 +16,7 @@ from nulldist import (
     triangle_comparison,
     tripod_space,
 )
-from nulldist.curvature import _triangle_from_vertices, dp_refinement_error
+from nulldist.curvature import _accumulate, _triangle_from_vertices, dp_refinement_error
 from nulldist.errors import ModelConstraintError, ParameterError
 
 IV01 = Interval(0.0, 1.0)
@@ -40,6 +40,18 @@ class TestSampling:
         tris, _ = sample_timelike_triangles(g, 6, seed=3)
         for t in tris:
             assert t.c >= t.a + t.b - 1e-9
+
+    def test_side_paths_accumulate_to_the_side_values(self):
+        # the README curvature experiment: steps inside the causal slack of
+        # the null cone must count zero along a path, as they do in the DP
+        g = flat_grid(n_t=40, n_f=41, t_max=2.0)
+        tris, _ = sample_timelike_triangles(g, 5, seed=7)
+        assert len(tris) == 5
+        for t in tris:
+            for name, side in (("xy", t.a), ("yz", t.b), ("xz", t.c)):
+                path, acc = t.side_paths[name]
+                assert abs(_accumulate(g, path)[-1] - side) <= 1e-12
+                assert abs(acc[-1] - side) <= 1e-12
 
     def test_count_zero(self):
         g = flat_grid(n_t=20, n_f=21)
