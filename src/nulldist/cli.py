@@ -99,8 +99,7 @@ def run_nulldist(cfg, paths, out, seed):
     params = cfg.get("params", {})
     sources = _pick_sources(grid, params, seed)
     res = null_distance(grid, sources=sources)
-    unit = None
-    rep = null_distance_guarantees(grid, res, unit)
+    rep = null_distance_guarantees(grid, res)
     formats.write_long_matrix_csv(
         out / "nulldist.csv",
         res.rows,

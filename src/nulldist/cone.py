@@ -13,9 +13,10 @@ confined to non-causal pairs.
 
 The shortest-path engine never materializes the O(N^2) edge set. Monotone
 runs of causal edges compose into single edges, so distances are reached by
-alternating sweeps of "relax every future edge" / "relax every past edge";
-each sweep reduces to per-level prefix/suffix minima gathered through
-precomputed threshold index tables.
+repeated sweeps of one pass, "relax every future edge" in ascending time, run
+once on the grid and once on its time reversal. Each level update is a
+minimum over running per-fiber minima, gathered through a precomputed table
+of the last causal level.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .warping import Interval, WarpingFunction
 DEFAULT_N_T = 200
 _TABLE_CAP = 3e8  # entries per threshold table
 _GATHER_CAP = 1 << 20  # move-by-source candidates per time-separation block
+_BATCH = 64  # sources per null-distance sweep batch
 CHRONOLOGICAL, CAUSAL, NONE = "chronological", "causal", "none"
 
 
@@ -132,61 +134,30 @@ class ConeGrid:
     # -- threshold tables for the sweep engine -----------------------------
 
     def _threshold_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._tables is not None:
-            return self._tables
-        n_lv, m = self.n_levels, self.m
-        if n_lv * m * m > _TABLE_CAP:
-            raise SizeBoundError(
-                "threshold tables would exceed the memory cap; "
-                "use a coarser fiber or time_separation-style queries"
+        """Sweep tables for the grid and for its time reversal (G replaced by
+        -G read backwards): entry [k, a, b] is the last level i <= k with
+        (i, a) causal to (k, b), or -1 (the pad row) when there is none."""
+        if self._tables is None:
+            if self.n_levels * self.m * self.m > _TABLE_CAP:
+                raise SizeBoundError(
+                    "threshold tables would exceed the memory cap; "
+                    "use a coarser fiber or time_separation-style queries"
+                )
+            self._tables = (
+                self._last_causal_levels(self.g_levels),
+                self._last_causal_levels(-self.g_levels[::-1]),
             )
-        g = self.g_levels
-        d = self.fiber.dist
-        slack = self.causal_slack
-        t_up = np.empty((n_lv, m, m), dtype=np.int32)
-        t_dn = np.empty((n_lv, m, m), dtype=np.int32)
-        # Admissibility must evaluate the predicate d <= G_k - G_i in exactly
-        # that floating-point form (plus the slack); IEEE subtraction is
-        # monotone, so admissible levels form a prefix (resp. suffix). A
-        # searchsorted guess lands within an index or two of that boundary
-        # and is corrected against the predicate itself.
-        for k in range(n_lv):
-            # largest source level i with d <= G_k - G_i (future edge into k)
-            base = (np.searchsorted(g, g[k] - d, side="right") - 1).astype(np.int32)
-            while True:
-                nxt = base + 1
-                ok = nxt <= k
-                cand = np.clip(nxt, 0, n_lv - 1)
-                move = ok & (d <= (g[k] - g[cand]) + slack)
-                if not move.any():
-                    break
-                base[move] += 1
-            while True:
-                cur = np.clip(base, 0, n_lv - 1)
-                move = (base >= 0) & ~(d <= (g[k] - g[cur]) + slack)
-                if not move.any():
-                    break
-                base[move] -= 1
-            t_up[k] = base  # -1 when no admissible level; wraps to the pad row
-            # smallest source level i with d <= G_i - G_k (past edge into k)
-            base = np.searchsorted(g, g[k] + d, side="left").astype(np.int32)
-            while True:
-                prv = base - 1
-                ok = prv >= k
-                cand = np.clip(prv, 0, n_lv - 1)
-                move = ok & (d <= (g[cand] - g[k]) + slack)
-                if not move.any():
-                    break
-                base[move] -= 1
-            while True:
-                cur = np.clip(base, 0, n_lv - 1)
-                move = (base <= n_lv - 1) & ~(d <= (g[cur] - g[k]) + slack)
-                if not move.any():
-                    break
-                base[move] += 1
-            t_dn[k] = base  # n_lv when no admissible level; that is the pad row
-        self._tables = (t_up, t_dn)
         return self._tables
+
+    def _last_causal_levels(self, g: np.ndarray) -> np.ndarray:
+        # causal_row's expression |G_i - G_k| + slack only falls as i rises
+        # towards k, so the causal levels i <= k form a prefix and one search
+        # down from k finds its end
+        table = np.empty((g.size, self.m, self.m), dtype=np.int32)
+        for k in range(g.size):
+            gap = np.abs(g - g[k]) + self.causal_slack
+            table[k] = k - np.searchsorted(gap[k::-1], self.fiber.dist, side="left")
+        return table
 
     def _fiber_moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fiber pairs (src, dst) causal across the widest level step, sorted
@@ -241,25 +212,14 @@ def stratified_sources(
     rng = np.random.default_rng(seed)
     levels = np.unique(np.linspace(0, grid.n_levels - 1, n_src).round().astype(int))
     fibers = np.unique(np.linspace(0, grid.m - 1, n_src).round().astype(int))
-    picks: list[tuple[int, int]] = []
     fib_perm = rng.permutation(fibers)
-    for idx, lev in enumerate(levels):
-        picks.append((int(lev), int(fib_perm[idx % fib_perm.size])))
-    seen = set()
-    out = []
-    for p in picks[:n_src]:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return [(int(lev), int(fib_perm[idx % fib_perm.size])) for idx, lev in enumerate(levels)]
 
 
 def null_distance(
     grid: ConeGrid,
     sources: Optional[Sequence[tuple[int, int]]] = None,
     weight_levels: Optional[np.ndarray] = None,
-    batch: int = 64,
-    max_sweeps: Optional[int] = None,
 ) -> NullDistanceResult:
     """Null distances from the given source points to every grid point.
 
@@ -286,19 +246,16 @@ def null_distance(
         raise InvalidInputError("weight_levels must be strictly increasing")
 
     rows = np.empty((len(sources), grid.n_points))
-    for lo in range(0, len(sources), batch):
-        chunk = sources[lo : lo + batch]
-        rows[lo : lo + len(chunk)] = _sweep_rows(grid, chunk, pi, max_sweeps)
+    for lo in range(0, len(sources), _BATCH):
+        chunk = sources[lo : lo + _BATCH]
+        rows[lo : lo + len(chunk)] = _sweep_rows(grid, chunk, pi)
     return NullDistanceResult(grid, tuple(sources), rows, pi)
 
 
 def _sweep_rows(
-    grid: ConeGrid,
-    sources: Sequence[tuple[int, int]],
-    pi: np.ndarray,
-    max_sweeps: Optional[int],
+    grid: ConeGrid, sources: Sequence[tuple[int, int]], pi: np.ndarray
 ) -> np.ndarray:
-    t_up, t_dn = grid._threshold_tables()
+    t_up, t_rev = grid._threshold_tables()
     n_lv, m, b = grid.n_levels, grid.m, len(sources)
 
     val = np.full((n_lv, m, b), np.inf)
@@ -311,34 +268,30 @@ def _sweep_rows(
 
     jj = np.broadcast_to(np.arange(m)[None, :], (m, m))
     prefix = np.empty((n_lv + 1, m, b))  # row n_lv stays +inf (pad for "no level")
-    suffix = np.empty((n_lv + 1, m, b))
     prefix[n_lv] = np.inf
-    suffix[n_lv] = np.inf
     # Gauss-Seidel passes reassociate sums, so late iterations can keep
     # shaving single ulps; improvements below this threshold do not count
     # as progress (they are still applied). Scales exactly with the weights,
     # keeping rescaled time functions bitwise proportional.
     eps_stop = 1e3 * np.finfo(float).eps * float(pi[-1] - pi[0])
-    cap = max_sweeps if max_sweeps is not None else 4 * (n_lv + 2)
-    for _ in range(cap):
+
+    def ascend(val: np.ndarray, pi: np.ndarray, table: np.ndarray) -> bool:
+        """Relax every future-directed edge in one ascending pass; the clamp
+        to k-1 drops only same-level self edges."""
         changed = False
-        # ascending pass resolves all future-directed runs in one go; the
-        # clamp to k-1 drops only same-level self edges
         for k in range(n_lv):
-            cand = prefix[np.minimum(t_up[k], k - 1), jj, :].min(axis=1) + pi[k]
+            cand = prefix[np.minimum(table[k], k - 1), jj, :].min(axis=1) + pi[k]
             if np.any(cand < val[k] - eps_stop):
                 changed = True
             np.minimum(val[k], cand, out=val[k])
             row = val[k] - pi[k]
             prefix[k] = row if k == 0 else np.minimum(prefix[k - 1], row)
-        # descending pass for past-directed runs
-        for k in range(n_lv - 1, -1, -1):
-            cand = suffix[np.maximum(t_dn[k], k + 1), jj, :].min(axis=1) - pi[k]
-            if np.any(cand < val[k] - eps_stop):
-                changed = True
-            np.minimum(val[k], cand, out=val[k])
-            suffix[k] = np.minimum(suffix[k + 1], val[k] + pi[k])
-        if not changed:
+        return changed
+
+    # past-directed edges are future-directed on the time-reversed grid
+    passes = ((val, pi, t_up), (val[::-1], -pi[::-1], t_rev))
+    for _ in range(4 * (n_lv + 2)):
+        if not any([ascend(*p) for p in passes]):  # a list, so both passes run
             break
     else:
         raise RuntimeError("null-distance sweeps did not stabilize")

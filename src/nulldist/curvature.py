@@ -478,6 +478,12 @@ def persistence_experiment(
     return report
 
 
+def _margin_with_snap(v: CurvatureVerdict) -> float:
+    """The verdict's worst probe margin plus its snap slack (inf without one)."""
+    w = v.worst_witness or {}
+    return w.get("margin", math.inf) + w.get("snap_slack", 0.0)
+
+
 def _best_triangle_verdict(
     grid: ConeGrid,
     bound: float,
@@ -497,20 +503,16 @@ def _best_triangle_verdict(
     if not tris:
         return CurvatureVerdict(bound, direction, False, tol, {"diagnostic": diag})
     worst: Optional[CurvatureVerdict] = None
+    worst_key = math.inf
     cache: dict = {}
     for tri in tris:
         try:
             v = triangle_comparison(grid, tri, bound, direction, n_probe, tol, cache)
         except ModelConstraintError:
             continue
-        key = (v.worst_witness or {}).get("margin", math.inf) + (
-            v.worst_witness or {}
-        ).get("snap_slack", 0.0)
-        ref = (worst.worst_witness or {}).get("margin", math.inf) + (
-            worst.worst_witness or {}
-        ).get("snap_slack", 0.0) if worst is not None else math.inf
-        if worst is None or key < ref:
-            worst = v
+        key = _margin_with_snap(v)
+        if worst is None or key < worst_key:
+            worst, worst_key = v, key
     if worst is None:
         return CurvatureVerdict(
             bound, direction, False, tol, {"diagnostic": "all sampled triangles inadmissible"}

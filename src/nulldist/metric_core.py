@@ -362,6 +362,7 @@ class QuadrupleVerdict:
     worst_quadruple: Optional[tuple] = None
     worst_excess: float = -math.inf
     model_failure: Optional[tuple] = None
+    subsampled_to: Optional[int] = None  # points kept when the space was subsampled
 
     def __bool__(self) -> bool:
         return self.passed
@@ -388,11 +389,10 @@ def quadruple_curvature_check(
     if tol < 0:
         raise ParameterError("tol must be nonnegative")
     n = space.n
-    subsampled = False
+    subsampled_to: Optional[int] = None
     index_map = np.arange(n)
     d = space.dist
     if n > sample_cap:
-        subsampled = True
         picks = [0]
         min_dist = d[0].copy()
         while len(picks) < sample_cap:
@@ -401,9 +401,9 @@ def quadruple_curvature_check(
             np.minimum(min_dist, d[far], out=min_dist)
         index_map = np.array(sorted(set(picks)))
         d = d[np.ix_(index_map, index_map)]
-        n = index_map.size
+        n = subsampled_to = int(index_map.size)
     if n < 4:
-        return QuadrupleVerdict(k, tol, True)
+        return QuadrupleVerdict(k, tol, True, subsampled_to=subsampled_to)
 
     worst_excess = -math.inf
     worst_quad = None
@@ -437,6 +437,7 @@ def quadruple_curvature_check(
                             int(index_map[oth[t]]),
                             str(exc),
                         ),
+                        subsampled_to=subsampled_to,
                     )
             raise
         angle = np.zeros((m, m))
@@ -461,12 +462,14 @@ def quadruple_curvature_check(
                     int(index_map[oth[ib]]),
                     int(index_map[oth[ic]]),
                 )
-    verdict = QuadrupleVerdict(
-        k, tol, bool(worst_excess <= tol), worst_quad, float(worst_excess)
+    return QuadrupleVerdict(
+        k,
+        tol,
+        bool(worst_excess <= tol),
+        worst_quad,
+        float(worst_excess),
+        subsampled_to=subsampled_to,
     )
-    if subsampled:
-        object.__setattr__(verdict, "subsampled_to", int(index_map.size))
-    return verdict
 
 
 def verify_net(space: FiniteLengthSpace, net: EpsilonNet) -> Verdict:

@@ -27,6 +27,8 @@ from nulldist.cone import CAUSAL, CHRONOLOGICAL, NONE, all_grid_points, stratifi
 from nulldist.errors import InvalidInputError, ParameterError, SizeBoundError
 
 IV = Interval(0.0, 1.0)
+_TS = np.linspace(0.0, 1.0, 9)
+TABULATED = WarpingFunction.tabulated(_TS, 1.0 + 0.5 * np.sin(3.0 * _TS) ** 2, IV)
 
 
 def small_grid(n_t=10, n_f=11, warping=None, interval=IV, fiber=None):
@@ -69,18 +71,77 @@ class TestCausalRelation:
             g.causal_relation((0, 0), (11, 0))
 
 
-class TestEngineAgainstOracles:
+class TestThresholdTables:
+    @staticmethod
+    def expected(grid):
+        """Both sweep tables from causal_row, one (i, k) pair at a time."""
+        n = grid.n_levels
+        up = np.empty((n, grid.m, grid.m), dtype=int)
+        rev = np.empty_like(up)
+        for k in range(n):
+            for b in range(grid.m):
+                row = grid.causal_row(k, b)
+                for a in range(grid.m):
+                    past = [i for i in range(k + 1) if row[i, a]]
+                    future = [i for i in range(k, n) if row[i, a]]
+                    up[k, a, b] = past[-1] if past else -1
+                    rev[n - 1 - k, a, b] = n - 1 - future[0] if future else -1
+        return up, rev
+
     @pytest.mark.parametrize(
         "warping",
         [
-            WarpingFunction.constant(1.0, IV),
-            WarpingFunction.constant(2.0, IV),
             WarpingFunction.affine(1.0, 1.5, IV),
-            WarpingFunction.exponential(1.0, 0.6, IV),
+            WarpingFunction.cosh_type(1.0, 1.2, IV),
+            TABULATED,
+            WarpingFunction.constant(1.0, IV),
+        ],
+        ids=["affine", "cosh", "tabulated", "dyadic"],
+    )
+    def test_tables_follow_causal_row(self, warping):
+        g = small_grid(n_t=8, n_f=9, warping=warping)
+        up, rev = g._threshold_tables()
+        want_up, want_rev = self.expected(g)
+        assert np.array_equal(up, want_up)
+        assert np.array_equal(rev, want_rev)
+        # the fiber is at least as long as G(1) - G(0): far pairs have no causal level
+        assert np.any(up == -1) and np.any(rev == -1)
+
+    def test_exactly_null_pairs_stay_causal(self):
+        # dyadic unit cone: d = |a - b| / 8 equals G_k - G_i exactly on null pairs
+        g = small_grid(n_t=8, n_f=9)
+        up, rev = g._threshold_tables()
+        k = np.arange(g.n_levels)[:, None, None]
+        ab = np.abs(np.subtract.outer(np.arange(g.m), np.arange(g.m)))[None]
+        closed_form = np.maximum(k - ab, -1)
+        assert np.array_equal(up, closed_form)
+        assert np.array_equal(rev, closed_form)
+
+
+class TestEngineAgainstOracles:
+    @pytest.mark.parametrize(
+        "warping,fiber,phi",
+        [
+            pytest.param(WarpingFunction.constant(1.0, IV), None, None, id="warping0"),
+            pytest.param(WarpingFunction.constant(2.0, IV), None, None, id="warping1"),
+            pytest.param(WarpingFunction.affine(1.0, 1.5, IV), None, None, id="warping2"),
+            pytest.param(WarpingFunction.exponential(1.0, 0.6, IV), None, None, id="warping3"),
+            pytest.param(WarpingFunction.cosh_type(1.0, 1.2, IV), None, None, id="cosh"),
+            pytest.param(TABULATED, None, None, id="tabulated"),
+            pytest.param(
+                WarpingFunction.affine(1.0, 0.8, IV), circle_space(10, 1.0), None, id="circle"
+            ),
+            pytest.param(
+                WarpingFunction.cosh_type(1.0, 1.2, IV), tripod_space(3, 0.5), None, id="tripod"
+            ),
+            pytest.param(
+                WarpingFunction.constant(1.0, IV), None, lambda t: t + t * t / 2, id="phi-quadratic"
+            ),
         ],
     )
-    def test_matches_floyd_warshall(self, warping):
-        g = small_grid(n_t=8, n_f=9, warping=warping)
+    def test_matches_floyd_warshall(self, warping, fiber, phi):
+        g = small_grid(n_t=8, n_f=9, warping=warping, fiber=fiber)
+        pi = g.t_levels if phi is None else phi(g.t_levels)
         n = g.n_points
         lv = np.repeat(np.arange(g.n_levels), g.m)
         fb = np.tile(np.arange(g.m), g.n_levels)
@@ -88,12 +149,12 @@ class TestEngineAgainstOracles:
         gap = np.abs(g.g_levels[lv][:, None] - g.g_levels[lv][None, :])
         dd = g.fiber.dist[np.ix_(fb, fb)]
         mask = dd <= gap + g.causal_slack
-        w_mat[mask] = np.abs(g.t_levels[lv][:, None] - g.t_levels[lv][None, :])[mask]
+        w_mat[mask] = np.abs(pi[lv][:, None] - pi[lv][None, :])[mask]
         np.fill_diagonal(w_mat, 0.0)
         oracle = w_mat.copy()
         for k in range(n):
             np.minimum(oracle, oracle[:, k][:, None] + oracle[k, :][None, :], out=oracle)
-        got = null_distance(g).full_matrix()
+        got = null_distance(g, weight_levels=pi).full_matrix()
         assert np.abs(got - oracle).max() <= 1e-12
 
     def test_matches_discrete_prelength_dijkstra(self):

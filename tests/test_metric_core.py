@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -219,6 +220,12 @@ class TestGHExact:
 
 
 class TestQuadruple:
+    def test_subsampled_to_is_a_field(self):
+        big, small = tripod_space(20, 1.0), tripod_space(3, 1.0)
+        assert (big.n, small.n) == (61, 10)
+        assert dataclasses.asdict(quadruple_curvature_check(big, 0.0))["subsampled_to"] == 60
+        assert quadruple_curvature_check(small, 0.0).subsampled_to is None
+
     def test_tripod_fails_flat(self):
         verdict = quadruple_curvature_check(tripod_space(1, 1.0), 0.0)
         assert not verdict.passed
