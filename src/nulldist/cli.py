@@ -61,7 +61,7 @@ def _pick_sources(grid, params, seed):
     if isinstance(choice, list):
         return [tuple(map(int, p)) for p in choice]
     max_entries = float(params.get("max_entries", 1e6))
-    if choice == "all" or grid.n_points**2 <= max_entries:
+    if choice == "all":
         return all_grid_points(grid)
     return stratified_sources(grid, max_entries, seed)
 

@@ -59,6 +59,10 @@ class ConeGrid:
         # strict monotonicity of G is equivalent to positivity of f
         if np.any(np.diff(self.g_levels) <= 0):
             raise InvalidInputError("warping must be strictly positive on the interval")
+        # warping at the level midpoints, for the time-separation step lengths
+        self.f_mid = np.asarray(
+            self.warping.value(0.5 * (self.t_levels[:-1] + self.t_levels[1:])), dtype=float
+        )
         fine = self.interval.grid(10 * self.n_t)
         fine_vals = np.asarray(self.warping.value(fine), dtype=float)
         self.f_min = float(fine_vals.min())
@@ -176,11 +180,12 @@ class ConeGrid:
 
 
 @dataclass(eq=False)
-class NullDistanceResult:
+class _SourceRows:
+    """One row over every grid point per source point."""
+
     grid: ConeGrid
     sources: tuple
     rows: np.ndarray  # (len(sources), n_points)
-    weight_levels: np.ndarray  # node weights per t-level used for |.|-edge costs
 
     def value(self, p: tuple[int, int], q: tuple[int, int]) -> float:
         try:
@@ -188,6 +193,11 @@ class NullDistanceResult:
         except ValueError:
             raise ParameterError(f"{p} is not one of the computed sources") from None
         return float(self.rows[s, self.grid.node(*q)])
+
+
+@dataclass(eq=False)
+class NullDistanceResult(_SourceRows):
+    weight_levels: np.ndarray  # node weights per t-level used for |.|-edge costs
 
     def full_matrix(self) -> np.ndarray:
         if len(self.sources) != self.grid.n_points:
@@ -216,6 +226,23 @@ def stratified_sources(
     return [(int(lev), int(fib_perm[idx % fib_perm.size])) for idx, lev in enumerate(levels)]
 
 
+def _resolve_sources(
+    grid: ConeGrid, sources: Optional[Sequence[tuple[int, int]]]
+) -> list[tuple[int, int]]:
+    """Checked source points as int pairs; every grid point when `sources` is
+    None, refused beyond 6000 points."""
+    if sources is None:
+        if grid.n_points > 6000:
+            raise SizeBoundError(
+                f"full matrix over {grid.n_points} points refused; pass explicit sources"
+            )
+        return all_grid_points(grid)
+    sources = [tuple(map(int, s)) for s in sources]
+    for i, j in sources:
+        grid._check_point(i, j)
+    return sources
+
+
 def null_distance(
     grid: ConeGrid,
     sources: Optional[Sequence[tuple[int, int]]] = None,
@@ -228,15 +255,7 @@ def null_distance(
     related points is the absolute weight gap, so any generalized time
     function of the form phi(t) reuses this engine.
     """
-    if sources is None:
-        sources = all_grid_points(grid)
-        if grid.n_points > 6000:
-            raise SizeBoundError(
-                f"full matrix over {grid.n_points} points refused; pass explicit sources"
-            )
-    sources = [tuple(map(int, s)) for s in sources]
-    for i, j in sources:
-        grid._check_point(i, j)
+    sources = _resolve_sources(grid, sources)
     pi = np.asarray(
         grid.t_levels if weight_levels is None else weight_levels, dtype=float
     )
@@ -392,47 +411,45 @@ def null_distance_guarantees(
 
 
 @dataclass(eq=False)
-class TimeSeparationResult:
-    grid: ConeGrid
-    sources: tuple
-    rows: np.ndarray
-
-    def value(self, p: tuple[int, int], q: tuple[int, int]) -> float:
-        try:
-            s = self.sources.index(tuple(p))
-        except ValueError:
-            raise ParameterError(f"{p} is not one of the computed sources") from None
-        return float(self.rows[s, self.grid.node(*q)])
+class TimeSeparationResult(_SourceRows):
+    """Time-separation rows, zero where no positive separation is found."""
 
 
-def _level_step_weights(
-    grid: ConeGrid, i: int, src: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    """Lengths of the fiber moves src -> dst on the step level i -> i+1:
+def _level_step_weights(grid: ConeGrid, i: int, dist: np.ndarray) -> np.ndarray:
+    """Lengths of fiber moves over distances `dist` on the step level i -> i+1:
     sqrt(dt^2 - f(mid)^2 d^2) on strict moves, zero on exactly-null moves and
     -inf on moves that are not causal."""
-    dist = grid.fiber.dist[src, dst]
     gap = grid.g_levels[i + 1] - grid.g_levels[i]
     dt = grid.t_levels[i + 1] - grid.t_levels[i]
-    f_mid = float(grid.warping.value(0.5 * (grid.t_levels[i] + grid.t_levels[i + 1])))
-    fd = f_mid * dist
+    fd = grid.f_mid[i] * dist
     w = np.sqrt(np.clip(dt * dt - fd * fd, 0.0, None))
     w = np.where(dist < gap - grid.causal_slack, w, 0.0)
     return np.where(dist <= gap + grid.causal_slack, w, -np.inf)
 
 
-def _dp_step(grid: ConeGrid, val: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """One longest-path step: values (m, b) at level i -> level i+1, and the
-    move weights used. Source columns go in blocks of bounded gather size."""
+def _dp_values(grid: ConeGrid, i0: int, fibers: Sequence[int], top: int) -> np.ndarray:
+    """Longest single-step path values from the sources (i0, j), j in
+    `fibers`, to every point on the levels i0..top: shape
+    (top - i0 + 1, m, len(fibers)), -inf where no causal chain arrives.
+
+    Each level step is one gather over the fiber move list plus a
+    `np.maximum.reduceat` per destination; source columns go in blocks of
+    bounded gather size.
+    """
     src, dst, indptr = grid._fiber_moves()
-    w = _level_step_weights(grid, i, src, dst)
-    nxt = np.empty_like(val)
+    dist = grid.fiber.dist[src, dst]
+    b = len(fibers)
+    val = np.full((top - i0 + 1, grid.m, b), -np.inf)
+    val[0, fibers, np.arange(b)] = 0.0
     cols = max(1, _GATHER_CAP // src.size)
-    for lo in range(0, val.shape[1], cols):
-        cand = val[src, lo : lo + cols]
-        cand += w[:, None]
-        nxt[:, lo : lo + cols] = np.maximum.reduceat(cand, indptr[:-1], axis=0)
-    return nxt, w
+    for i in range(i0, top):
+        w = _level_step_weights(grid, i, dist)[:, None]
+        cur, nxt = val[i - i0], val[i - i0 + 1]
+        for lo in range(0, b, cols):
+            cand = cur[src, lo : lo + cols]
+            cand += w
+            nxt[:, lo : lo + cols] = np.maximum.reduceat(cand, indptr[:-1], axis=0)
+    return val
 
 
 def time_separation(
@@ -443,41 +460,29 @@ def time_separation(
     Dynamic program over the DAG of causally related pairs on consecutive
     t-levels; segment length sqrt(dt^2 - f(mid)^2 d^2) clamped at zero, and
     exactly-null steps contribute zero, so a positive output certifies a
-    chronological pair.
+    chronological pair. The program runs once per distinct source level.
     """
-    if sources is None:
-        sources = all_grid_points(grid)
-        if grid.n_points > 6000:
-            raise SizeBoundError(
-                f"full matrix over {grid.n_points} points refused; pass explicit sources"
-            )
-    sources = [tuple(map(int, s)) for s in sources]
-    for i, j in sources:
-        grid._check_point(i, j)
-    m, n_lv = grid.m, grid.n_levels
-    rows = np.full((len(sources), grid.n_points), -np.inf)
-    val = np.full((m, len(sources)), -np.inf)
-    by_level: dict[int, list[int]] = {}
-    for s, (i0, j0) in enumerate(sources):
-        by_level.setdefault(i0, []).append(s)
-        rows[s, grid.node(i0, j0)] = 0.0
-
-    for i in range(min(by_level, default=n_lv), n_lv - 1):
-        for s in by_level.get(i, ()):
-            val[sources[s][1], s] = 0.0
-        val, _ = _dp_step(grid, val, i)
-        lvl_nodes = slice((i + 1) * m, (i + 2) * m)
-        rows[:, lvl_nodes] = np.maximum(rows[:, lvl_nodes], val.T)
-
-    out = np.where(np.isfinite(rows), np.maximum(rows, 0.0), 0.0)
-    return TimeSeparationResult(grid, tuple(sources), out)
+    sources = _resolve_sources(grid, sources)
+    m = grid.m
+    rows = np.zeros((len(sources), grid.n_points))
+    levels = np.array([i for i, _ in sources], dtype=int)
+    for i0 in np.unique(levels):
+        group = np.nonzero(levels == i0)[0]
+        val = _dp_values(grid, i0, [sources[s][1] for s in group], grid.n_t)
+        rows[group, i0 * m :] = np.maximum(val, 0.0).reshape(-1, len(group)).T
+    return TimeSeparationResult(grid, tuple(sources), rows)
 
 
 def time_separation_path(
     grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]
 ) -> tuple[float, list[tuple[int, int]]]:
     """One maximizing single-step path realizing the DP value (empty when the
-    value is zero and the pair is not a trivial/causal-start pair)."""
+    value is zero and the pair is not a trivial/causal-start pair).
+
+    The path is read back from the values of `_dp_values` up to the level of
+    q: at each level the predecessor is the smallest fiber index whose value
+    plus step length meets the current value within 1e-12.
+    """
     i0, j0 = map(int, p)
     i1, j1 = map(int, q)
     grid._check_point(i0, j0)
@@ -486,27 +491,20 @@ def time_separation_path(
         return 0.0, [(i0, j0)]
     if i1 < i0:
         return 0.0, []
-    val = np.full((grid.m, 1), -np.inf)
-    val[j0] = 0.0
-    vals, weights = [val[:, 0]], []
-    for i in range(i0, i1):
-        val, w = _dp_step(grid, val, i)
-        vals.append(val[:, 0])
-        weights.append(w)
-    total = vals[-1][j1]
+    vals = _dp_values(grid, i0, [j0], i1)[:, :, 0]
+    total = vals[-1, j1]
     if not math.isfinite(total):
         return 0.0, []
-    # backtrack deterministically: smallest admissible predecessor index
     src, _, indptr = grid._fiber_moves()
     path = [(i1, j1)]
     cur = j1
     for i in range(i1 - 1, i0 - 1, -1):
-        seg = slice(indptr[cur], indptr[cur + 1])
-        cand = vals[i - i0][src[seg]] + weights[i - i0][seg]
-        hit = np.nonzero(np.isfinite(cand) & (np.abs(cand - vals[i - i0 + 1][cur]) <= 1e-12))[0]
+        prev = src[indptr[cur] : indptr[cur + 1]]
+        cand = vals[i - i0, prev] + _level_step_weights(grid, i, grid.fiber.dist[prev, cur])
+        hit = np.nonzero(np.isfinite(cand) & (np.abs(cand - vals[i - i0 + 1, cur]) <= 1e-12))[0]
         if hit.size == 0:
             raise RuntimeError("backtracking lost the maximizing path")
-        cur = int(src[seg][hit[0]])
+        cur = int(prev[hit[0]])
         path.append((i, cur))
     return float(max(total, 0.0)), path[::-1]
 

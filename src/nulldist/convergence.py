@@ -15,12 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import ConeGrid, all_grid_points, null_distance, stratified_sources
+from .cone import ConeGrid, null_distance, stratified_sources
 from .errors import InvalidInputError, ParameterError
 from .metric_core import (
     Correspondence,
     EpsilonNet,
     FiniteLengthSpace,
+    distortion,
     epsilon_net,
 )
 from .warping import Interval, WarpingFunction
@@ -103,11 +104,7 @@ def null_convergence_check(
     interval = (seq.limit.domain.a, seq.limit.domain.b)
     grid_lim = ConeGrid(Interval(*interval), fiber, seq.limit, n_t)
     f_min = grid_lim.f_min
-    n = grid_lim.n_points
-    if n * n <= max_entries:
-        sources = all_grid_points(grid_lim)
-    else:
-        sources = stratified_sources(grid_lim, max_entries, seed)
+    sources = stratified_sources(grid_lim, max_entries, seed)
     base = null_distance(grid_lim, sources=sources)
 
     members: list[MemberCheck] = []
@@ -157,15 +154,6 @@ class LiftResult:
     distortion_lifted: float
 
 
-def product_null_distance(
-    fiber: FiniteLengthSpace, t_grid: np.ndarray, u: tuple[int, int], v: tuple[int, int]
-) -> float:
-    """Closed-form null distance of the unit-warping product, max(d, |dt|)."""
-    return max(
-        float(fiber.dist[u[1], v[1]]), abs(float(t_grid[u[0]]) - float(t_grid[v[0]]))
-    )
-
-
 def lift_correspondence(
     corr: Correspondence,
     fiber_a: FiniteLengthSpace,
@@ -178,29 +166,16 @@ def lift_correspondence(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise InvalidInputError("need a nonempty shared t-grid")
-    if not corr.is_valid_for(fiber_a.n, fiber_b.n):
-        raise InvalidInputError("correspondence does not have full projections")
-    dis_base = 0.0
-    for xa, xb in corr.pairs:
-        for ya, yb in corr.pairs:
-            dis_base = max(
-                dis_base, abs(float(fiber_a.dist[xa, ya]) - float(fiber_b.dist[xb, yb]))
-            )
-    lifted_pairs = []
-    for i in range(t_grid.size):
-        for xa, xb in corr.pairs:
-            lifted_pairs.append(((i, xa), (i, xb)))
-    dis_lift = 0.0
-    for (u_a, u_b) in lifted_pairs:
-        for (v_a, v_b) in lifted_pairs:
-            da = product_null_distance(fiber_a, t_grid, u_a, v_a)
-            db = product_null_distance(fiber_b, t_grid, u_b, v_b)
-            dis_lift = max(dis_lift, abs(da - db))
+    dis_base = distortion(corr, fiber_a, fiber_b)
     flat = Correspondence(
         tuple(
-            (u_a[0] * fiber_a.n + u_a[1], u_b[0] * fiber_b.n + u_b[1])
-            for u_a, u_b in lifted_pairs
+            (i * fiber_a.n + xa, i * fiber_b.n + xb)
+            for i in range(t_grid.size)
+            for xa, xb in corr.pairs
         )
+    )
+    dis_lift = distortion(
+        flat, lifted_product_space(fiber_a, t_grid), lifted_product_space(fiber_b, t_grid)
     )
     return LiftResult(flat, dis_base, dis_lift)
 

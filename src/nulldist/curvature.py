@@ -68,7 +68,7 @@ def _accumulate(grid: ConeGrid, path: list) -> np.ndarray:
     """Accumulated single-step segment lengths along a DP path."""
     acc = [0.0]
     for (i, j), (_, k) in zip(path, path[1:]):
-        acc.append(acc[-1] + float(_level_step_weights(grid, i, j, k)))
+        acc.append(acc[-1] + float(_level_step_weights(grid, i, grid.fiber.dist[j, k])))
     return np.asarray(acc)
 
 

@@ -70,21 +70,25 @@ def comparison_angle_many(
     tol = _CLAMP * np.maximum(1.0, a + b + c)
     if np.any(a > b + c + tol) or np.any(b > a + c + tol) or np.any(c > a + b + tol):
         raise ModelConstraintError("side lengths violate the triangle inequality")
+    # Degenerate triangles get their exact angles: side lengths along a
+    # geodesic add up only to within an ulp, which arccos near +-1 would
+    # magnify to ~1e-8
+    s_round = 8.0 * np.finfo(float).eps * (a + b + c)
+    straight = a >= b + c - s_round
+    folded = a <= np.abs(b - c) + s_round
     if k == 0:
-        return _safe_arccos((b * b + c * c - a * a) / (2.0 * b * c))
-    if k > 0:
+        x = (b * b + c * c - a * a) / (2.0 * b * c)
+    elif k > 0:
         s = math.sqrt(k)
         if np.any((a + b + c) * s >= 2.0 * math.pi):
             raise ModelConstraintError(
                 "perimeter must stay below 2*pi/sqrt(k) on the sphere"
             )
-        num = np.cos(s * a) - np.cos(s * b) * np.cos(s * c)
-        den = np.sin(s * b) * np.sin(s * c)
-        return _safe_arccos(num / den)
-    s = math.sqrt(-k)
-    num = np.cosh(s * b) * np.cosh(s * c) - np.cosh(s * a)
-    den = np.sinh(s * b) * np.sinh(s * c)
-    return _safe_arccos(num / den)
+        x = (np.cos(s * a) - np.cos(s * b) * np.cos(s * c)) / (np.sin(s * b) * np.sin(s * c))
+    else:
+        s = math.sqrt(-k)
+        x = (np.cosh(s * b) * np.cosh(s * c) - np.cosh(s * a)) / (np.sinh(s * b) * np.sinh(s * c))
+    return _safe_arccos(np.where(straight, -1.0, np.where(folded, 1.0, x)))
 
 
 def comparison_angle(k: float, a: float, b: float, c: float) -> float:

@@ -310,9 +310,17 @@ class TestTimeSeparation:
         g = ConeGrid(IV, fiber, warping, 12)
         rng = np.random.default_rng(3)
         positive = 0
+        pairs = []
         for _ in range(12):
             p = (int(rng.integers(0, 4)), int(rng.integers(0, g.m)))
             q = (int(rng.integers(p[0] + 4, g.n_levels)), int(rng.integers(0, g.m)))
+            pairs.append((p, q))
+        # all sources at once: several source levels share one call
+        res = time_separation(g, sources=[p for p, _ in pairs])
+        assert len({p[0] for p, _ in pairs}) > 1
+        for s, (p, _) in enumerate(pairs):
+            assert np.array_equal(res.rows[s], reference_time_separation_row(g, p))
+        for p, q in pairs:
             res = time_separation(g, sources=[p])
             assert np.array_equal(res.rows[0], reference_time_separation_row(g, p))
             val, path = time_separation_path(g, p, q)

@@ -14,7 +14,7 @@ from nulldist import (
     sup_norm,
     uniform_total_boundedness,
 )
-from nulldist.convergence import lifted_product_space, product_null_distance
+from nulldist.convergence import lifted_product_space
 from nulldist.errors import InvalidInputError
 from nulldist.metric_core import (
     FiniteLengthSpace,
@@ -116,8 +116,9 @@ class TestLift:
     def test_product_formula_is_closed_form(self):
         fib = two_point(0.7)
         t_grid = np.linspace(0, 1, 5)
-        assert product_null_distance(fib, t_grid, (0, 0), (4, 1)) == pytest.approx(1.0)
-        assert product_null_distance(fib, t_grid, (0, 0), (1, 1)) == pytest.approx(0.7)
+        dist = lifted_product_space(fib, t_grid).dist  # node (i, j) is i * 2 + j
+        assert dist[0, 4 * 2 + 1] == pytest.approx(1.0)
+        assert dist[0, 1 * 2 + 1] == pytest.approx(0.7)
 
     def test_lifted_space_matches_engine(self):
         # closed-form product space equals the shortest-path engine values

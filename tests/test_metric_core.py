@@ -237,6 +237,17 @@ class TestQuadruple:
         assert verdict.passed
         assert verdict.worst_excess <= 1e-9
 
+    @pytest.mark.parametrize(
+        "space", [path_space(8, 3.0), path_space(20, 3.0), circle_space(30, 1.0)],
+        ids=["path8", "path20", "circle30"],
+    )
+    def test_geodesic_spaces_pass_flat_exactly(self, space):
+        # distances along a geodesic add up only to within an ulp; straight
+        # comparison angles must still come out exactly pi
+        verdict = quadruple_curvature_check(space, 0.0, tol=1e-9)
+        assert verdict.passed
+        assert verdict.worst_excess == 0.0
+
     def test_three_points_vacuous(self):
         assert quadruple_curvature_check(path_space(3, 1.0), 0.0).passed
 

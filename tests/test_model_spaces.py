@@ -36,6 +36,15 @@ class TestComparisonAngle:
     def test_flat_collinear(self):
         assert comparison_angle(0.0, 2, 1, 1) == pytest.approx(math.pi, abs=1e-15)
 
+    @pytest.mark.parametrize("k", [0.0, 1.0, -1.0])
+    def test_rounded_degenerate_triangles_are_exact(self, k):
+        # 0.1 + 0.2 != 0.3 in floating point: sides that add up only to
+        # within an ulp still give the straight and the folded angle exactly,
+        # while a genuinely thin triangle keeps its angle below pi
+        assert comparison_angle(k, 0.3, 0.1, 0.2) == math.pi
+        assert comparison_angle(k, 0.1, 0.3, 0.2) == 0.0
+        assert comparison_angle(k, 0.3 - 1e-9, 0.1, 0.2) < math.pi - 1e-5
+
     def test_hyperbolic_equilateral_frozen(self):
         got = comparison_angle(-1.0, 1, 1, 1)
         assert got == pytest.approx(HYPERBOLIC_EQUILATERAL_ANGLE, abs=1e-12)
