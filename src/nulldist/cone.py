@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .warping import Interval, WarpingFunction
 
 DEFAULT_N_T = 200
 _TABLE_CAP = 3e8  # entries per threshold table
-_GATHER_CAP = 1 << 20  # move-by-source candidates per time-separation block
+_GATHER_CAP = 1 << 16  # move-by-source candidates per time-separation block
 _BATCH = 64  # sources per null-distance sweep batch
 CHRONOLOGICAL, CAUSAL, NONE = "chronological", "causal", "none"
 
@@ -427,29 +427,43 @@ def _level_step_weights(grid: ConeGrid, i: int, dist: np.ndarray) -> np.ndarray:
     return np.where(dist <= gap + grid.causal_slack, w, -np.inf)
 
 
-def _dp_values(grid: ConeGrid, i0: int, fibers: Sequence[int], top: int) -> np.ndarray:
-    """Longest single-step path values from the sources (i0, j), j in
-    `fibers`, to every point on the levels i0..top: shape
-    (top - i0 + 1, m, len(fibers)), -inf where no causal chain arrives.
+def _dp_levels(
+    grid: ConeGrid, sources: Sequence[tuple[int, int]], top: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Longest single-step path values from `sources`, level by level up to
+    `top`: yields (i, cols, val) with val (m, len(cols)) the values on level
+    i from the sources `cols` (indices into `sources`) at or below level i,
+    -inf where no causal chain arrives. A source's column enters with 0 at
+    its own point on its own level and is not stepped before.
 
-    Each level step is one gather over the fiber move list plus a
-    `np.maximum.reduceat` per destination; source columns go in blocks of
-    bounded gather size.
+    A level step is one gather over the fiber move list and a
+    `np.maximum.reduceat` per destination, in column blocks of bounded
+    gather size; move distances are gathered once, step lengths once per level.
     """
     src, dst, indptr = grid._fiber_moves()
     dist = grid.fiber.dist[src, dst]
-    b = len(fibers)
-    val = np.full((top - i0 + 1, grid.m, b), -np.inf)
-    val[0, fibers, np.arange(b)] = 0.0
-    cols = max(1, _GATHER_CAP // src.size)
-    for i in range(i0, top):
-        w = _level_step_weights(grid, i, dist)[:, None]
-        cur, nxt = val[i - i0], val[i - i0 + 1]
-        for lo in range(0, b, cols):
-            cand = cur[src, lo : lo + cols]
-            cand += w
-            nxt[:, lo : lo + cols] = np.maximum.reduceat(cand, indptr[:-1], axis=0)
-    return val
+    levels = np.array([i for i, _ in sources], dtype=int)
+    order = np.argsort(levels, kind="stable")
+    levels = levels[order]
+    fibers = np.array([sources[s][1] for s in order], dtype=int)
+    block = max(1, _GATHER_CAP // src.size)
+    first = int(levels.min(initial=top + 1))
+    counts = np.searchsorted(levels, np.arange(first, top + 1), side="right").tolist()
+    val = np.empty((grid.m, 0))
+    for i, k in enumerate(counts, first):
+        n = val.shape[1]
+        nxt = np.empty((grid.m, k))
+        if n:
+            w = _level_step_weights(grid, i - 1, dist)[:, None]
+            for lo in range(0, n, block):
+                cand = val[src, lo : lo + block]
+                cand += w
+                nxt[:, lo : lo + cand.shape[1]] = np.maximum.reduceat(cand, indptr[:-1], axis=0)
+        if k > n:
+            nxt[:, n:] = -np.inf
+            nxt[fibers[n:k], np.arange(n, k)] = 0.0
+        val = nxt
+        yield i, order[:k], val
 
 
 def time_separation(
@@ -460,16 +474,14 @@ def time_separation(
     Dynamic program over the DAG of causally related pairs on consecutive
     t-levels; segment length sqrt(dt^2 - f(mid)^2 d^2) clamped at zero, and
     exactly-null steps contribute zero, so a positive output certifies a
-    chronological pair. The program runs once per distinct source level.
+    chronological pair. One pass over the levels serves every source.
     """
     sources = _resolve_sources(grid, sources)
     m = grid.m
     rows = np.zeros((len(sources), grid.n_points))
-    levels = np.array([i for i, _ in sources], dtype=int)
-    for i0 in np.unique(levels):
-        group = np.nonzero(levels == i0)[0]
-        val = _dp_values(grid, i0, [sources[s][1] for s in group], grid.n_t)
-        rows[group, i0 * m :] = np.maximum(val, 0.0).reshape(-1, len(group)).T
+    for i, cols, val in _dp_levels(grid, sources, grid.n_t):
+        rows[cols, i * m : (i + 1) * m] = val.T
+    np.maximum(rows, 0.0, out=rows)
     return TimeSeparationResult(grid, tuple(sources), rows)
 
 
@@ -479,7 +491,7 @@ def time_separation_path(
     """One maximizing single-step path realizing the DP value (empty when the
     value is zero and the pair is not a trivial/causal-start pair).
 
-    The path is read back from the values of `_dp_values` up to the level of
+    The path is read back from the values of `_dp_levels` up to the level of
     q: at each level the predecessor is the smallest fiber index whose value
     plus step length meets the current value within 1e-12.
     """
@@ -491,7 +503,7 @@ def time_separation_path(
         return 0.0, [(i0, j0)]
     if i1 < i0:
         return 0.0, []
-    vals = _dp_values(grid, i0, [j0], i1)[:, :, 0]
+    vals = np.array([val[:, 0] for _, _, val in _dp_levels(grid, [(i0, j0)], i1)])
     total = vals[-1, j1]
     if not math.isfinite(total):
         return 0.0, []

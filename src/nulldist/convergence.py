@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .cone import ConeGrid, null_distance, stratified_sources
-from .errors import InvalidInputError, ParameterError
+from .errors import InvalidInputError, ParameterError, SizeBoundError
 from .metric_core import (
     Correspondence,
     EpsilonNet,
@@ -27,6 +27,7 @@ from .metric_core import (
 from .warping import Interval, WarpingFunction
 
 PAIR_BUDGET = 1_000_000  # full pair coverage up to this many checked entries
+LIFT_SIZE_CAP = 1500  # points per dense lifted distance matrix (18 MB each)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +163,20 @@ def lift_correspondence(
 ) -> LiftResult:
     """Lift a fiber correspondence to the product cones over a shared t-grid,
     gluing equal t-slices, and compare distortions with the exact product
-    formula max(d, |dt|). The lifted distortion never exceeds the base one."""
+    formula max(d, |dt|). The lifted distortion never exceeds the base one.
+
+    Both lifted spaces and the lifted correspondence are dense distance
+    matrices, so each is refused beyond `LIFT_SIZE_CAP` points.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise InvalidInputError("need a nonempty shared t-grid")
+    size = t_grid.size * max(fiber_a.n, fiber_b.n, len(corr.pairs))
+    if size > LIFT_SIZE_CAP:
+        raise SizeBoundError(
+            f"lift over {size} points refused: dense distances limited to "
+            f"{LIFT_SIZE_CAP} points"
+        )
     dis_base = distortion(corr, fiber_a, fiber_b)
     flat = Correspondence(
         tuple(
@@ -189,9 +200,8 @@ def lifted_product_space(
     n_lv = t_grid.size
     m = fiber.n
     dt = np.abs(t_grid[:, None] - t_grid[None, :])
-    dist = np.maximum(
-        np.kron(dt, np.ones((m, m))), np.kron(np.ones((n_lv, n_lv)), fiber.dist)
-    )
+    dist = np.maximum(dt[:, None, :, None], fiber.dist[None, :, None, :])
+    dist = dist.reshape(n_lv * m, n_lv * m)
     ids = tuple((i, j) for i in range(n_lv) for j in range(m))
     return FiniteLengthSpace(ids, dist, "matrix-input")
 

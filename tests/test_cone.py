@@ -347,6 +347,16 @@ class TestTimeSeparation:
         for p in [(0, 0), (0, 299), (1, 150)]:
             single = time_separation(g, sources=[p]).rows[0]
             assert np.array_equal(res.rows[res.sources.index(p)], single)
+        # explicit sources skip the all-points cap: 100 sources on level 0
+        # of a 101-level grid keep one level of values at a time, not 101
+        g = ConeGrid(IV, path_space(100, 0.5), WarpingFunction.constant(1.0, IV), 100)
+        tracemalloc.start()
+        try:
+            res = time_separation(g, sources=[(0, j) for j in range(100)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * res.rows.nbytes
 
     def test_monotone_under_fiber_refinement(self):
         vals = []

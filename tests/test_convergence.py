@@ -14,8 +14,8 @@ from nulldist import (
     sup_norm,
     uniform_total_boundedness,
 )
-from nulldist.convergence import lifted_product_space
-from nulldist.errors import InvalidInputError
+from nulldist.convergence import LIFT_SIZE_CAP, lifted_product_space
+from nulldist.errors import InvalidInputError, SizeBoundError
 from nulldist.metric_core import (
     FiniteLengthSpace,
     all_correspondences,
@@ -112,6 +112,16 @@ class TestLift:
         for corr in all_correspondences(2, 2):
             res = lift_correspondence(corr, a, b, t_grid)
             assert res.distortion_lifted <= res.distortion_base + 1e-15
+
+    def test_large_lift_is_refused(self):
+        # 4 levels x 400 points: refused before any dense matrix is built
+        fib = path_space(400, 1.0)
+        ident = Correspondence(tuple((j, j) for j in range(400)))
+        assert 4 * 400 > LIFT_SIZE_CAP
+        with pytest.raises(SizeBoundError):
+            lift_correspondence(ident, fib, fib, np.linspace(0, 1, 4))
+        res = lift_correspondence(ident, fib, fib, np.linspace(0, 1, 3))
+        assert res.distortion_base == res.distortion_lifted == 0.0
 
     def test_product_formula_is_closed_form(self):
         fib = two_point(0.7)
