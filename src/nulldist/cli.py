@@ -33,6 +33,7 @@ from .curvature import persistence_experiment, sample_timelike_triangles, triang
 from .errors import InvalidInputError
 from .lpls import check_time_function, validate_pls
 from .metric_core import epsilon_net, gh_distance_exact, validate_metric, verify_net
+from .model_spaces import model_size_bound
 from .nullcurve import null_curve, verify_null_curve
 from .warping import Interval
 
@@ -258,18 +259,22 @@ def run_curvature(cfg, paths, out, seed):
     n_t = int(_override(cfg, "n_t_override", doc.get("n_t", 50)))
     grid = ConeGrid(interval, fiber, warping, n_t)
     tol = float(_override(cfg, "tol_override", doc.get("tol", 0.05)))
+    bound = float(doc.get("bound", 0.0))
+    size_bound = model_size_bound(bound)
+    if doc.get("side_cap") is not None:
+        size_bound = min(float(doc["side_cap"]), size_bound)
     tris, diag = sample_timelike_triangles(
         grid,
         int(doc.get("n_triangles", 10)),
         int(doc.get("seed", seed)),
-        doc.get("side_cap"),
+        size_bound,
     )
     rows = []
     worst = None
     cache: dict = {}
     for idx, tri in enumerate(tris):
         v = triangle_comparison(
-            grid, tri, float(doc.get("bound", 0.0)), doc.get("direction", "lower"),
+            grid, tri, bound, doc.get("direction", "lower"),
             int(doc.get("n_probe", 5)), tol, cache,
         )
         rows.append((idx, v.bound, v.direction, int(v.passed), v.worst_witness["margin"]))

@@ -28,8 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError, SizeBoundError
-from .lpls import _dijkstra_dense, _walk
-from .metric_core import FiniteLengthSpace
+from .metric_core import FiniteLengthSpace, read_back_path
 from .reporting import GuaranteeReport
 from .warping import Interval, WarpingFunction
 
@@ -676,7 +675,16 @@ class MinimizerAnalysis:
 
 def minimizer_analysis(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -> MinimizerAnalysis:
     """Extract one minimizing path and report, per maximal monotone run, the
-    nullity defect (G(t_end) - G(t_start)) - d(fiber endpoints of the run)."""
+    nullity defect (G(t_end) - G(t_start)) - d(fiber endpoints of the run).
+
+    The distances from p are the sweep engine's row `null_distance(grid, [p])`,
+    so the grid size is bounded as for `null_distance`: SizeBoundError when
+    the threshold tables would exceed `_TABLE_CAP` entries. The path is read
+    back from q by `metric_core.read_back_path`: each step goes to a causally
+    comparable point of smallest distance (then smallest node index) whose
+    distance plus |dt| meets the current one within 1e-12; RuntimeError if
+    none does.
+    """
     p, q = tuple(map(int, p)), tuple(map(int, q))
     grid._check_point(*p)
     grid._check_point(*q)
@@ -688,19 +696,17 @@ def minimizer_analysis(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -
         return MinimizerAnalysis(
             [p, q], [], grid.grid_step(), "causal pair: the direct edge minimizes"
         )
-    if grid.n_points > 40000:
-        raise SizeBoundError("per-pair minimizer extraction capped at 40000 points")
-    t_node = np.repeat(grid.t_levels, grid.m)
-
-    def row(u: int) -> np.ndarray:
-        i, j = grid.point(u)
-        return np.where(grid.causal_row(i, j).ravel(), np.abs(t_node - t_node[u]), np.inf)
-
-    src, dst = grid.node(*p), grid.node(*q)
-    dist, pred = _dijkstra_dense(grid.n_points, row, src, target=dst)
+    dist = null_distance(grid, [p]).rows[0]
+    dst = grid.node(*q)
     if not math.isfinite(dist[dst]):
         return MinimizerAnalysis([], [], grid.grid_step(), "unreachable pair")
-    path = [grid.point(v) for v in _walk(pred, src, dst)]
+    t_node = np.repeat(grid.t_levels, grid.m)
+
+    def weight_row(v: int) -> np.ndarray:
+        i, j = grid.point(v)
+        return np.where(grid.causal_row(i, j).ravel(), np.abs(t_node - t_node[v]), np.inf)
+
+    path = [grid.point(v) for v in read_back_path(dist, weight_row, grid.node(*p), dst)]
     runs = []
     start = 0
     for k in range(1, len(path)):

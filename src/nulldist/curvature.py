@@ -27,11 +27,12 @@ from .metric_core import (
 )
 from .model_spaces import (
     l2k_time_separation,
+    model_size_bound,
     point_on_side,
     realize_timelike_triangle,
 )
 from .reporting import Verdict
-from .warping import WarpingFunction
+from .warping import Interval, WarpingFunction
 
 LOWER, UPPER = "lower", "upper"
 
@@ -113,18 +114,19 @@ def sample_timelike_triangles(
             row_cache[p] = time_separation(grid, sources=[p]).rows[0]
         return row_cache[p]
 
-    def admit(x: tuple, y: tuple, z: tuple) -> bool:
+    def admit(x: tuple, y: tuple, z: tuple) -> None:
+        nonlocal filtered
         if rho_row(x)[grid.node(*y)] <= 0 or rho_row(y)[grid.node(*z)] <= 0:
-            return False
+            return
         if rho_row(x)[grid.node(*z)] <= 0:
-            return False
+            return
         tri = _triangle_from_vertices(grid, x, y, z)
         if tri is None:
-            return False
+            return
         if size_bound is not None and max(tri.a, tri.b, tri.c) >= size_bound:
-            return False
+            filtered += 1
+            return
         triangles.append(tri)
-        return True
 
     # extremal seeds first: vertices spread across the fiber catch branching
     # geometry that uniform sampling tends to miss
@@ -154,14 +156,7 @@ def sample_timelike_triangles(
         good = fut_y[rho_row(x)[fut_y] > 0]
         if good.size == 0:
             continue
-        z = grid.point(int(rng.choice(good)))
-        tri = _triangle_from_vertices(grid, x, y, z)
-        if tri is None:
-            continue
-        if size_bound is not None and max(tri.a, tri.b, tri.c) >= size_bound:
-            filtered += 1
-            continue
-        triangles.append(tri)
+        admit(x, y, grid.point(int(rng.choice(good))))
     diag = {
         "attempts": attempts,
         "filtered_by_size": filtered,
@@ -219,6 +214,8 @@ def triangle_comparison(
         raise ParameterError(f"direction must be '{LOWER}' or '{UPPER}'")
     if tol < 0:
         raise ParameterError("tol must be nonnegative")
+    if n_probe < 1:
+        raise ParameterError(f"n_probe must be at least 1, got {n_probe!r}")
     model = realize_timelike_triangle(bound, tri.a, tri.b, tri.c)
     cache = rho_cache if rho_cache is not None else {}
 
@@ -416,8 +413,6 @@ def persistence_experiment(
     K = 0. mode "warped": concavity of each warping at its K', fiber tests at
     k = sup(K' f^2 - f'^2), limit cone comparison at K = K'.
     """
-    from .warping import Interval
-
     report = PersistenceReport(mode, [], [], _gh_precondition(fibers, fiber_limit, correspondences))
     iv = Interval(*interval)
     all_fibers = list(fibers) + [fiber_limit]
@@ -495,10 +490,9 @@ def _best_triangle_verdict(
     side_cap: Optional[float] = None,
 ) -> CurvatureVerdict:
     """Sample triangles and return the verdict carrying the worst probe margin."""
-    size_bound = side_cap
-    if bound != 0:
-        model_cap = math.pi / math.sqrt(abs(bound))
-        size_bound = model_cap if size_bound is None else min(size_bound, model_cap)
+    size_bound = model_size_bound(bound)
+    if side_cap is not None:
+        size_bound = min(side_cap, size_bound)
     tris, diag = sample_timelike_triangles(grid, n_triangles, seed, size_bound)
     if not tris:
         return CurvatureVerdict(bound, direction, False, tol, {"diagnostic": diag})

@@ -12,12 +12,12 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError
-from .metric_core import FiniteLengthSpace
+from .metric_core import FiniteLengthSpace, floyd_warshall, read_back_path
 from .reporting import ValidationReport, Verdict
 
 FUTURE, PAST, TRIVIAL = "future", "past", "trivial"
@@ -191,41 +191,9 @@ def path_null_length(
 
 def _weight_matrix(space: DiscretePreLengthSpace, tau: np.ndarray) -> np.ndarray:
     related = space.causal | space.causal.T
-    np.fill_diagonal(related, False)
-    w = np.abs(tau[None, :] - tau[:, None])
-    return np.where(related, w, np.inf)
-
-
-def _dijkstra_dense(
-    n: int, row: Callable[[int], np.ndarray], source: int, target: Optional[int] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense Dijkstra over n nodes; row(u) gives the edge weights out of u
-    (+inf for no edge). Strict-improvement updates keep predecessors (and
-    hence witnesses) lexicographically minimal for the visitation order. The
-    search stops once `target` is settled."""
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=int)
-    done = np.zeros(n, dtype=bool)
-    dist[source] = 0.0
-    for _ in range(n):
-        masked = np.where(done, np.inf, dist)
-        u = int(np.argmin(masked))
-        if not math.isfinite(masked[u]) or u == target:
-            break
-        done[u] = True
-        cand = dist[u] + row(u)
-        better = cand < dist
-        pred[better] = u
-        dist = np.where(better, cand, dist)
-    return dist, pred
-
-
-def _walk(pred: np.ndarray, src: int, dst: int) -> list[int]:
-    """Node sequence src -> dst along a predecessor array."""
-    path = [dst]
-    while path[-1] != src:
-        path.append(int(pred[path[-1]]))
-    return path[::-1]
+    w = np.where(related, np.abs(tau[None, :] - tau[:, None]), np.inf)
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def null_distance_matrix(
@@ -233,15 +201,13 @@ def null_distance_matrix(
 ) -> np.ndarray:
     """Shortest-path matrix over causally related pairs, weight |tau(u)-tau(v)|.
 
-    Pairs in different components of the symmetrized causal graph come out as
-    +inf, with a warning: such spaces fail the connectivity hypothesis under
-    which piecewise causal curves between all pairs exist.
+    One Floyd-Warshall pass over the dense weight matrix gives every pair;
+    the result is exactly symmetric. Pairs in different components of the
+    symmetrized causal graph come out as +inf, with a warning: such spaces
+    fail the connectivity hypothesis under which piecewise causal curves
+    between all pairs exist.
     """
-    tau = np.asarray(tau, dtype=float)
-    w = _weight_matrix(space, tau)
-    out = np.empty((space.n, space.n))
-    for s in range(space.n):
-        out[s], _ = _dijkstra_dense(space.n, w.__getitem__, s)
+    out = floyd_warshall(_weight_matrix(space, np.asarray(tau, dtype=float)))
     if np.any(np.isinf(out)):
         warnings.warn(
             "causal graph is disconnected; unreachable pairs reported as +inf "
@@ -254,13 +220,20 @@ def null_distance_matrix(
 def minimizing_path(
     space: DiscretePreLengthSpace, tau: Sequence[float], src: int, dst: int
 ) -> Optional[list[int]]:
-    tau = np.asarray(tau, dtype=float)
-    dist, pred = _dijkstra_dense(
-        space.n, _weight_matrix(space, tau).__getitem__, src, target=dst
-    )
+    """One minimizing causal path src -> dst as a node list, None when dst is
+    unreachable.
+
+    The distances from src come from the Floyd-Warshall matrix of
+    `null_distance_matrix`; `metric_core.read_back_path` reads the path back
+    from dst, each step to the neighbour of smallest distance (then smallest
+    index) whose distance plus edge weight meets the current one within
+    1e-12. Raises RuntimeError if the read-back finds no such neighbour.
+    """
+    w = _weight_matrix(space, np.asarray(tau, dtype=float))
+    dist = floyd_warshall(w.copy())[src]
     if not math.isfinite(dist[dst]):
         return None
-    return _walk(pred, src, dst)
+    return read_back_path(dist, w.__getitem__, src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +412,17 @@ def rho_length_and_time_separation(
         i, j = map(int, np.argwhere(causal & causal.T)[0])
         raise InvalidInputError(f"causal cycle between {i} and {j}")
     n = space.n
-    order = _topo_order(causal)
+    # row s holds the longest chains from s; a column is final once its
+    # node comes up in topological order, and only finite values propagate
     t_mat = np.full((n, n), -np.inf)
-    for s in range(n):
-        val = np.full(n, -np.inf)
-        val[s] = 0.0
-        for v in order:
-            if not math.isfinite(val[v]):
-                continue
-            succ = np.nonzero(causal[v])[0]
-            if succ.size:
-                cand = val[v] + space.rho[v, succ]
-                np.maximum.at(val, succ, cand)
-        t_mat[s] = val
+    np.fill_diagonal(t_mat, 0.0)
+    for v in _topo_order(causal):
+        rows = np.nonzero(np.isfinite(t_mat[:, v]))[0]
+        succ = np.nonzero(causal[v])[0]
+        if rows.size and succ.size:
+            block = np.ix_(rows, succ)
+            cand = t_mat[rows, v][:, None] + space.rho[v, succ][None, :]
+            t_mat[block] = np.maximum(t_mat[block], cand)
     t_mat[~np.isfinite(t_mat)] = 0.0
     np.fill_diagonal(t_mat, 0.0)
     with np.errstate(invalid="ignore"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class FiniteLengthSpace:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
-
-    def diameter(self) -> float:
-        return float(self.dist.max()) if self.n else 0.0
 
 
 def path_space(n_points: int, length: float = 1.0) -> FiniteLengthSpace:
@@ -184,11 +181,46 @@ def intrinsic_metric(
     if len(comps) > 1:
         raise DisconnectedGraphError(comps)
 
-    dist = weights
-    for k in range(n_points):
-        np.minimum(dist, dist[:, k][:, None] + dist[k, :][None, :], out=dist)
     ids = tuple(point_ids) if point_ids is not None else tuple(range(n_points))
-    return FiniteLengthSpace(ids, dist, "graph-induced")
+    return FiniteLengthSpace(ids, floyd_warshall(weights), "graph-induced")
+
+
+def floyd_warshall(weights: np.ndarray) -> np.ndarray:
+    """All-pairs shortest paths over a dense weight matrix (+inf for no edge,
+    0 on the diagonal), computed in place and returned. A symmetric input
+    gives an exactly symmetric output."""
+    dist = weights
+    for k in range(dist.shape[0]):
+        np.minimum(dist, dist[:, k][:, None] + dist[k, :][None, :], out=dist)
+    return dist
+
+
+def read_back_path(
+    dist: np.ndarray, weight_row: Callable[[int], np.ndarray], src: int, dst: int
+) -> list[int]:
+    """Node sequence src -> dst of a shortest path, read back from the
+    distances `dist` from src; weight_row(v) gives the edge weights w(u, v)
+    into v from every node u (+inf for no edge).
+
+    Walks from dst to src. Each step goes to an unvisited u with
+    dist[u] + w(u, cur) within 1e-12 of dist[cur], taking the smallest
+    dist[u] and then the smallest index (the order in which Dijkstra would
+    settle them). Never revisiting a node keeps zero-weight edges from
+    looping. Raises RuntimeError when no neighbour matches.
+    """
+    path = [dst]
+    visited = np.zeros(dist.size, dtype=bool)
+    visited[dst] = True
+    while path[-1] != src:
+        cur = path[-1]
+        hit = np.abs(dist + weight_row(cur) - dist[cur]) <= 1e-12
+        cand = np.nonzero(hit & ~visited)[0]
+        if cand.size == 0:
+            raise RuntimeError("backtracking lost the minimizing path")
+        u = int(cand[np.argmin(dist[cand])])
+        visited[u] = True
+        path.append(u)
+    return path[::-1]
 
 
 @dataclass(frozen=True)

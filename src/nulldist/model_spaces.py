@@ -32,19 +32,10 @@ from .errors import (
 _CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class LorentzianModelPlane:
-    K: float
-
-    @property
-    def radius(self) -> float:
-        if self.K == 0:
-            raise UnsupportedRegimeError("flat plane has no radius")
-        return 1.0 / math.sqrt(abs(self.K))
-
-    def size_bound(self) -> float:
-        """Largest admissible time separation for triangle realization."""
-        return math.inf if self.K == 0 else math.pi * self.radius
+def model_size_bound(K: float) -> float:
+    """Side lengths of realizable triangles stay below this bound: pi/sqrt(|K|),
+    and +inf on the flat plane."""
+    return math.inf if K == 0 else math.pi / math.sqrt(abs(K))
 
 
 def _safe_arccos(x: np.ndarray) -> np.ndarray:
@@ -272,10 +263,9 @@ def realize_timelike_triangle(K: float, a: float, b: float, c: float) -> Compari
         raise ModelConstraintError(
             f"reverse triangle inequality fails: c={c!r} < a+b={a + b!r}"
         )
-    plane = LorentzianModelPlane(K)
-    if K != 0 and max(a, b, c) >= plane.size_bound():
+    if max(a, b, c) >= model_size_bound(K):
         raise ModelConstraintError(
-            f"side length {max(a, b, c)!r} exceeds the size bound {plane.size_bound()!r}"
+            f"side length {max(a, b, c)!r} exceeds the size bound {model_size_bound(K)!r}"
         )
 
     if K == 0:
@@ -291,7 +281,7 @@ def realize_timelike_triangle(K: float, a: float, b: float, c: float) -> Compari
             y = np.array([ty, sy])
         return ComparisonTriangle(K, x, y, z, float(a), float(b), float(c))
 
-    r = plane.radius
+    r = 1.0 / math.sqrt(abs(K))
     if K > 0:
         x = np.array([0.0, r, 0.0])
     else:
@@ -349,7 +339,7 @@ def point_on_side(tri: ComparisonTriangle, side: str, s: float) -> np.ndarray:
         return past.copy()
     if tri.K == 0:
         return past + (s / length) * (fut - past)
-    r = LorentzianModelPlane(tri.K).radius
+    r = 1.0 / math.sqrt(abs(tri.K))
     if tri.K > 0:
         tangent = (fut - math.cosh(length / r) * past) / (r * math.sinh(length / r))
     else:

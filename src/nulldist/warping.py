@@ -173,7 +173,6 @@ class WarpingFunction:
         tq = np.atleast_1d(t)
         idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, ts.size - 2)
         partial = seg_int(idx, ts[idx], tq)
-        base_a = np.interp(self.domain.a, ts, cum)  # exact when a is a sample
         # shift so that G(domain.a) = 0 even if a falls inside a segment
         ia = min(max(int(np.searchsorted(ts, self.domain.a, side="right") - 1), 0), ts.size - 2)
         base_a = cum[ia] + float(

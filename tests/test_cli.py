@@ -199,9 +199,10 @@ class TestCommands:
         assert main(["--config", str(tmp_path / "cfg.json")]) == 0
 
 
-def make_curvature_inputs(tmp: Path) -> Path:
+def make_curvature_inputs(tmp: Path, **changes) -> Path:
     """The sample curvature experiment: 41-point path fiber, n_t = 40 on
-    [0, 2], five triangles from seed 7, lower bound K = 0 at tol 0.1."""
+    [0, 2], five triangles from seed 7, lower bound K = 0 at tol 0.1;
+    `changes` replace experiment fields."""
     save_distance_matrix_csv(tmp / "fiber.csv", path_space(41, 1.0))
     experiment = {
         "interval": [0.0, 2.0],
@@ -214,10 +215,24 @@ def make_curvature_inputs(tmp: Path) -> Path:
         "n_probe": 4,
         "tol": 0.1,
         "seed": 7,
+        **changes,
     }
     write(tmp / "curvature.json", json.dumps(experiment))
     cfg = {"command": "curvature", "inputs": {"experiment": "curvature.json"}}
     return write(tmp / "cfg.json", json.dumps(cfg))
+
+
+class TestCurvature:
+    def test_sides_stay_below_the_model_size_bound(self, tmp_path):
+        # on [0, 4] sampled sides reach 3.87, beyond pi, the bound at K = 1
+        cfg = make_curvature_inputs(tmp_path, interval=[0.0, 4.0], bound=1.0)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["sampling"]["filtered_by_size"] > 0
+
+    def test_zero_probes_is_a_parameter_error(self, tmp_path):
+        cfg = make_curvature_inputs(tmp_path, n_probe=0)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
 def make_persist_inputs(tmp: Path, n_t: int, tol: float) -> Path:

@@ -159,7 +159,7 @@ class TestEngineAgainstOracles:
 
     def test_matches_discrete_prelength_dijkstra(self):
         # second, structurally different route: export the causal graph into a
-        # discrete pre-length space and reuse its dense Dijkstra
+        # discrete pre-length space and reuse its null-distance matrix
         g = small_grid(n_t=6, n_f=7, warping=WarpingFunction.affine(1.0, 0.8, IV))
         n = g.n_points
         lv = np.repeat(np.arange(g.n_levels), g.m)
@@ -438,6 +438,26 @@ class TestMinimizerAnalysis:
     def test_trivial_pair(self):
         g = small_grid()
         assert minimizer_analysis(g, (3, 3), (3, 3)).diagnostic == "trivial pair"
+
+    def test_path_realizes_the_sweep_row(self):
+        iv = Interval(0.0, 50.0)
+        g = small_grid(n_t=50, fiber=path_space(31, 30.0),
+                       warping=WarpingFunction.affine(1.0, 0.1, iv), interval=iv)
+        for p, q in (((0, 0), (0, 30)), ((10, 3), (4, 29)), ((50, 30), (20, 0)), ((25, 0), (25, 30))):
+            assert g.causal_relation(p, q) == NONE == g.causal_relation(q, p)
+            path = minimizer_analysis(g, p, q).path
+            assert path[0] == p and path[-1] == q
+            for u, v in zip(path, path[1:]):
+                assert g.causal_relation(u, v) != NONE or g.causal_relation(v, u) != NONE
+            cost = sum(abs(g.t_levels[v[0]] - g.t_levels[u[0]]) for u, v in zip(path, path[1:]))
+            want = null_distance(g, [p]).value(p, q)
+            assert abs(cost - want) <= 1e-12 * (len(path) - 1)
+
+    def test_table_cap_refuses(self):
+        # 301 levels x 1000^2 fiber pairs exceed the 3e8-entry threshold tables
+        g = small_grid(n_t=300, fiber=path_space(1000, 1.0))
+        with pytest.raises(SizeBoundError):
+            minimizer_analysis(g, (0, 0), (0, 999))
 
     def test_defects_nonnegative(self):
         g = small_grid(n_t=14, n_f=15, warping=WarpingFunction.affine(1.0, 1.0, IV))

@@ -58,6 +58,13 @@ class TestSampling:
         tris, _ = sample_timelike_triangles(g, 0, seed=1)
         assert tris == []
 
+    def test_filtered_seed_triangles_are_counted(self):
+        # the three extremal seed triangles have sides 2.73, 3.0 and 2.87
+        g = flat_grid(n_t=30, n_f=21)
+        tris, diag = sample_timelike_triangles(g, 3, seed=1, size_bound=2.0, max_attempts=0)
+        assert tris == []
+        assert diag["filtered_by_size"] == 3
+
     def test_all_filtered_diagnostic(self):
         # vertical pairs are always chronological on a cone grid, so the
         # empty outcome arises through the size filter

@@ -140,6 +140,26 @@ class TestNullDistanceMatrix:
         path = minimizing_path(s, [0.0, 0.0, 1.0], 0, 1)
         assert path == [0, 2, 1]
 
+    def test_equal_tau_paths_terminate_and_realize(self):
+        # 0 <= 1 <= 2 share tau = 0, so the edges among them weigh zero, as
+        # does every diagonal entry; 3 lies above all three
+        causal = np.triu(np.ones((4, 4), dtype=bool))
+        chrono = np.zeros((4, 4), dtype=bool)
+        chrono[:3, 3] = True
+        base = FiniteLengthSpace(tuple(range(4)), 1.0 - np.eye(4))
+        s = DiscretePreLengthSpace(base, causal, chrono, np.where(chrono, 1.0, 0.0))
+        tau = np.array([0.0, 0.0, 0.0, 1.0])
+        mat = null_distance_matrix(s, tau)
+        for src in range(4):
+            for dst in range(4):
+                path = minimizing_path(s, tau, src, dst)
+                assert path[0] == src and path[-1] == dst
+                assert len(set(path)) == len(path)
+                for u, v in zip(path, path[1:]):
+                    assert causal[u, v] or causal[v, u]
+                cost = sum(abs(tau[v] - tau[u]) for u, v in zip(path, path[1:]))
+                assert abs(cost - mat[src, dst]) <= 1e-12 * len(path)
+
     def test_pseudometric_properties(self):
         for seed in range(10):
             space, tau = random_pre_length_space(7, seed)
