@@ -9,7 +9,6 @@ chronological pairs. Time functions are plain per-point value arrays.
 from __future__ import annotations
 
 import heapq
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError
-from .metric_core import FiniteLengthSpace, floyd_warshall, read_back_path
+from .metric_core import FiniteLengthSpace, floyd_warshall
 from .reporting import ValidationReport, Verdict
 
 FUTURE, PAST, TRIVIAL = "future", "past", "trivial"
@@ -215,25 +214,6 @@ def null_distance_matrix(
             stacklevel=2,
         )
     return out
-
-
-def minimizing_path(
-    space: DiscretePreLengthSpace, tau: Sequence[float], src: int, dst: int
-) -> Optional[list[int]]:
-    """One minimizing causal path src -> dst as a node list, None when dst is
-    unreachable.
-
-    The distances from src come from the Floyd-Warshall matrix of
-    `null_distance_matrix`; `metric_core.read_back_path` reads the path back
-    from dst, each step to the neighbour of smallest distance (then smallest
-    index) whose distance plus edge weight meets the current one within
-    1e-12. Raises RuntimeError if the read-back finds no such neighbour.
-    """
-    w = _weight_matrix(space, np.asarray(tau, dtype=float))
-    dist = floyd_warshall(w.copy())[src]
-    if not math.isfinite(dist[dst]):
-        return None
-    return read_back_path(dist, w.__getitem__, src, dst)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .errors import InvalidInputError, ParameterError
 
 DEFAULT_OVERSAMPLE = 2001
 _BISECT_TOL = 1e-12
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -129,20 +130,22 @@ class WarpingFunction:
             out = (t - a) / p["value"]
         elif self.kind == "affine":
             c, m = p["intercept"], p["slope"]
-            if m == 0:
+            # a subnormal slope (or rate, below) leaves f constant in floating
+            # point, and its product with t - a would keep only a few bits
+            if abs(m) < _TINY:
                 out = (t - a) / c
             else:
-                # log1p form stays accurate for slopes of any magnitude
+                # log1p form stays accurate for normal slopes of any magnitude
                 out = np.log1p(m * (t - a) / (c + m * a)) / m
         elif self.kind == "exponential":
             amp, r = p["amplitude"], p["rate"]
-            if r == 0:
+            if abs(r) < _TINY:
                 out = (t - a) / amp
             else:
                 out = -math.exp(-r * a) * np.expm1(-r * (t - a)) / (amp * r)
         elif self.kind == "cosh":
             amp, r = p["amplitude"], p["rate"]
-            if r == 0:
+            if abs(r) < _TINY:
                 out = (t - a) / amp
             else:
                 out = (np.arctan(np.sinh(r * t)) - math.atan(math.sinh(r * a))) / (amp * r)

@@ -262,15 +262,20 @@ def test_criterion_10_phi_time_functions():
     # dyadic grid so the linear reparametrization is bitwise exact
     fiber = nd.path_space(65, 1.0)
     g = ConeGrid(IV, fiber, WarpingFunction.constant(1.0, IV), 64)
-    base = nd.null_distance(g).full_matrix()
+    res_base = nd.null_distance(g)
+    base = res_base.full_matrix()
     res_lin, rep_lin = nd.null_distance_phi(g, lambda t: 2.0 * t + 5.0)
     doubled = np.array_equal(res_lin.full_matrix(), 2.0 * base)
     res_nl, rep_nl = nd.null_distance_phi(g, lambda t: t + 0.5 * t * t)
-    ok = doubled and rep_nl.causal_exact and rep_nl.gap_bound_holds
+    # pass pairs per 64-source batch: linear phi settles in two, and the band
+    # closure collapses the nonlinear zigzags into at most one more
+    sweeps_ok = set(res_base.sweeps) == {2} and max(res_nl.sweeps) <= 3
+    ok = doubled and rep_nl.causal_exact and rep_nl.gap_bound_holds and sweeps_ok
     report(
         10,
         f"phi = 2t+5 doubles the matrix bitwise; nonlinear phi: causal pairs exact "
-        f"(err {rep_nl.worst_causal_error:.1e}), gap bound margin {rep_nl.worst_gap_margin:.2e} >= 0",
+        f"(err {rep_nl.worst_causal_error:.1e}), gap bound margin {rep_nl.worst_gap_margin:.2e} >= 0, "
+        f"at most {max(res_nl.sweeps)} pass pairs per batch",
         ok,
     )
 

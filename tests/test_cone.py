@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -43,6 +44,18 @@ def product_oracle(grid):
     dt = np.abs(grid.t_levels[lv][:, None] - grid.t_levels[lv][None, :])
     dd = grid.fiber.dist[np.ix_(fb, fb)]
     return np.maximum(dt, dd), dt, dd
+
+
+def causal_weights(grid, pi):
+    """Dense edge weights of the causal graph of every grid point: |pi gap|
+    between causally comparable points, +inf elsewhere, 0 on the diagonal."""
+    lv = np.repeat(np.arange(grid.n_levels), grid.m)
+    fb = np.tile(np.arange(grid.m), grid.n_levels)
+    gap = np.abs(grid.g_levels[lv][:, None] - grid.g_levels[lv][None, :])
+    dd = grid.fiber.dist[np.ix_(fb, fb)]
+    w = np.where(dd <= gap + grid.causal_slack, np.abs(pi[lv][:, None] - pi[lv][None, :]), np.inf)
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 class TestCausalRelation:
@@ -101,6 +114,7 @@ class TestThresholdTables:
     def test_tables_follow_causal_row(self, warping):
         g = small_grid(n_t=8, n_f=9, warping=warping)
         up, rev = g._threshold_tables()
+        assert up.dtype == rev.dtype == np.int16
         want_up, want_rev = self.expected(g)
         assert np.array_equal(up, want_up)
         assert np.array_equal(rev, want_rev)
@@ -142,16 +156,8 @@ class TestEngineAgainstOracles:
     def test_matches_floyd_warshall(self, warping, fiber, phi):
         g = small_grid(n_t=8, n_f=9, warping=warping, fiber=fiber)
         pi = g.t_levels if phi is None else phi(g.t_levels)
+        oracle = causal_weights(g, pi)
         n = g.n_points
-        lv = np.repeat(np.arange(g.n_levels), g.m)
-        fb = np.tile(np.arange(g.m), g.n_levels)
-        w_mat = np.full((n, n), np.inf)
-        gap = np.abs(g.g_levels[lv][:, None] - g.g_levels[lv][None, :])
-        dd = g.fiber.dist[np.ix_(fb, fb)]
-        mask = dd <= gap + g.causal_slack
-        w_mat[mask] = np.abs(pi[lv][:, None] - pi[lv][None, :])[mask]
-        np.fill_diagonal(w_mat, 0.0)
-        oracle = w_mat.copy()
         for k in range(n):
             np.minimum(oracle, oracle[:, k][:, None] + oracle[k, :][None, :], out=oracle)
         got = null_distance(g, weight_levels=pi).full_matrix()
@@ -219,6 +225,145 @@ class TestGuarantees:
         assert rep.ok, rep.violations
         assert rep.worst["lower-bound"] >= -1e-12
         assert rep.worst["sandwich-lower"] >= -1e-12
+
+
+def reference_sweep_rows(grid, sources, pi):
+    """Null-distance rows by plain Gauss-Seidel sweeps, with no band closure:
+    relax every future-directed edge level by level, on the grid and on its
+    time reversal, until a pass pair changes nothing. Returns the rows and
+    the pass pairs used."""
+    t_up, t_rev = grid._threshold_tables()
+    n_lv, m, b = grid.n_levels, grid.m, len(sources)
+    val = np.full((n_lv, m, b), np.inf)
+    for s, (i0, j0) in enumerate(sources):
+        mask = grid.causal_row(i0, j0)
+        col = val[:, :, s]
+        col[mask] = np.broadcast_to(np.abs(pi - pi[i0])[:, None], (n_lv, m))[mask]
+        val[i0, j0, s] = 0.0
+    jj = np.broadcast_to(np.arange(m)[None, :], (m, m))
+    prefix = np.empty((n_lv + 1, m, b))
+    prefix[n_lv] = np.inf
+    eps_stop = 1e3 * np.finfo(float).eps * float(pi[-1] - pi[0])
+
+    def ascend(val, pi, table):
+        changed = False
+        for k in range(n_lv):
+            cand = prefix[np.minimum(table[k], k - 1), jj, :].min(axis=1) + pi[k]
+            if np.any(cand < val[k] - eps_stop):
+                changed = True
+            np.minimum(val[k], cand, out=val[k])
+            row = val[k] - pi[k]
+            prefix[k] = row if k == 0 else np.minimum(prefix[k - 1], row)
+        return changed
+
+    passes = ((val, pi, t_up), (val[::-1], -pi[::-1], t_rev))
+    sweeps = 1
+    while any([ascend(*p) for p in passes]):
+        sweeps += 1
+    return val.reshape(n_lv * m, b).T, sweeps
+
+
+def dijkstra_rows(w, sources):
+    """Exact shortest-path rows over the dense weights w, one Dijkstra run
+    per source node."""
+    n = w.shape[0]
+    rows = np.empty((len(sources), n))
+    for r, s in enumerate(sources):
+        dist = np.full(n, np.inf)
+        dist[s] = 0.0
+        open_ = np.ones(n, dtype=bool)
+        while True:
+            u = int(np.argmin(np.where(open_, dist, np.inf)))
+            if not open_[u] or math.isinf(dist[u]):
+                break
+            open_[u] = False
+            np.minimum(dist, dist[u] + w[u], out=dist)
+        rows[r] = dist
+    return rows
+
+
+def bfs_hops(adj):
+    """Hop counts of the graph with boolean adjacency adj, breadth first from
+    every vertex; -1 between components."""
+    n = adj.shape[0]
+    hops = np.full((n, n), -1)
+    for s in range(n):
+        hops[s, s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in np.nonzero(adj[u])[0]:
+                if hops[s, v] < 0:
+                    hops[s, v] = hops[s, u] + 1
+                    queue.append(v)
+    return hops
+
+
+_XS = np.sort(np.random.default_rng(5).uniform(0.0, 0.8, 14))
+IRREGULAR = FiniteLengthSpace(tuple(range(_XS.size)), np.abs(_XS[:, None] - _XS[None, :]))
+CLOSURE_FIBERS = [path_space(33, 1.0), circle_space(24, 1.0), tripod_space(8, 0.25)]
+
+
+class TestBandClosure:
+    @pytest.mark.parametrize(
+        "fiber", CLOSURE_FIBERS + [IRREGULAR], ids=["path", "circle", "tripod", "irregular"]
+    )
+    def test_hops_match_bfs(self, fiber):
+        # f runs from 0.1 to 1.1: band graphs from several hops wide down to
+        # self edges only
+        g = ConeGrid(IV, fiber, WarpingFunction.affine(0.1, 1.0, IV), 40)
+        shared = {}
+        for k, hops in enumerate(g._band_hops()):
+            adj = fiber.dist <= abs(g.g_levels[k + 1] - g.g_levels[k]) + g.causal_slack
+            if hops is None:
+                assert np.array_equal(adj, np.eye(g.m, dtype=bool))
+                continue
+            assert hops.dtype == np.int16
+            assert np.array_equal(hops, bfs_hops(adj))
+            shared.setdefault(adj.tobytes(), set()).add(id(hops))
+        # one array per distinct graph, and several graphs
+        assert len(shared) > 1 and all(len(ids) == 1 for ids in shared.values())
+        assert len({i for ids in shared.values() for i in ids}) == len(shared)
+        if fiber is IRREGULAR:
+            # close points join every band somewhere, and far ones split it
+            assert any(np.any(h < 0) for h in g._band_hops())
+        else:
+            assert any(h is None for h in g._band_hops())
+
+    @pytest.mark.parametrize("fiber", CLOSURE_FIBERS, ids=["path", "circle", "tripod"])
+    @pytest.mark.parametrize(
+        "warping",
+        [WarpingFunction.affine(0.5, 1.0, IV), WarpingFunction.cosh_type(0.5, 1.2, IV)],
+        ids=["affine", "cosh"],
+    )
+    def test_closed_rows_are_exact(self, fiber, warping):
+        # the time function t + t^2/2 makes minimizers zigzag near t = 0,
+        # where these warpings give the bands fiber edges
+        g = ConeGrid(IV, fiber, warping, 40)
+        pi = g.t_levels + 0.5 * g.t_levels**2
+        points = all_grid_points(g)
+        pick = np.random.default_rng(0).choice(len(points), 16, replace=False)
+        sources = [points[i] for i in sorted(pick)]
+        res = null_distance(g, sources, weight_levels=pi)
+        assert res.sweeps[0] >= 3
+        assert any(h is not None for h in g._band_hops())
+        oracle = dijkstra_rows(causal_weights(g, pi), [g.node(*p) for p in sources])
+        assert np.abs(res.rows - oracle).max() <= 1e-12
+
+    def test_dyadic_rows_equal_plain_sweeps(self):
+        # every sum is exact on this grid, so the closure may not move a bit
+        g = small_grid(n_t=16, n_f=17)
+        pi = g.t_levels + 0.5 * g.t_levels**2
+        res = null_distance(g, weight_levels=pi)
+        want, plain_sweeps = reference_sweep_rows(g, all_grid_points(g), pi)
+        assert np.array_equal(res.rows, want)
+        assert 3 <= max(res.sweeps) < plain_sweeps
+
+    def test_two_pass_pairs_skip_the_closure(self):
+        g = small_grid(n_t=16, n_f=17)
+        res = null_distance(g)
+        assert set(res.sweeps) == {2}
+        assert g._hops is None
 
 
 def reference_time_separation_row(grid, p):

@@ -93,7 +93,7 @@ class TestDerivatives:
         assert w.max_value() == pytest.approx(3.0)
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -103,6 +103,9 @@ from hypothesis import strategies as st
     st.floats(-1.0, 1.0),
 )
 @settings(max_examples=40, deadline=None)
+@example("affine", 1.0, 5e-324)
+@example("exponential", 1.0, -5e-324)
+@example("cosh", 1.0, 5e-324)
 def test_recip_integral_strictly_increasing(kind, amp, rate):
     iv = Interval(0.0, 1.0)
     if kind == "constant":
