@@ -78,10 +78,7 @@ class ConeGrid:
         self.f_mid = np.asarray(
             self.warping.value(0.5 * (self.t_levels[:-1] + self.t_levels[1:])), dtype=float
         )
-        fine = self.interval.grid(10 * self.n_t)
-        fine_vals = np.asarray(self.warping.value(fine), dtype=float)
-        self.f_min = float(fine_vals.min())
-        self.f_max = float(fine_vals.max())
+        self.f_min, self.f_max = self.warping.extrema(self.interval)
         if self.f_min <= 0:
             raise InvalidInputError("warping must be strictly positive on the interval")
         # Exactly-null relations (d equal to the G-gap) must stay causal under

@@ -2,9 +2,10 @@
 
 Uniformly convergent warping functions give uniformly convergent null
 distances with an explicit two-sided estimate; correspondences between
-fibers lift to product cones without increasing distortion; a uniform upper
-bound on the warpings makes the whole family totally bounded with a single
-product net.
+fibers lift to product cones keeping their distortion exactly; a uniform
+upper bound on the warpings makes the whole family totally bounded with a
+single product net. The bounds f_min and f_max these estimates use are the
+exact extrema of each warping kind, not samples.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .cone import ConeGrid, null_distance, stratified_sources
-from .errors import InvalidInputError, ParameterError, SizeBoundError
+from .errors import InvalidInputError, ParameterError
 from .metric_core import (
     Correspondence,
     EpsilonNet,
@@ -27,7 +28,6 @@ from .metric_core import (
 from .warping import Interval, WarpingFunction
 
 PAIR_BUDGET = 1_000_000  # full pair coverage up to this many checked entries
-LIFT_SIZE_CAP = 1500  # points per dense lifted distance matrix (18 MB each)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +43,7 @@ class WarpingSequence:
         for j, f in enumerate(self.members):
             if f.domain != dom:
                 raise InvalidInputError(f"member {j} has a different domain")
-            if f.min_value() < self.lower_bound - 1e-12:
+            if f.extrema()[0] < self.lower_bound - 1e-12:
                 raise InvalidInputError(
                     f"member {j} drops below the lower bound {self.lower_bound!r}"
                 )
@@ -151,8 +151,7 @@ def null_convergence_check(
 @dataclass
 class LiftResult:
     lifted: Correspondence
-    distortion_base: float
-    distortion_lifted: float
+    distortion: float
 
 
 def lift_correspondence(
@@ -162,48 +161,22 @@ def lift_correspondence(
     t_grid: Sequence[float],
 ) -> LiftResult:
     """Lift a fiber correspondence to the product cones over a shared t-grid,
-    gluing equal t-slices, and compare distortions with the exact product
-    formula max(d, |dt|). The lifted distortion never exceeds the base one.
-
-    Both lifted spaces and the lifted correspondence are dense distance
-    matrices, so each is refused beyond `LIFT_SIZE_CAP` points.
+    gluing equal t-slices. The lift keeps the fiber distortion exactly, since
+    the product null distance is max(d, |dt|): equal-slice pairs (dt = 0)
+    reproduce the base pairs, and |max(a, dt) - max(b, dt)| <= |a - b| holds
+    for every other pair (also in floating point, as rounding is monotone).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise InvalidInputError("need a nonempty shared t-grid")
-    size = t_grid.size * max(fiber_a.n, fiber_b.n, len(corr.pairs))
-    if size > LIFT_SIZE_CAP:
-        raise SizeBoundError(
-            f"lift over {size} points refused: dense distances limited to "
-            f"{LIFT_SIZE_CAP} points"
-        )
-    dis_base = distortion(corr, fiber_a, fiber_b)
-    flat = Correspondence(
+    lifted = Correspondence(
         tuple(
             (i * fiber_a.n + xa, i * fiber_b.n + xb)
             for i in range(t_grid.size)
             for xa, xb in corr.pairs
         )
     )
-    dis_lift = distortion(
-        flat, lifted_product_space(fiber_a, t_grid), lifted_product_space(fiber_b, t_grid)
-    )
-    return LiftResult(flat, dis_base, dis_lift)
-
-
-def lifted_product_space(
-    fiber: FiniteLengthSpace, t_grid: Sequence[float]
-) -> FiniteLengthSpace:
-    """The product cone over a shared t-grid as a finite metric space, with
-    the closed-form unit-warping null distance."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    n_lv = t_grid.size
-    m = fiber.n
-    dt = np.abs(t_grid[:, None] - t_grid[None, :])
-    dist = np.maximum(dt[:, None, :, None], fiber.dist[None, :, None, :])
-    dist = dist.reshape(n_lv * m, n_lv * m)
-    ids = tuple((i, j) for i in range(n_lv) for j in range(m))
-    return FiniteLengthSpace(ids, dist, "matrix-input")
+    return LiftResult(lifted, distortion(corr, fiber_a, fiber_b))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +336,7 @@ def uniform_total_boundedness(
     worst: list[tuple[int, float]] = []
     excluded: list[tuple[int, str]] = []
     for idx, f in enumerate(family):
-        f_max = f.max_value()
+        f_max = f.extrema()[1]
         if f_max > bound + 1e-12:
             excluded.append((idx, f"max f = {f_max!r} exceeds the bound {bound!r}"))
             continue

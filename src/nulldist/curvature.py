@@ -19,6 +19,7 @@ import numpy as np
 from .cone import ConeGrid, _level_step_weights, time_separation, time_separation_path
 from .errors import InvalidInputError, ModelConstraintError, ParameterError
 from .metric_core import (
+    GH_SIZE_CAP,
     Correspondence,
     FiniteLengthSpace,
     distortion,
@@ -363,7 +364,7 @@ def _gh_precondition(
     for idx, fib in enumerate(fibers):
         if correspondences is not None:
             out.append((f"fiber{idx}", distortion(correspondences[idx], fib, limit)))
-        elif fib.n * limit.n <= 25:
+        elif fib.n * limit.n <= GH_SIZE_CAP:
             out.append((f"fiber{idx}", 2.0 * gh_distance_exact(fib, limit).distance))
         else:
             out.append((f"fiber{idx}", math.nan))
@@ -382,7 +383,8 @@ def _adapted_n_t(interval: tuple[float, float], fiber: FiniteLengthSpace,
     if h_typ <= 0:
         return n_t
     length = interval[1] - interval[0]
-    f_ref = 0.5 * (warping.min_value() + warping.max_value())
+    f_lo, f_hi = warping.extrema()
+    f_ref = 0.5 * (f_lo + f_hi)
     target = int(round(length / (steps_per_move * h_typ * f_ref)))
     return max(6, min(n_t, target))
 

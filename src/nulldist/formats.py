@@ -184,9 +184,12 @@ def write_long_matrix_csv(
         col_ids = list(range(rows.shape[1]))
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("row_id,col_id,value\n")
+        tails = [f",{cid}," for cid in col_ids]
         for r, rid in enumerate(row_ids):
-            for c, cid in enumerate(col_ids):
-                fh.write(f"{rid},{cid},{fmt(rows[r, c])}\n")
+            # one write per row; format(v, ".17g") is fmt(v) on a Python float
+            fh.write("".join(
+                [f"{rid}{tail}{v:.17g}\n" for tail, v in zip(tails, rows[r].tolist())]
+            ))
 
 
 def read_long_matrix_csv(path: PathLike) -> tuple[list, list, np.ndarray]:

@@ -161,9 +161,10 @@ def embedded_time_separation(K: float, p: np.ndarray, q: np.ndarray) -> float:
     sep = r * math.acos(u)
     if abs(sep) >= math.pi * r - 1e-9:
         raise UnsupportedRegimeError("time separation at the chart boundary")
-    # q must be in the future component reached by a timelike geodesic
-    if abs(dt) < abs(sep) - 1e-9:
-        return 0.0  # spacelike-related pair wrapped by the periodic time angle
+    # chronological iff dt beats the gap in s = r atan(sinh(x/r)), where the
+    # chart metric is conformally flat: cosh^2(x/r) (-dt^2 + ds^2)
+    if dt / r <= abs(math.atan(q[2] / r) - math.atan(p[2] / r)):
+        return 0.0
     return sep
 
 

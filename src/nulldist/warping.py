@@ -3,7 +3,8 @@
 Each kind provides the value f(t), the reciprocal antiderivative
 G(t) = int_a^t ds/f(s) (closed form for every supported kind; tabulated
 profiles integrate 1/linear exactly segment by segment), the inverse of G by
-bisection, and derivatives where the kind is twice differentiable.
+bisection, exact extrema from the kind's critical points, and derivatives
+where the kind is twice differentiable.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from .errors import InvalidInputError, ParameterError
 
-DEFAULT_OVERSAMPLE = 2001
 _BISECT_TOL = 1e-12
 _TINY = np.finfo(float).tiny  # smallest normal float
 
@@ -99,7 +99,7 @@ class WarpingFunction:
         )
 
     def _require_positive(self) -> None:
-        if self.min_value() <= 0:
+        if self.extrema()[0] <= 0:
             raise ParameterError(f"warping not positive on {self.domain}")
 
     # -- evaluation --------------------------------------------------------
@@ -253,11 +253,15 @@ class WarpingFunction:
 
     # -- range -------------------------------------------------------------
 
-    def _oversampled(self, n: int) -> np.ndarray:
-        return self.value(self.domain.grid(n - 1))
-
-    def min_value(self, oversample: int = DEFAULT_OVERSAMPLE) -> float:
-        return float(np.min(self._oversampled(oversample)))
-
-    def max_value(self, oversample: int = DEFAULT_OVERSAMPLE) -> float:
-        return float(np.max(self._oversampled(oversample)))
+    def extrema(self, interval: Optional[Interval] = None) -> tuple[float, float]:
+        """Exact (min, max) of f on `interval` (default: the domain), from the
+        values at its ends and at the kind's interior critical points: t = 0
+        for cosh, the knots for tabulated; the other kinds are monotone."""
+        iv = interval or self.domain
+        ts = [iv.a, iv.b]
+        if self.kind == "cosh":
+            ts.append(min(max(0.0, iv.a), iv.b))
+        elif self.kind == "tabulated":
+            ts += [t for t in self.params["ts"] if iv.a < t < iv.b]
+        vals = self.value(np.array(ts))
+        return float(vals.min()), float(vals.max())

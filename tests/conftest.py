@@ -1,3 +1,5 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from nulldist import (
     Interval,
     WarpingFunction,
 )
+from nulldist.metric_core import distortion
 
 
 def random_pre_length_space(n: int, seed: int) -> tuple[DiscretePreLengthSpace, np.ndarray]:
@@ -52,3 +55,26 @@ def unit_interval():
 @pytest.fixture
 def unit_warping(unit_interval):
     return WarpingFunction.constant(1.0, unit_interval)
+
+
+def lifted_product_space(
+    fiber: FiniteLengthSpace, t_grid: Sequence[float]
+) -> FiniteLengthSpace:
+    """The product cone over a shared t-grid as a finite metric space, with
+    the closed-form unit-warping null distance."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    n_lv = t_grid.size
+    m = fiber.n
+    dt = np.abs(t_grid[:, None] - t_grid[None, :])
+    dist = np.maximum(dt[:, None, :, None], fiber.dist[None, :, None, :])
+    dist = dist.reshape(n_lv * m, n_lv * m)
+    ids = tuple((i, j) for i in range(n_lv) for j in range(m))
+    return FiniteLengthSpace(ids, dist, "matrix-input")
+
+
+def dense_lift_distortion(lifted, fiber_a, fiber_b, t_grid) -> float:
+    """Distortion of a lifted correspondence measured on the dense lifted
+    spaces: the oracle for the product-formula value of a lift."""
+    return distortion(
+        lifted, lifted_product_space(fiber_a, t_grid), lifted_product_space(fiber_b, t_grid)
+    )

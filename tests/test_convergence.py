@@ -14,8 +14,8 @@ from nulldist import (
     sup_norm,
     uniform_total_boundedness,
 )
-from nulldist.convergence import LIFT_SIZE_CAP, lifted_product_space
-from nulldist.errors import InvalidInputError, SizeBoundError
+from conftest import dense_lift_distortion, lifted_product_space
+from nulldist.errors import InvalidInputError
 from nulldist.metric_core import (
     FiniteLengthSpace,
     all_correspondences,
@@ -27,6 +27,12 @@ IV = Interval(0.0, 1.0)
 
 def two_point(d):
     return FiniteLengthSpace((0, 1), np.array([[0.0, d], [d, 0.0]]))
+
+
+def euclidean(pts):
+    return FiniteLengthSpace(
+        tuple(range(len(pts))), np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+    )
 
 
 class TestSupNorm:
@@ -91,37 +97,44 @@ class TestSandwich:
 class TestLift:
     def test_identity_lift_zero(self):
         fib = path_space(3, 1.0)
-        res = lift_correspondence(
-            Correspondence(((0, 0), (1, 1), (2, 2))), fib, fib, np.linspace(0, 1, 4)
-        )
-        assert res.distortion_base == 0.0
-        assert res.distortion_lifted == 0.0
+        t_grid = np.linspace(0, 1, 4)
+        res = lift_correspondence(Correspondence(((0, 0), (1, 1), (2, 2))), fib, fib, t_grid)
+        assert res.distortion == 0.0
+        assert dense_lift_distortion(res.lifted, fib, fib, t_grid) == 0.0
 
     def test_two_point_matching(self):
         a, b = two_point(1.0), two_point(1.2)
-        res = lift_correspondence(
-            Correspondence(((0, 0), (1, 1))), a, b, np.linspace(0, 1, 5)
-        )
-        assert res.distortion_base == pytest.approx(0.2)
-        assert res.distortion_lifted == pytest.approx(0.2)
-        assert res.distortion_lifted <= res.distortion_base + 1e-15
+        t_grid = np.linspace(0, 1, 5)
+        res = lift_correspondence(Correspondence(((0, 0), (1, 1))), a, b, t_grid)
+        assert res.distortion == pytest.approx(0.2)
+        assert res.distortion == dense_lift_distortion(res.lifted, a, b, t_grid)
 
     def test_exhaustive_never_increases(self):
+        # the product formula keeps the distortion exactly, bit for bit
         a, b = two_point(1.0), two_point(1.3)
         t_grid = np.linspace(0, 1, 3)
         for corr in all_correspondences(2, 2):
             res = lift_correspondence(corr, a, b, t_grid)
-            assert res.distortion_lifted <= res.distortion_base + 1e-15
+            assert res.distortion == dense_lift_distortion(res.lifted, a, b, t_grid)
 
-    def test_large_lift_is_refused(self):
-        # 4 levels x 400 points: refused before any dense matrix is built
+    def test_random_lifts_match_dense_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            na, nb = rng.integers(1, 4, size=2)
+            a, b = (euclidean(rng.uniform(0, 1, (n, 2))) for n in (na, nb))
+            t_grid = np.sort(rng.uniform(0, 1.5, rng.integers(1, 6)))
+            for corr in all_correspondences(na, nb):
+                res = lift_correspondence(corr, a, b, t_grid)
+                assert res.distortion == dense_lift_distortion(res.lifted, a, b, t_grid)
+
+    def test_large_lift_needs_no_dense_matrix(self):
+        # 4 levels x 400 points: 1600 pairs, and no 1600 x 1600 distance matrix
         fib = path_space(400, 1.0)
         ident = Correspondence(tuple((j, j) for j in range(400)))
-        assert 4 * 400 > LIFT_SIZE_CAP
-        with pytest.raises(SizeBoundError):
-            lift_correspondence(ident, fib, fib, np.linspace(0, 1, 4))
-        res = lift_correspondence(ident, fib, fib, np.linspace(0, 1, 3))
-        assert res.distortion_base == res.distortion_lifted == 0.0
+        res = lift_correspondence(ident, fib, fib, np.linspace(0, 1, 4))
+        assert len(res.lifted.pairs) == 1600
+        assert res.lifted.is_valid_for(1600, 1600)
+        assert res.distortion == 0.0
 
     def test_product_formula_is_closed_form(self):
         fib = two_point(0.7)

@@ -122,6 +122,13 @@ class TestCurvedSeparation:
         s3 = embedded_time_separation(K, base, q)
         assert s1 == pytest.approx(0.4, abs=1e-8)
         assert s1 + s2 == pytest.approx(s3, abs=1e-8)
+        # K < 0: beyond s = pi r / 2 the chart time gap is shorter than the
+        # proper time, and the pair is still chronological
+        far = {-1.0: 2.0, -0.25: 4.0}.get(K)
+        if far is not None:
+            w = geodesic_point(K, base, v, far)
+            assert embedded_time_separation(K, base, w) == pytest.approx(far, abs=1e-8)
+            assert s1 + embedded_time_separation(K, p, w) == pytest.approx(far, abs=1e-8)
 
     def test_geodesic_integration_oracle(self):
         # integrate gamma'' = gamma / r^2 on the K = 1 hyperquadric by RK4 and

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nulldist import Interval, WarpingFunction
+from nulldist import ConeGrid, Interval, WarpingFunction, path_space
 from nulldist.errors import InvalidInputError, ParameterError
 
 
@@ -89,8 +89,38 @@ class TestDerivatives:
 
     def test_min_max(self):
         w = WarpingFunction.affine(1.0, 2.0, IV)
-        assert w.min_value() == pytest.approx(1.0)
-        assert w.max_value() == pytest.approx(3.0)
+        assert w.extrema() == (1.0, 3.0)
+
+
+class TestExtrema:
+    def test_cosh_interior_minimum_on_the_grid(self):
+        # t = 0 is no grid point of [-1, 1.1] at any resolution tried here
+        iv = Interval(-1.0, 1.1)
+        w = WarpingFunction.cosh_type(1.0, 1.0, iv)
+        grid = ConeGrid(iv, path_space(3, 1.0), w, 7)
+        assert grid.f_min == 1.0
+        assert grid.f_max == math.cosh(1.1)
+
+    def test_tabulated_knot_off_the_grid(self):
+        w = WarpingFunction.tabulated([0.0, 0.31, 1.0], [2.0, 0.5, 2.0])
+        grid = ConeGrid(IV, path_space(3, 1.0), w, 4)
+        assert (grid.f_min, grid.f_max) == (0.5, 2.0)
+
+    def test_subinterval_ignores_outside_critical_points(self):
+        w = WarpingFunction.cosh_type(2.0, 1.0, Interval(-1.0, 1.0))
+        assert w.extrema(Interval(0.5, 1.0)) == (2.0 * math.cosh(0.5), 2.0 * math.cosh(1.0))
+        tab = WarpingFunction.tabulated([0.0, 0.31, 1.0], [2.0, 0.5, 2.0])
+        assert tab.extrema(Interval(0.5, 1.0)) == tuple(tab.value(np.array([0.5, 1.0])))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("constant", (1.5,)), ("affine", (2.0, -1.5)), ("exponential", (0.7, -1.3)),
+    ])
+    def test_monotone_kinds_take_the_ends(self, kind, params):
+        make = {"constant": WarpingFunction.constant, "affine": WarpingFunction.affine,
+                "exponential": WarpingFunction.exponential}[kind]
+        w = make(*params, IV)
+        ends = w.value(np.array([0.0, 1.0]))
+        assert w.extrema() == (ends.min(), ends.max())
 
 
 from hypothesis import example, given, settings
