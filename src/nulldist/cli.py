@@ -67,6 +67,10 @@ def _pick_sources(grid, params, seed):
     return stratified_sources(grid, max_entries, seed)
 
 
+def _coverage(grid, res):
+    return {"sources": len(res.sources), "grid_points": grid.n_points}
+
+
 def run_validate(cfg, paths, out, seed):
     report = {}
     status = OK
@@ -109,7 +113,13 @@ def run_nulldist(cfg, paths, out, seed):
     )
     formats.write_report_json(
         out / "report.json",
-        {"worst_margins": rep.worst, "violations": rep.violations, "notes": rep.notes},
+        {
+            "worst_margins": rep.worst,
+            "violations": rep.violations,
+            "notes": rep.notes,
+            "coverage": _coverage(grid, res),
+            "sweeps": list(res.sweeps),
+        },
     )
     return OK if rep.ok else CHECK_FAILED
 
@@ -140,7 +150,8 @@ def run_timesep(cfg, paths, out, seed):
             if mask.any():
                 worst = min(worst, float(slack[mask].min()))
     formats.write_report_json(
-        out / "report.json", {"reverse_triangle_worst_slack": worst}
+        out / "report.json",
+        {"reverse_triangle_worst_slack": worst, "coverage": _coverage(grid, res)},
     )
     return OK if worst >= -1e-9 else CHECK_FAILED
 

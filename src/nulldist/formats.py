@@ -2,8 +2,10 @@
 
 CSV: comma-separated, UTF-8, LF line endings, mandatory header row; floats
 serialized with 17 significant digits so they round-trip exactly. Matrices
-are written in long form (row_id, col_id, value). JSON reports are written
-with sorted keys; +inf is encoded as the string "inf".
+are written in long form (row_id, col_id, value); each distinct value of a
+row is formatted once, and the bytes equal per-entry `.17g` formatting.
+JSON reports are written with sorted keys; +inf is encoded as the string
+"inf".
 """
 
 from __future__ import annotations
@@ -178,7 +180,12 @@ def write_long_matrix_csv(
     row_ids: Sequence,
     col_ids: Optional[Sequence] = None,
 ) -> None:
-    """Matrix as long-form triples (row_id, col_id, value)."""
+    """Matrix as long-form triples (row_id, col_id, value).
+
+    Each distinct value of a row is formatted once: values are keyed by
+    their bit pattern, so -0.0 and 0.0 (and NaN payloads) stay apart, and
+    the bytes equal fmt(v) on every entry.
+    """
     rows = np.asarray(rows)
     if col_ids is None:
         col_ids = list(range(rows.shape[1]))
@@ -186,9 +193,12 @@ def write_long_matrix_csv(
         fh.write("row_id,col_id,value\n")
         tails = [f",{cid}," for cid in col_ids]
         for r, rid in enumerate(row_ids):
-            # one write per row; format(v, ".17g") is fmt(v) on a Python float
+            row = np.ascontiguousarray(rows[r], dtype=float)
+            bits, inverse = np.unique(row.view(np.int64), return_inverse=True)
+            # format(v, ".17g") is fmt(v) on a Python float
+            strs = [f"{v:.17g}\n" for v in bits.view(float).tolist()]
             fh.write("".join(
-                [f"{rid}{tail}{v:.17g}\n" for tail, v in zip(tails, rows[r].tolist())]
+                [f"{rid}{tail}{strs[i]}" for tail, i in zip(tails, inverse.tolist())]
             ))
 
 

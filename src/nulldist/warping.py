@@ -253,15 +253,21 @@ class WarpingFunction:
 
     # -- range -------------------------------------------------------------
 
-    def extrema(self, interval: Optional[Interval] = None) -> tuple[float, float]:
-        """Exact (min, max) of f on `interval` (default: the domain), from the
-        values at its ends and at the kind's interior critical points: t = 0
-        for cosh, the knots for tabulated; the other kinds are monotone."""
+    def critical_points(self, interval: Optional[Interval] = None) -> list[float]:
+        """The ends of `interval` (default: the domain) and the kind's interior
+        critical points in it: t = 0 for cosh, the knots for tabulated; the
+        other kinds are monotone. f is linear between consecutive points
+        for every kind but exponential and cosh."""
         iv = interval or self.domain
         ts = [iv.a, iv.b]
         if self.kind == "cosh":
             ts.append(min(max(0.0, iv.a), iv.b))
         elif self.kind == "tabulated":
             ts += [t for t in self.params["ts"] if iv.a < t < iv.b]
-        vals = self.value(np.array(ts))
+        return ts
+
+    def extrema(self, interval: Optional[Interval] = None) -> tuple[float, float]:
+        """Exact (min, max) of f on `interval` (default: the domain), from the
+        values at its critical points."""
+        vals = self.value(np.array(self.critical_points(interval)))
         return float(vals.min()), float(vals.max())

@@ -15,6 +15,7 @@ from nulldist.formats import (
     load_edge_list_csv,
     read_long_matrix_csv,
     save_distance_matrix_csv,
+    fmt,
     write_long_matrix_csv,
     write_report_json,
 )
@@ -37,7 +38,47 @@ def make_cone_inputs(tmp: Path, n_fiber=9, n_t=8, warping=None) -> Path:
     return tmp / "cone.json"
 
 
+def reference_long_matrix_bytes(mat, row_ids, col_ids=None) -> bytes:
+    """Long-form CSV formatted entry by entry with fmt, the writer's oracle."""
+    mat = np.asarray(mat)
+    if col_ids is None:
+        col_ids = range(mat.shape[1])
+    lines = ["row_id,col_id,value\n"]
+    for r, rid in enumerate(row_ids):
+        for c, cid in enumerate(col_ids):
+            lines.append(f"{rid},{cid},{fmt(mat[r, c])}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def _writer_oracle_cases():
+    rng = np.random.default_rng(8)
+    nan_payload = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64)
+    return {
+        "signed_zeros": np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 1.0]]),
+        "nan_inf_subnormal": np.array(
+            [[math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308],
+             [*nan_payload.view(float), math.nan, 0.0, 5e-324, math.inf]]
+        ),
+        "repeated": rng.integers(0, 5, (40, 60)) * 0.1,
+        "all_distinct": rng.uniform(-1e3, 1e3, (30, 50)),
+        "random_bits": rng.integers(-(2**63), 2**63 - 1, (12, 40), dtype=np.int64).view(float),
+        "transposed_view": (rng.integers(0, 3, (50, 30)) / 3.0).T,
+        "int_matrix": np.array([[0, -3, 7, 2**60 + 1], [7, 7, -(2**53) - 1, 0]]),
+    }
+
+
 class TestFormats:
+    @pytest.mark.parametrize("case", sorted(_writer_oracle_cases()))
+    @pytest.mark.parametrize("explicit_cols", [False, True])
+    def test_long_matrix_matches_per_entry_formatting(self, case, explicit_cols, tmp_path):
+        mat = _writer_oracle_cases()[case]
+        row_ids = [f"r{i}" for i in range(mat.shape[0])]
+        col_ids = [f"{j}:{j % 3}" for j in range(mat.shape[1])] if explicit_cols else None
+        write_long_matrix_csv(tmp_path / "m.csv", mat, row_ids, col_ids)
+        assert (tmp_path / "m.csv").read_bytes() == reference_long_matrix_bytes(
+            mat, row_ids, col_ids
+        )
+
     def test_distance_matrix_roundtrip(self, tmp_path):
         space = path_space(5, 1.0)
         save_distance_matrix_csv(tmp_path / "m.csv", space)
@@ -197,6 +238,33 @@ class TestCommands:
         assert status in (0, 1)
         report = (tmp_path / "out" / "report.json").read_text()
         assert '"monotone_ok": true' in report
+
+    @pytest.mark.parametrize(
+        "command, sources, n_sources, sweeps",
+        [
+            ("nulldist", "all", 81, [2, 2]),
+            ("nulldist", [[0, 0], [4, 4], [8, 8]], 3, [2]),
+            ("timesep", "all", 81, None),
+            ("timesep", [[0, 0], [4, 4], [8, 8]], 3, None),
+        ],
+    )
+    def test_report_counts_coverage_and_sweeps(
+        self, command, sources, n_sources, sweeps, tmp_path
+    ):
+        make_cone_inputs(tmp_path)  # 9 levels x 9 fiber points
+        cfg = {
+            "command": command,
+            "inputs": {"cone": "cone.json"},
+            "params": {"sources": sources},
+            "output_dir": str(tmp_path / "out"),
+        }
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 0
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["coverage"] == {"sources": n_sources, "grid_points": 81}
+        # pass pairs per batch of 64 sources: phi = t on a constant warping
+        # settles in one pass pair and certifies it with a second
+        assert rep.get("sweeps") == sweeps
 
     def test_timesep_run(self, tmp_path):
         make_cone_inputs(tmp_path, n_fiber=21, n_t=8)

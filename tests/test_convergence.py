@@ -51,6 +51,22 @@ class TestSupNorm:
         g = WarpingFunction.tabulated(ts, 1.0 + ts + ts * (1 - ts) / 10.0)
         assert sup_norm(f, g) == pytest.approx(0.025, abs=1e-6)
 
+    def test_spike_between_grid_points(self):
+        # the spike lives inside one 1/2000 cell of the sampling grid
+        spike = WarpingFunction.tabulated([0.0, 0.0002, 0.0004, 1.0], [1.0, 2.0, 1.0, 1.0])
+        assert sup_norm(spike, WarpingFunction.constant(1.0, IV)) == 1.0
+
+    def test_tabulated_against_affine_is_exact(self):
+        rng = np.random.default_rng(3)
+        ts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 9)), [1.0]])
+        vs = rng.uniform(1.0, 3.0, ts.size)
+        tab = WarpingFunction.tabulated(ts, vs)
+        aff = WarpingFunction.affine(1.5, 0.5, IV)
+        # tab - aff is linear between knots, so its sup sits at a knot
+        expected = max(abs(v - (1.5 + 0.5 * t)) for t, v in zip(ts.tolist(), vs.tolist()))
+        assert sup_norm(tab, aff) == expected
+        assert sup_norm(aff, tab) == expected
+
     def test_domain_mismatch(self):
         a = WarpingFunction.constant(1.0, IV)
         b = WarpingFunction.constant(1.0, Interval(0.0, 2.0))
