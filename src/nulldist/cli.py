@@ -58,13 +58,14 @@ def _node_labels(grid):
 
 
 def _pick_sources(grid, params, seed):
+    """Source points for a full-row engine; None for "all", so the engine
+    applies its own size bound to the full matrix."""
     choice = params.get("sources", "auto")
     if isinstance(choice, list):
         return [tuple(map(int, p)) for p in choice]
-    max_entries = float(params.get("max_entries", 1e6))
     if choice == "all":
-        return all_grid_points(grid)
-    return stratified_sources(grid, max_entries, seed)
+        return None
+    return stratified_sources(grid, float(params.get("max_entries", 1e6)), seed)
 
 
 def _coverage(grid, res):

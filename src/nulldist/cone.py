@@ -425,7 +425,8 @@ def null_distance_guarantees(
     pi = result.weight_levels
     lv = np.repeat(np.arange(grid.n_levels), grid.m)
     fb = np.tile(np.arange(grid.m), grid.n_levels)
-    for s, (i0, j0) in enumerate(result.sources):
+    for s, src in enumerate(result.sources):
+        i0, j0 = src
         row = result.rows[s]
         dists = d[j0, fb]
         causal = grid.causal_row(i0, j0).ravel()
@@ -433,56 +434,42 @@ def null_distance_guarantees(
 
         err = np.abs(row[causal] - wgap[causal])
         worst = float(err.max()) if err.size else 0.0
-        rep.record("causal-exact", -worst if worst > 1e-12 else 0.0)
-        if worst > 1e-12:
-            rep.violations.setdefault("causal-exact", []).append((result.sources[s], worst))
+        bad = worst > 1e-12
+        rep.record("causal-exact", -worst if bad else 0.0, (src, worst) if bad else None)
 
         lower = row - grid.f_min * dists
-        wl = float(lower.min())
-        rep.record("lower-bound", wl)
-        if wl < -1e-12:
-            bad = int(np.argmin(lower))
-            rep.violations.setdefault("lower-bound", []).append(
-                (result.sources[s], grid.point(bad), float(lower[bad]))
-            )
+        k = int(np.argmin(lower))
+        wl = float(lower[k])
+        rep.record("lower-bound", wl, (src, grid.point(k), wl) if wl < -1e-12 else None)
 
         noncausal = ~causal
         if np.any(noncausal):
             upper = grid.f_max * dists[noncausal] - row[noncausal]
             wu = float(upper.min())
-            rep.record("upper-bound", wu + tol_fmax)
-            if wu < -tol_fmax:
-                rep.violations.setdefault("upper-bound", []).append(
-                    (result.sources[s], float(-wu))
-                )
+            bad = wu < -tol_fmax
+            rep.record("upper-bound", wu + tol_fmax, (src, float(-wu)) if bad else None)
+            if bad:
                 rep.notes.append(
-                    f"upper bound missed by {-wu:.3g} at source {result.sources[s]}; "
+                    f"upper bound missed by {-wu:.3g} at source {src}; "
                     "refine the grid (error shrinks with 1/n_t)"
                 )
 
         off = row > 0
         off[grid.node(i0, j0)] = True
-        if not np.all(off):
-            rep.violations.setdefault("definiteness", []).append(result.sources[s])
-        rep.record("definiteness", 0.0)
+        rep.record("definiteness", 0.0, None if np.all(off) else src)
 
         fut = causal & (lv != i0)
         dt = np.abs(grid.t_levels[lv[fut]] - grid.t_levels[i0])
         wa = float((dt - grid.f_min * dists[fut]).min()) if np.any(fut) else 0.0
-        rep.record("anti-lipschitz", wa)
-        if wa < -1e-12:
-            rep.violations.setdefault("anti-lipschitz", []).append(result.sources[s])
+        rep.record("anti-lipschitz", wa, src if wa < -1e-12 else None)
 
         if unit_result is not None:
             unit_row = unit_result.rows[list(unit_result.sources).index((i0, j0))]
             lo = row - min(1.0, grid.f_min) * unit_row
             hi = max(1.0, grid.f_max) * unit_row - row
-            rep.record("sandwich-lower", float(lo.min()))
-            rep.record("sandwich-upper", float(hi.min()) + tol)
-            if lo.min() < -1e-12:
-                rep.violations.setdefault("sandwich-lower", []).append(result.sources[s])
-            if hi.min() < -tol:
-                rep.violations.setdefault("sandwich-upper", []).append(result.sources[s])
+            wlo, whi = float(lo.min()), float(hi.min())
+            rep.record("sandwich-lower", wlo, src if wlo < -1e-12 else None)
+            rep.record("sandwich-upper", whi + tol, src if whi < -tol else None)
     return rep
 
 

@@ -7,6 +7,11 @@ alpha(s) = G^{-1}(G(t_0) +/- s). The fiber component is tracked by its arc
 coordinate u along a unit-speed rectified path of length d(x_p, x_q); burning
 surplus t-budget at a fixed fiber endpoint uses out-and-back excursions along
 the nearest neighbor direction.
+
+A null leg moves G by exactly its arc length, so each zigzag pair is in closed
+form: the two legs of a pair of fiber length s1 meet at s1 / 2. For the same
+reason a segment is checked exactly, by comparing its change of G with its
+fiber length.
 """
 
 from __future__ import annotations
@@ -17,10 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import ConeGrid
-from .errors import InvalidInputError, ParameterError
-
-_BISECT_TOL = 1e-12
-_MAX_SPLITS = 60
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class PiecewiseNullCurve:
     p: tuple
     q: tuple
     segments: list = field(default_factory=list)
-    splits_used: int = 0
 
     def null_length(self) -> float:
         """Sum of |t increments| over maximal monotone runs."""
@@ -70,17 +71,6 @@ class PiecewiseNullCurve:
         last = self.segments[-1]
         return last.t_end, last.u_end
 
-    def alpha(self, seg: NullSegment, s: float) -> float:
-        """t-coordinate at parameter s in [0, s_length] along the segment."""
-        if not (0.0 <= s <= seg.s_length + 1e-12):
-            raise ParameterError("parameter outside the segment")
-        w = self.grid.warping
-        g0 = float(w.recip_integral(seg.t_start))
-        g_lo = float(w.recip_integral(self.grid.interval.a))
-        g_hi = float(w.recip_integral(self.grid.interval.b))
-        # bisection residue can overshoot the boundary by ~1e-12
-        return w.recip_integral_inverse(min(max(g0 + seg.direction * s, g_lo), g_hi))
-
 
 def _nearest_neighbor_distance(grid: ConeGrid, j: int) -> float:
     d = grid.fiber.dist[j].copy()
@@ -91,46 +81,13 @@ def _nearest_neighbor_distance(grid: ConeGrid, j: int) -> float:
     return val
 
 
-def _cross_parameter(grid: ConeGrid, t0: float, s1: float, go_up: bool) -> float:
-    """Crossing parameter of the two null legs of a zigzag based at t0: the
-    outgoing leg and the returning leg meet where their t-values agree.
-    Bisection on the difference of the legs over [0, s1]."""
-    w = grid.warping
-    g0 = float(w.recip_integral(t0))
-    g_lo = float(w.recip_integral(grid.interval.a))
-    g_hi = float(w.recip_integral(grid.interval.b))
-
-    def inv(target: float) -> float:
-        # the legs are only realized up to the crossing; clamping the
-        # out-of-interval tail keeps the bisection signs intact as long as
-        # s1 <= 2 * headroom in the zigzag's own direction
-        return w.recip_integral_inverse(min(max(target, g_lo), g_hi))
-
-    if go_up:
-        def diff(s: float) -> float:
-            return inv(g0 + s) - inv(g0 + (s1 - s))
-    else:
-        def diff(s: float) -> float:
-            return inv(g0 - (s1 - s)) - inv(g0 - s)
-
-    lo, hi = 0.0, s1
-    if diff(lo) > 0 or diff(hi) < 0:
-        raise InvalidInputError("no crossing in the requested leg")
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if diff(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def null_curve(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -> PiecewiseNullCurve:
     """Construct a piecewise null curve from grid point p to grid point q.
 
     Endpoints are exact in the fiber; the t-endpoint is accurate to the
-    bisection tolerance. Legs whose apex would leave the interval are re-split
-    with half the leg length, up to a bounded number of attempts.
+    tolerance of `recip_integral_inverse`. A zigzag pair of fiber length s1
+    turns at G(t) +/- s1 / 2, and s1 is at most twice the headroom, so the
+    turn stays inside the interval.
     """
     p = (int(p[0]), int(p[1]))
     q = (int(q[0]), int(q[1]))
@@ -146,7 +103,6 @@ def null_curve(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -> Piecew
             NullSegment(s.t_end, s.t_start, total - s.u_end, total - s.u_start, -s.direction)
             for s in reversed(rev.segments)
         ]
-        curve.splits_used = rev.splits_used
         return curve
 
     w = grid.warping
@@ -203,55 +159,38 @@ def null_curve(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -> Piecew
         if head <= 0:
             raise InvalidInputError("degenerate interval: no room for a zigzag")
         s1 = min(remaining, 2.0 * head)
-        for _ in range(_MAX_SPLITS):
-            s_bar = _cross_parameter(grid, t_cur, s1, go_up)
-            if s_bar <= head + 1e-12:
-                break
-            s1 *= 0.5
-            curve.splits_used += 1
-        else:
-            raise InvalidInputError(
-                "leg splitting failed: apex cannot stay inside the interval"
-            )
-        if go_up:
-            t_apex = w.recip_integral_inverse(min(g_cur + s_bar, g_hi))
-            curve.segments.append(NullSegment(t_cur, t_apex, u, u + s_bar, +1))
-            curve.segments.append(NullSegment(t_apex, t_cur, u + s_bar, u + s1, -1))
-        else:
-            t_valley = w.recip_integral_inverse(max(g_cur - s_bar, g_lo))
-            curve.segments.append(NullSegment(t_cur, t_valley, u, u + s_bar, -1))
-            curve.segments.append(NullSegment(t_valley, t_cur, u + s_bar, u + s1, +1))
+        half = 0.5 * s1
+        direction = 1 if go_up else -1
+        t_turn = w.recip_integral_inverse(
+            min(g_cur + half, g_hi) if go_up else max(g_cur - half, g_lo)
+        )
+        curve.segments.append(NullSegment(t_cur, t_turn, u, u + half, direction))
+        curve.segments.append(NullSegment(t_turn, t_cur, u + half, u + s1, -direction))
         u += s1
         remaining = fiber_len - u
     return curve
 
 
-def verify_null_curve(
-    grid: ConeGrid,
-    curve: PiecewiseNullCurve,
-    n_samples: int = 9,
-) -> dict:
-    """Measure endpoint accuracy, per-segment nullity defect |alpha'| - f(alpha)
-    by central differences, and the null length vs total variation gap."""
+def verify_null_curve(grid: ConeGrid, curve: PiecewiseNullCurve) -> dict:
+    """Measure endpoint accuracy, the per-segment nullity defect and the null
+    length vs total variation gap.
+
+    A segment is null exactly when direction * (G(t_end) - G(t_start)) equals
+    its fiber length |u_end - u_start|; the defect is the largest deviation
+    from that identity (0 without segments)."""
     t_end, u_end = curve.endpoint()
     t_target = float(grid.t_levels[curve.q[0]])
     fiber_target = float(grid.fiber.dist[curve.p[1], curve.q[1]])
-    worst_null = 0.0
-    for seg in curve.segments:
-        if seg.s_length == 0:
-            continue
-        h = max(seg.s_length * 1e-4, 1e-9)
-        ss = np.linspace(h, seg.s_length - h, n_samples)
-        for s in ss:
-            if s - h < 0 or s + h > seg.s_length:
-                continue
-            da = (curve.alpha(seg, s + h) - curve.alpha(seg, s - h)) / (2.0 * h)
-            f_here = float(grid.warping.value(curve.alpha(seg, s)))
-            worst_null = max(worst_null, abs(abs(da) - f_here))
-    return {
-        "t_endpoint_error": abs(t_end - t_target) if curve.segments else (
-            0.0 if curve.p == curve.q else abs(t_end - t_target)
+    G = grid.warping.recip_integral
+    worst_null = max(
+        (
+            abs(seg.direction * (float(G(seg.t_end)) - float(G(seg.t_start))) - seg.s_length)
+            for seg in curve.segments
         ),
+        default=0.0,
+    )
+    return {
+        "t_endpoint_error": abs(t_end - t_target),
         "fiber_endpoint_error": abs(u_end - fiber_target),
         "max_nullity_defect": worst_null,
         "null_length": curve.null_length(),

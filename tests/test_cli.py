@@ -266,6 +266,22 @@ class TestCommands:
         # settles in one pass pair and certifies it with a second
         assert rep.get("sweeps") == sweeps
 
+    @pytest.mark.parametrize("command", ["nulldist", "timesep"])
+    def test_all_sources_keep_the_full_matrix_bound(self, command, tmp_path, capsys):
+        # 81 x 81 = 6561 grid points: the engines refuse a full matrix beyond
+        # 6000 points, and "all" must not get round that by listing them
+        make_cone_inputs(tmp_path, n_fiber=81, n_t=80)
+        cfg = {
+            "command": command,
+            "inputs": {"cone": "cone.json"},
+            "params": {"sources": "all"},
+            "output_dir": str(tmp_path / "out"),
+        }
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 2
+        assert "6561 points refused" in capsys.readouterr().err
+        assert not (tmp_path / "out" / f"{command}.csv").exists()
+
     def test_timesep_run(self, tmp_path):
         make_cone_inputs(tmp_path, n_fiber=21, n_t=8)
         cfg = {

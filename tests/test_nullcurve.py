@@ -5,14 +5,25 @@ from nulldist import (
     ConeGrid,
     FiniteLengthSpace,
     Interval,
+    PiecewiseNullCurve,
     WarpingFunction,
+    circle_space,
     null_curve,
     path_space,
     verify_null_curve,
 )
 from nulldist.errors import InvalidInputError
+from nulldist.nullcurve import NullSegment
 
 IV = Interval(0.0, 1.0)
+_TS = np.linspace(0.0, 1.0, 6)
+WARPINGS = {
+    "constant": WarpingFunction.constant(1.0, IV),
+    "affine": WarpingFunction.affine(1.0, 1.0, IV),
+    "cosh": WarpingFunction.cosh_type(1.0, 1.0, IV),
+    "exponential": WarpingFunction.exponential(1.0, -0.8, IV),
+    "tabulated": WarpingFunction.tabulated(_TS, 1.0 + 0.6 * np.sin(4.0 * _TS), IV),
+}
 
 CASES = [
     ((0, 0), (0, 10)),   # same level, zigzag
@@ -24,14 +35,11 @@ CASES = [
 ]
 
 
-@pytest.fixture(params=["constant", "affine", "cosh"])
+@pytest.fixture(params=[*WARPINGS, "cosh-circle", "exponential-circle"])
 def grid(request):
-    w = {
-        "constant": WarpingFunction.constant(1.0, IV),
-        "affine": WarpingFunction.affine(1.0, 1.0, IV),
-        "cosh": WarpingFunction.cosh_type(1.0, 1.0, IV),
-    }[request.param]
-    return ConeGrid(IV, path_space(21, 1.0), w, 20)
+    kind, _, fiber = request.param.partition("-")
+    space = circle_space(21, 1.0) if fiber == "circle" else path_space(21, 1.0)
+    return ConeGrid(IV, space, WARPINGS[kind], 20)
 
 
 @pytest.mark.parametrize("pair", CASES)
@@ -41,8 +49,41 @@ def test_construction_contracts(grid, pair):
     rep = verify_null_curve(grid, curve)
     assert rep["t_endpoint_error"] <= 1e-6
     assert rep["fiber_endpoint_error"] <= 1e-9
-    assert rep["max_nullity_defect"] <= 1e-6
+    assert rep["max_nullity_defect"] <= 1e-9
     assert abs(rep["null_length"] - rep["total_variation"]) <= 1e-9
+
+
+@pytest.mark.parametrize("level", [0, 3, 10, 17, 20])
+def test_zigzag_pairs_return_to_their_base_level(grid, level):
+    # a fiber of length 5 needs at least two pairs: G spans at most 1.6 here
+    long = ConeGrid(IV, path_space(21, 5.0), grid.warping, 20)
+    curve = null_curve(long, (level, 0), (level, 20))
+    base = float(long.t_levels[level])
+    segs = curve.segments
+    assert len(segs) >= 4 and len(segs) % 2 == 0
+    for out, back in zip(segs[::2], segs[1::2]):
+        assert out.t_start == base and back.t_end == base
+        assert back.t_start == out.t_end and back.direction == -out.direction
+        # the legs of a pair split its fiber length in half
+        assert out.s_length == pytest.approx(back.s_length, abs=1e-12)
+    assert verify_null_curve(long, curve)["max_nullity_defect"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "p, q, segment, defect",
+    [
+        # t rises by 0.5 while the fiber moves 0.3 at f = 1
+        ((0, 0), (10, 6), NullSegment(0.0, 0.5, 0.0, 0.3, +1), 0.2),
+        # a descending segment marked as future-directed
+        ((10, 0), (0, 10), NullSegment(0.5, 0.0, 0.0, 0.5, +1), 1.0),
+    ],
+)
+def test_verify_catches_a_segment_that_is_not_null(p, q, segment, defect):
+    g = ConeGrid(IV, path_space(21, 1.0), WARPINGS["constant"], 20)
+    rep = verify_null_curve(g, PiecewiseNullCurve(g, p, q, [segment]))
+    # both endpoints are right, so only the nullity defect can tell
+    assert rep["t_endpoint_error"] == 0.0 and rep["fiber_endpoint_error"] <= 1e-15
+    assert rep["max_nullity_defect"] >= defect - 1e-12
 
 
 def test_trivial_pair(grid):
@@ -93,4 +134,4 @@ def test_cone_on_subinterval_of_warping_domain():
         curve = null_curve(g, p, q)
         rep = verify_null_curve(g, curve)
         assert rep["t_endpoint_error"] <= 1e-6
-        assert rep["max_nullity_defect"] <= 1e-6
+        assert rep["max_nullity_defect"] <= 1e-9
