@@ -185,15 +185,13 @@ def run_converge(cfg, paths, out, seed):
     doc = json.loads(Path(paths["scenario"]).read_text(encoding="utf-8"))
     base = Path(paths["scenario"]).parent
     if "cone" in doc:
-        cone_doc = json.loads((base / doc["cone"]).read_text(encoding="utf-8"))
-        fiber = formats.load_space((base / doc["cone"]).parent / cone_doc["fiber"])
-        a, b = cone_doc["interval"]
-        default_n_t = int(cone_doc.get("n_t", 50))
+        grid = formats.load_cone_json(base / doc["cone"])
+        fiber, interval, default_n_t = grid.fiber, grid.interval, grid.n_t
     else:
         fiber = formats.load_space(base / doc["fiber"])
         a, b = doc["interval"]
+        interval = Interval(float(a), float(b))
         default_n_t = int(doc.get("n_t", 50))
-    interval = Interval(float(a), float(b))
     limit = formats.warping_from_dict(doc["limit"], interval)
     members = tuple(formats.warping_from_dict(m, interval) for m in doc["family"])
     seq = WarpingSequence(members, limit, float(doc["lower_bound"]))
@@ -243,7 +241,7 @@ def run_gh(cfg, paths, out, seed):
 
 def run_net(cfg, paths, out, seed):
     space = formats.load_space(paths["space"])
-    eps = float(cfg.get("params", {}).get("eps", _override(cfg, "tol_override", 0.25)))
+    eps = float(_override(cfg, "tol_override", cfg.get("params", {}).get("eps", 0.25)))
     net = epsilon_net(space, eps)
     verdict = verify_net(space, net)
     formats.write_table_csv(

@@ -401,7 +401,6 @@ def null_distance_guarantees(
     grid: ConeGrid,
     result: NullDistanceResult,
     unit_result: Optional[NullDistanceResult] = None,
-    grid_tol: Optional[float] = None,
 ) -> GuaranteeReport:
     """Check the structural inequalities on computed null-distance rows.
 
@@ -413,13 +412,13 @@ def null_distance_guarantees(
     Grid-tolerant claims (violations beyond the tolerance are reported with a
     refinement hint):
       * dhat(p, q) <= f_max * d(x_p, x_q) on non-causal pairs, within
-        (2 + f_max) * step by default (fiber quantization enters at the
-        local speed of the warping),
+        (2 + f_max) * step (fiber quantization enters at the local speed of
+        the warping),
       * the two-sided comparison with a unit-warping result on the same
-        grid, within 2/n_t by default.
+        grid, within 2/n_t.
     """
-    tol = 2.0 / grid.n_t if grid_tol is None else grid_tol
-    tol_fmax = (2.0 + grid.f_max) * grid.grid_step() if grid_tol is None else grid_tol
+    tol = 2.0 / grid.n_t
+    tol_fmax = (2.0 + grid.f_max) * grid.grid_step()
     rep = GuaranteeReport()
     d = grid.fiber.dist
     pi = result.weight_levels
@@ -607,20 +606,19 @@ def null_distance_phi(
     grid: ConeGrid,
     phi: Callable[[np.ndarray], np.ndarray],
     sources: Optional[Sequence[tuple[int, int]]] = None,
-    oversample: int = 10,
-    tol: float = 1e-9,
 ) -> tuple[NullDistanceResult, PhiReport]:
     """Null distance for the time function phi(t) with a verification report.
 
-    Checks on every computed pair: causal pairs realize phi(t_q) - phi(t_p)
-    exactly, and non-causal pairs (ordered so t_p <= t_q) obey
+    Checks on every computed pair, within 1e-9: causal pairs realize
+    phi(t_q) - phi(t_p) exactly, and non-causal pairs (ordered so
+    t_p <= t_q) obey
 
         dhat_phi(p, q) >= phi(t_q) - phi(t_p) + (d(x_p, x_q) - (G(t_q) - G(t_p))) / c
 
-    with c = max over the interval of 1 / (phi'(t) f(t)), evaluated on an
-    oversampled grid by central differences.
+    with c = max over the interval of 1 / (phi'(t) f(t)), evaluated by
+    central differences on a grid ten times finer than the levels.
     """
-    fine = grid.interval.grid(oversample * grid.n_t)
+    fine = grid.interval.grid(10 * grid.n_t)
     phi_fine = np.asarray(phi(fine), dtype=float)
     if np.any(np.diff(phi_fine) <= 0):
         raise InvalidInputError("phi must be strictly increasing on the interval")
@@ -663,9 +661,9 @@ def null_distance_phi(
                 worst_margin = float(margin[k])
                 witness = ((i0, j0), grid.point(int(np.nonzero(non)[0][k])))
     return result, PhiReport(
-        causal_exact=worst_causal <= tol,
+        causal_exact=worst_causal <= 1e-9,
         worst_causal_error=worst_causal,
-        gap_bound_holds=bool(worst_margin >= -tol),
+        gap_bound_holds=bool(worst_margin >= -1e-9),
         worst_gap_margin=worst_margin if math.isfinite(worst_margin) else 0.0,
         c_constant=c_const,
         n_checked=n_checked,
@@ -690,11 +688,9 @@ class FiberComparisonReport:
     note: str = ""
 
 
-def fiber_metric_comparison(
-    grid: ConeGrid, t0: float, grid_tol: Optional[float] = None
-) -> FiberComparisonReport:
+def fiber_metric_comparison(grid: ConeGrid, t0: float) -> FiberComparisonReport:
     """Compare the null distance restricted to the slice t = t0 with the fiber
-    metric: f_min * d <= dhat <= f_max * d + grid tolerance.
+    metric: f_min * d <= dhat <= f_max * d + (2 + f_max) * step.
 
     For unit warping the slice metric equals d up to at most one t-step: a
     closed path must balance its up and down moves, so slice costs live on the
@@ -703,7 +699,7 @@ def fiber_metric_comparison(
     if not grid.interval.contains(t0):
         raise ParameterError(f"t0={t0!r} outside the interval")
     i0 = int(np.argmin(np.abs(grid.t_levels - t0)))
-    tol = (2.0 + grid.f_max) * grid.grid_step() if grid_tol is None else grid_tol
+    tol = (2.0 + grid.f_max) * grid.grid_step()
     sources = [(i0, j) for j in range(grid.m)]
     res = null_distance(grid, sources=sources)
     m = grid.m

@@ -20,9 +20,7 @@ from .cone import ConeGrid, _level_step_weights, time_separation, time_separatio
 from .errors import InvalidInputError, ModelConstraintError, ParameterError
 from .metric_core import (
     GH_SIZE_CAP,
-    Correspondence,
     FiniteLengthSpace,
-    distortion,
     gh_distance_exact,
     quadruple_curvature_check,
 )
@@ -59,7 +57,6 @@ class CurvatureVerdict:
     passed: bool
     tol: float
     worst_witness: Optional[dict] = None
-    max_snap_error: float = 0.0
     n_probes: int = 0
 
     def __bool__(self) -> bool:
@@ -182,15 +179,13 @@ _PROBE_SCHEME = (
 )
 
 
-def _snap(tri: TimelikeTriangle, side: str, frac: float) -> tuple[tuple, float, float, float]:
+def _snap(tri: TimelikeTriangle, side: str, frac: float) -> tuple[tuple, float, float]:
     """Nearest path vertex to the requested fractional separation; returns
-    (vertex, achieved separation, snap error, local step quantum)."""
+    (vertex, achieved separation, snap error)."""
     path, acc = tri.side_paths[side]
     target = frac * acc[-1]
     k = int(np.argmin(np.abs(acc - target)))
-    lo = acc[k] - acc[k - 1] if k > 0 else 0.0
-    hi = acc[k + 1] - acc[k] if k + 1 < acc.size else 0.0
-    return path[k], float(acc[k]), float(abs(acc[k] - target)), float(max(lo, hi))
+    return path[k], float(acc[k]), float(abs(acc[k] - target))
 
 
 def triangle_comparison(
@@ -229,12 +224,10 @@ def triangle_comparison(
 
     worst = None
     worst_adjusted = math.inf
-    max_snap = 0.0
     n_done = 0
     for side_a, frac_a, side_b, frac_b in _PROBE_SCHEME[:n_probe]:
-        p, s_a, err_a, step_a = _snap(tri, side_a, frac_a)
-        q, s_b, err_b, step_b = _snap(tri, side_b, frac_b)
-        max_snap = max(max_snap, err_a, err_b)
+        p, s_a, err_a = _snap(tri, side_a, frac_a)
+        q, s_b, err_b = _snap(tri, side_b, frac_b)
         slack = err_a + err_b
         p_model = point_on_side(model, side_a, min(s_a, model.side_length(side_a)))
         q_model = point_on_side(model, side_b, min(s_b, model.side_length(side_b)))
@@ -262,7 +255,6 @@ def triangle_comparison(
         bool(worst_adjusted >= -tol),
         tol,
         worst,
-        max_snap,
         n_done,
     )
 
@@ -291,10 +283,10 @@ def dp_refinement_error(
 
 
 def concavity_check(
-    warping: WarpingFunction, k_prime: float, mode: str = "concave", tol: float = 1e-9
+    warping: WarpingFunction, k_prime: float, mode: str = "concave"
 ) -> Verdict:
     """Evaluate f'' - K'f on an oversampled grid: concave mode passes when it
-    stays below tol everywhere, convex mode when it stays above -tol."""
+    stays below 1e-9 everywhere, convex mode when it stays above -1e-9."""
     if mode not in ("concave", "convex"):
         raise ParameterError("mode must be 'concave' or 'convex'")
     ts = warping.domain.grid(2000)
@@ -313,9 +305,9 @@ def concavity_check(
             )
     if mode == "concave":
         worst = float(vals.max())
-        return Verdict(worst <= tol, witness=worst, detail=detail)
+        return Verdict(worst <= 1e-9, witness=worst, detail=detail)
     worst = float(vals.min())
-    return Verdict(worst >= -tol, witness=worst, detail=detail)
+    return Verdict(worst >= -1e-9, witness=worst, detail=detail)
 
 
 def compute_fiber_bound(warping: WarpingFunction, k_prime: float) -> float:
@@ -335,7 +327,7 @@ class PersistenceReport:
     mode: str
     fiber_quadruples: list  # (label, k, QuadrupleVerdict)
     cone_verdicts: list  # (label, CurvatureVerdict)
-    gh_precondition: list  # (label, value) distortions or exact GH distances
+    gh_precondition: list  # (label, 2 * exact GH distance to the limit, nan above GH_SIZE_CAP)
     concavity: list = field(default_factory=list)
     fiber_bounds: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -356,15 +348,11 @@ class PersistenceReport:
 
 
 def _gh_precondition(
-    fibers: Sequence[FiniteLengthSpace],
-    limit: FiniteLengthSpace,
-    correspondences: Optional[Sequence[Correspondence]],
+    fibers: Sequence[FiniteLengthSpace], limit: FiniteLengthSpace
 ) -> list:
     out = []
     for idx, fib in enumerate(fibers):
-        if correspondences is not None:
-            out.append((f"fiber{idx}", distortion(correspondences[idx], fib, limit)))
-        elif fib.n * limit.n <= GH_SIZE_CAP:
+        if fib.n * limit.n <= GH_SIZE_CAP:
             out.append((f"fiber{idx}", 2.0 * gh_distance_exact(fib, limit).distance))
         else:
             out.append((f"fiber{idx}", math.nan))
@@ -372,10 +360,10 @@ def _gh_precondition(
 
 
 def _adapted_n_t(interval: tuple[float, float], fiber: FiniteLengthSpace,
-                 warping: WarpingFunction, n_t: int, steps_per_move: float = 5.0) -> int:
+                 warping: WarpingFunction, n_t: int) -> int:
     """Clamp the t-resolution so single-level steps can traverse typical
-    fiber gaps: the longest-path construction needs several fiber moves per
-    time step to resolve maximizers."""
+    fiber gaps: the longest-path construction needs several fiber moves
+    (five) per time step to resolve maximizers."""
     d = fiber.dist.copy()
     np.fill_diagonal(d, np.inf)
     nn = np.min(d, axis=1)
@@ -385,7 +373,7 @@ def _adapted_n_t(interval: tuple[float, float], fiber: FiniteLengthSpace,
     length = interval[1] - interval[0]
     f_lo, f_hi = warping.extrema()
     f_ref = 0.5 * (f_lo + f_hi)
-    target = int(round(length / (steps_per_move * h_typ * f_ref)))
+    target = int(round(length / (5.0 * h_typ * f_ref)))
     return max(6, min(n_t, target))
 
 
@@ -404,7 +392,6 @@ def persistence_experiment(
     warping_limit: Optional[WarpingFunction] = None,
     k_primes: Optional[Sequence[float]] = None,
     k_prime: float = 0.0,
-    correspondences: Optional[Sequence[Correspondence]] = None,
     quad_tol: float = 1e-6,
 ) -> PersistenceReport:
     """Cross-tabulate fiber curvature bounds against cone triangle comparisons.
@@ -415,38 +402,10 @@ def persistence_experiment(
     K = 0. mode "warped": concavity of each warping at its K', fiber tests at
     k = sup(K' f^2 - f'^2), limit cone comparison at K = K'.
     """
-    report = PersistenceReport(mode, [], [], _gh_precondition(fibers, fiber_limit, correspondences))
+    report = PersistenceReport(mode, [], [], _gh_precondition(fibers, fiber_limit))
     iv = Interval(*interval)
-    all_fibers = list(fibers) + [fiber_limit]
-    labels = [f"fiber{idx}" for idx in range(len(fibers))] + ["limit"]
 
-    if mode == "product":
-        warp = WarpingFunction.constant(1.0, iv)
-        for label, fib in zip(labels, all_fibers):
-            report.fiber_quadruples.append(
-                (label, 0.0, quadruple_curvature_check(fib, 0.0, quad_tol))
-            )
-            grid = ConeGrid(iv, fib, warp, _adapted_n_t(interval, fib, warp, n_t))
-            report.cone_verdicts.append(
-                (label, _best_triangle_verdict(grid, 0.0, LOWER, n_triangles, n_probe, tol, seed))
-            )
-    elif mode == "minkowski-cone":
-        if iv.a <= 0:
-            raise ParameterError("minkowski-cone mode needs a truncated interval with a > 0")
-        warp = WarpingFunction.affine(0.0, 1.0, iv)
-        for label, fib in zip(labels, all_fibers):
-            report.fiber_quadruples.append(
-                (label, -1.0, quadruple_curvature_check(fib, -1.0, quad_tol))
-            )
-            grid = ConeGrid(iv, fib, warp, _adapted_n_t(interval, fib, warp, n_t))
-            report.cone_verdicts.append(
-                (label, _best_triangle_verdict(grid, 0.0, LOWER, n_triangles, n_probe, tol, seed))
-            )
-        report.notes.append(
-            "agreement of the two columns is the expected equivalence; "
-            "disagreement at coarse grids may be discretization error"
-        )
-    elif mode == "warped":
+    if mode == "warped":
         if warpings is None or warping_limit is None:
             raise InvalidInputError("warped mode needs the warping sequence and its limit")
         kps = list(k_primes) if k_primes is not None else [k_prime] * len(warpings)
@@ -470,8 +429,28 @@ def persistence_experiment(
         report.cone_verdicts.append(
             ("limit", _best_triangle_verdict(grid, k_prime, LOWER, n_triangles, n_probe, tol, seed, side_cap))
         )
+        return report
+
+    # the two flat modes: fiber test at k against cone comparisons at K = 0
+    if mode == "product":
+        warp, k = WarpingFunction.constant(1.0, iv), 0.0
+    elif mode == "minkowski-cone":
+        if iv.a <= 0:
+            raise ParameterError("minkowski-cone mode needs a truncated interval with a > 0")
+        warp, k = WarpingFunction.affine(0.0, 1.0, iv), -1.0
+        report.notes.append(
+            "agreement of the two columns is the expected equivalence; "
+            "disagreement at coarse grids may be discretization error"
+        )
     else:
         raise ParameterError(f"unknown mode {mode!r}")
+    labels = [f"fiber{idx}" for idx in range(len(fibers))] + ["limit"]
+    for label, fib in zip(labels, list(fibers) + [fiber_limit]):
+        report.fiber_quadruples.append((label, k, quadruple_curvature_check(fib, k, quad_tol)))
+        grid = ConeGrid(iv, fib, warp, _adapted_n_t(interval, fib, warp, n_t))
+        report.cone_verdicts.append(
+            (label, _best_triangle_verdict(grid, 0.0, LOWER, n_triangles, n_probe, tol, seed))
+        )
     return report
 
 

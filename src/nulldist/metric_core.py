@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -100,8 +100,9 @@ def tripod_space(leg_points: int, leg_length: float = 1.0) -> FiniteLengthSpace:
     return FiniteLengthSpace(tuple(range(dist.shape[0])), dist, "matrix-input")
 
 
-def validate_metric(space: FiniteLengthSpace, tol: float = METRIC_TOL) -> ValidationReport:
-    """Check the finite-metric axioms, listing every violation with witnesses."""
+def validate_metric(space: FiniteLengthSpace) -> ValidationReport:
+    """Check the finite-metric axioms to within METRIC_TOL, listing every
+    violation with witnesses."""
     d = np.asarray(space.dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InvalidInputError(f"distance matrix must be square, got {d.shape}")
@@ -111,9 +112,9 @@ def validate_metric(space: FiniteLengthSpace, tol: float = METRIC_TOL) -> Valida
 
     report = ValidationReport()
     n = d.shape[0]
-    for i in np.nonzero(np.abs(np.diag(d)) > tol)[0]:
+    for i in np.nonzero(np.abs(np.diag(d)) > METRIC_TOL)[0]:
         report.add("nonzero-diagonal", (int(i),), f"d[{i},{i}]={d[i, i]!r}")
-    asym = np.argwhere(np.abs(d - d.T) > tol)
+    asym = np.argwhere(np.abs(d - d.T) > METRIC_TOL)
     for i, j in asym:
         if i < j:
             report.add("asymmetry", (int(i), int(j)), f"{d[i, j]!r} != {d[j, i]!r}")
@@ -125,7 +126,7 @@ def validate_metric(space: FiniteLengthSpace, tol: float = METRIC_TOL) -> Valida
     # triangle inequality, chunked over the middle index to bound memory
     for k in range(n):
         slack = d - (d[:, k][:, None] + d[k, :][None, :])
-        bad = np.argwhere(slack > tol)
+        bad = np.argwhere(slack > METRIC_TOL)
         for i, j in bad:
             if i != k and j != k and i != j:
                 report.add(
@@ -157,9 +158,7 @@ def _components(adj: np.ndarray) -> list[list[int]]:
 
 
 def intrinsic_metric(
-    n_points: int,
-    edges: Iterable[tuple[int, int, float]],
-    point_ids: Optional[Sequence] = None,
+    n_points: int, edges: Iterable[tuple[int, int, float]]
 ) -> FiniteLengthSpace:
     """All-pairs shortest-path metric of a weighted undirected graph."""
     weights = np.full((n_points, n_points), np.inf)
@@ -181,8 +180,7 @@ def intrinsic_metric(
     if len(comps) > 1:
         raise DisconnectedGraphError(comps)
 
-    ids = tuple(point_ids) if point_ids is not None else tuple(range(n_points))
-    return FiniteLengthSpace(ids, floyd_warshall(weights), "graph-induced")
+    return FiniteLengthSpace(tuple(range(n_points)), floyd_warshall(weights), "graph-induced")
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -407,16 +405,16 @@ def quadruple_curvature_check(
     space: FiniteLengthSpace,
     k: float,
     tol: float = 1e-9,
-    sample_cap: int = QUADRUPLE_SAMPLE_CAP,
 ) -> QuadrupleVerdict:
     """Lower-curvature-bound test: for every ordered quadruple (p; a, b, c)
     the three comparison angles at p in the curvature-k model plane must sum
     to at most 2*pi + tol.
 
     Quadruples whose side lengths violate the model plane's constraints are
-    reported as a model-constraint failure. Spaces larger than `sample_cap`
-    are reduced to a deterministic farthest-point subsample first, since the
-    exhaustive quadruple count grows with the fourth power of the size.
+    reported as a model-constraint failure. Spaces larger than
+    QUADRUPLE_SAMPLE_CAP points are reduced to a deterministic farthest-point
+    subsample first, since the exhaustive quadruple count grows with the
+    fourth power of the size.
     """
     if tol < 0:
         raise ParameterError("tol must be nonnegative")
@@ -424,10 +422,10 @@ def quadruple_curvature_check(
     subsampled_to: Optional[int] = None
     index_map = np.arange(n)
     d = space.dist
-    if n > sample_cap:
+    if n > QUADRUPLE_SAMPLE_CAP:
         picks = [0]
         min_dist = d[0].copy()
-        while len(picks) < sample_cap:
+        while len(picks) < QUADRUPLE_SAMPLE_CAP:
             far = int(np.argmax(min_dist))
             picks.append(far)
             np.minimum(min_dist, d[far], out=min_dist)

@@ -312,13 +312,13 @@ def realize_timelike_triangle(K: float, a: float, b: float, c: float) -> Compari
     return tri
 
 
-def _check_realization(tri: ComparisonTriangle, tol: float = 1e-10) -> None:
+def _check_realization(tri: ComparisonTriangle) -> None:
     pairs = (("x", "y", tri.a), ("y", "z", tri.b), ("x", "z", tri.c))
     for p, q, want in pairs:
         if want == 0:
             continue  # degenerate side, vertex identification convention
         got = l2k_time_separation(tri.K, tri.vertex(p), tri.vertex(q))
-        if abs(got - want) > tol * max(1.0, want):
+        if abs(got - want) > 1e-10 * max(1.0, want):
             raise ModelConstraintError(
                 f"realized side {p}{q} has separation {got!r}, expected {want!r}"
             )

@@ -3,8 +3,8 @@
 Each kind provides the value f(t), the reciprocal antiderivative
 G(t) = int_a^t ds/f(s) (closed form for every supported kind; tabulated
 profiles integrate 1/linear exactly segment by segment), the inverse of G by
-bisection, exact extrema from the kind's critical points, and derivatives
-where the kind is twice differentiable.
+bisection to one ulp of the domain, exact extrema from the kind's critical
+points, and derivatives where the kind is twice differentiable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InvalidInputError, ParameterError
 
-_BISECT_TOL = 1e-12
 _TINY = np.finfo(float).tiny  # smallest normal float
 
 
@@ -37,8 +36,8 @@ class Interval:
     def grid(self, n_segments: int) -> np.ndarray:
         return np.linspace(self.a, self.b, n_segments + 1)
 
-    def contains(self, t: float, slack: float = 1e-12) -> bool:
-        return self.a - slack <= t <= self.b + slack
+    def contains(self, t: float) -> bool:
+        return self.a - 1e-12 <= t <= self.b + 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,20 +183,32 @@ class WarpingFunction:
         out = cum[idx] + partial - base_a
         return out.reshape(np.shape(t))
 
-    def recip_integral_inverse(self, g: float, tol: float = _BISECT_TOL) -> float:
-        """Solve G(r) = g for r in the domain by bisection (G is increasing)."""
+    def recip_integral_inverse(self, g: float) -> float:
+        """Solve G(r) = g for r in the domain by bisection (G is increasing).
+
+        Targets at or beyond G of an end give that end. Otherwise the bracket
+        shrinks to one ulp of the domain, the spacing of floats at its larger
+        end, and the end whose G is nearer g is returned."""
         a, b = self.domain.a, self.domain.b
-        g_total = float(self.recip_integral(b))
-        if g < -tol or g > g_total + tol:
-            raise ParameterError(f"target {g!r} outside [0, {g_total!r}]")
+        g_lo, g_hi = float(self.recip_integral(a)), float(self.recip_integral(b))
+        if g < -1e-12 or g > g_hi + 1e-12:
+            raise ParameterError(f"target {g!r} outside [0, {g_hi!r}]")
+        if g <= g_lo:
+            return a
+        if g >= g_hi:
+            return b
+        # no float of the domain is more than `ulp` from the next, so a
+        # bracket wider than that has its midpoint strictly inside
+        ulp = float(np.spacing(max(abs(a), abs(b))))
         lo, hi = a, b
-        while hi - lo > tol:
+        while hi - lo > ulp:
             mid = 0.5 * (lo + hi)
-            if float(self.recip_integral(mid)) < g:
-                lo = mid
+            g_mid = float(self.recip_integral(mid))
+            if g_mid < g:
+                lo, g_lo = mid, g_mid
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                hi, g_hi = mid, g_mid
+        return lo if g - g_lo < g_hi - g else hi
 
     # -- derivatives -------------------------------------------------------
 

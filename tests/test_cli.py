@@ -11,6 +11,7 @@ from nulldist import FiniteLengthSpace, path_space
 from nulldist import cli
 from nulldist.cli import main
 from nulldist.formats import (
+    load_cone_json,
     load_distance_matrix_csv,
     load_edge_list_csv,
     read_long_matrix_csv,
@@ -379,6 +380,16 @@ class TestOverrides:
         assert main(["--config", str(tmp_path / "cfg.json")]) == 0
         assert main(["--config", str(tmp_path / "cfg.json"), "--tol", "0"]) == 2
 
+    def test_tol_overrides_net_eps(self, tmp_path):
+        save_distance_matrix_csv(tmp_path / "m.csv", path_space(11, 1.0))
+        cfg = {"command": "net", "inputs": {"space": "m.csv"}, "params": {"eps": 0.25}}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        for out, extra, radius in (("a", [], 0.25), ("b", ["--tol", "0.5"], 0.5)):
+            assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / out), *extra]) == 0
+            assert json.loads((tmp_path / out / "report.json").read_text())["radius"] == radius
+        assert json.loads((tmp_path / "b" / "manifest.json").read_text())["params"]["tol"] == 0.5
+        assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "c"), "--tol", "0"]) == 2
+
     def test_n_t_timesep(self, tmp_path):
         make_cone_inputs(tmp_path, n_fiber=21, n_t=8)
         cfg = {
@@ -496,6 +507,33 @@ class TestConvergeConeRef:
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
         assert rep["members"][0]["eps"] == pytest.approx(0.05)
 
+    def test_cone_without_n_t_reads_as_nulldist_does(self, tmp_path, monkeypatch):
+        cone = make_cone_inputs(tmp_path, n_fiber=5)
+        doc = json.loads(cone.read_text())
+        del doc["n_t"]
+        write(cone, json.dumps(doc))
+        scenario = {
+            "cone": "cone.json",
+            "limit": {"kind": "constant", "params": {"value": 1.0}},
+            "family": [{"kind": "constant", "params": {"value": 1.05}}],
+            "lower_bound": 0.9,
+        }
+        write(tmp_path / "seq.json", json.dumps(scenario))
+        cfg = {"command": "converge", "inputs": {"scenario": "seq.json"}}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        seen = []
+        real = cli.null_convergence_check
+
+        def spy(seq, fiber, n_t, **kwargs):
+            seen.append(n_t)
+            return real(seq, fiber, n_t, **kwargs)
+
+        monkeypatch.setattr(cli, "null_convergence_check", spy)
+        for out, extra in (("a", []), ("b", ["--n-t", "6"])):
+            main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / out), *extra])
+            assert (tmp_path / out / "converge.csv").exists()
+        assert seen == [load_cone_json(cone).n_t, 6] == [200, 6]
+
 
 class TestReadmeSamples:
     """The README walk-through: `scripts/make_inputs.py`, then every sample
@@ -509,9 +547,20 @@ class TestReadmeSamples:
         "curvature", "net", "validate",
     ])
     def test_scenario_exits_zero(self, command, tmp_path, monkeypatch):
+        assert self.run_sample(command, tmp_path, monkeypatch) == 0
+        assert (tmp_path / f"out_{command}" / "manifest.json").exists()
+
+    def test_nullcurve_sample_is_exact(self, tmp_path, monkeypatch):
+        # the zigzag turns at G = 0.25 on a unit cone; the bisection lands on it
+        assert self.run_sample("nullcurve", tmp_path, monkeypatch) == 0
+        rep = json.loads((tmp_path / "out_nullcurve" / "report.json").read_text())
+        assert rep["null_length"] == rep["total_variation"] == 0.5
+        assert rep["t_endpoint_error"] == rep["max_nullity_defect"] == 0.0
+
+    @staticmethod
+    def run_sample(command, tmp_path, monkeypatch):
         script = Path(__file__).resolve().parents[1] / "scripts" / "make_inputs.py"
         monkeypatch.setattr(sys, "argv", [str(script), "--dir", str(tmp_path)])
         runpy.run_path(str(script), run_name="__main__")
         monkeypatch.chdir(tmp_path)
-        assert main(["--config", f"scenario_{command}.json"]) == 0
-        assert (tmp_path / f"out_{command}" / "manifest.json").exists()
+        return main(["--config", f"scenario_{command}.json"])

@@ -135,3 +135,15 @@ def test_cone_on_subinterval_of_warping_domain():
         rep = verify_null_curve(g, curve)
         assert rep["t_endpoint_error"] <= 1e-6
         assert rep["max_nullity_defect"] <= 1e-9
+
+
+def test_curve_far_from_the_origin_completes():
+    # the domain's ulp (1.8e-12 at 1e4) is wider than a fixed 1e-12 bracket
+    iv = Interval(1e4, 1e4 + 1.0)
+    grid = ConeGrid(iv, path_space(9, 1.0), WarpingFunction.constant(1.0, iv), 8)
+    for p, q in (((0, 0), (0, 8)), ((1, 2), (6, 7)), ((8, 8), (2, 0))):
+        rep = verify_null_curve(grid, null_curve(grid, p, q))
+        assert rep["t_endpoint_error"] == 0.0
+        assert rep["fiber_endpoint_error"] == 0.0
+        assert rep["max_nullity_defect"] <= 1e-9
+        assert rep["null_length"] == pytest.approx(rep["total_variation"], abs=1e-9)

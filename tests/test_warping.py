@@ -74,6 +74,31 @@ class TestRecipIntegral:
         with pytest.raises(ParameterError):
             w.recip_integral_inverse(2.0)
 
+    @pytest.mark.parametrize(
+        "w",
+        [
+            WarpingFunction.constant(2.0, IV),
+            WarpingFunction.affine(1.0, 1.0, IV),
+            WarpingFunction.exponential(1.0, 0.8, IV),
+            WarpingFunction.cosh_type(1.0, 1.0, IV),
+            WarpingFunction.tabulated(
+                np.linspace(0, 1, 11), 1.0 + 0.5 * np.linspace(0, 1, 11) ** 2
+            ),
+            WarpingFunction.cosh_type(0.5, 1.2, Interval(-2.0, 3.0)),
+            WarpingFunction.constant(1.0, Interval(1e4, 1e4 + 1.0)),
+            WarpingFunction.affine(2.0, 1e-4, Interval(1e4, 1e4 + 1.0)),
+        ],
+    )
+    def test_inverse_takes_the_ends_and_stops_at_one_ulp(self, w):
+        a, b = w.domain.a, w.domain.b
+        assert w.recip_integral_inverse(0.0) == a
+        assert w.recip_integral_inverse(float(w.recip_integral(b))) == b
+        # far from the origin the domain's ulp exceeds any fixed tolerance
+        ulp = np.spacing(max(abs(a), abs(b)))
+        for t in np.linspace(a, b, 9)[1:-1]:
+            r = w.recip_integral_inverse(float(w.recip_integral(t)))
+            assert abs(r - t) <= 64 * ulp
+
 
 class TestDerivatives:
     def test_cosh_identity(self):
