@@ -120,6 +120,7 @@ def run_nulldist(cfg, paths, out, seed):
             "notes": rep.notes,
             "coverage": _coverage(grid, res),
             "sweeps": list(res.sweeps),
+            "table_bytes": sum(t.nbytes for t in grid._threshold_tables()),
         },
     )
     return OK if rep.ok else CHECK_FAILED
@@ -273,11 +274,9 @@ def run_curvature(cfg, paths, out, seed):
     size_bound = model_size_bound(bound)
     if doc.get("side_cap") is not None:
         size_bound = min(float(doc["side_cap"]), size_bound)
+    sample_seed = int(_override(cfg, "seed_override", doc.get("seed", seed)))
     tris, diag = sample_timelike_triangles(
-        grid,
-        int(doc.get("n_triangles", 10)),
-        int(doc.get("seed", seed)),
-        size_bound,
+        grid, int(doc.get("n_triangles", 10)), sample_seed, size_bound
     )
     rows = []
     worst = None
@@ -296,7 +295,7 @@ def run_curvature(cfg, paths, out, seed):
     formats.write_report_json(
         out / "report.json",
         {
-            "sampling": diag,
+            "sampling": {**diag, "seed": sample_seed},
             "worst_witness": None if worst is None else worst.worst_witness,
             "all_passed": all(r[3] for r in rows) and bool(rows),
         },
@@ -322,7 +321,7 @@ def run_persist(cfg, paths, out, seed):
         limit,
         interval=interval,
         n_t=int(_override(cfg, "n_t_override", doc.get("n_t", 50))),
-        seed=int(doc.get("seed", seed)),
+        seed=int(_override(cfg, "seed_override", doc.get("seed", seed))),
         n_triangles=int(doc.get("n_triangles", 8)),
         n_probe=int(doc.get("n_probe", 5)),
         tol=float(_override(cfg, "tol_override", doc.get("tol", 0.05))),
@@ -398,6 +397,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg["n_t_override"] = args.n_t
     cfg["tol_override"] = args.tol
+    cfg["seed_override"] = args.seed
 
     paths = {}
     try:

@@ -13,10 +13,20 @@ confined to non-causal pairs.
 
 The shortest-path engine never materializes the O(N^2) edge set. Monotone
 runs of causal edges compose into single edges, so distances are reached by
-repeated sweeps of one pass, "relax every future edge" in ascending time, run
-once on the grid and once on its time reversal. Each level update is a
-minimum over running per-fiber minima, gathered through a precomputed table
-of the last causal level.
+repeated passes of "relax every future edge" in ascending time, alternating
+between the grid and its time reversal. Each level update is a minimum over
+running per-fiber minima, read through a precomputed table of the last
+causal level: the minima of every level sit in one (levels + 1)*m by sources
+array whose last m rows stay +inf for "no causal level", and one int32 flat
+index per level gathers them in a single take. A minimum is exact in any
+order, so the layout does not move a bit of the result.
+
+An ascending pass leaves every future-directed edge relaxed and a descending
+pass every past-directed one, so a pass that changes nothing, right after a
+pass of the other direction, certifies the fixed point; the sweeps stop at
+the first such pass. `sweeps` counts pass pairs begun, (passes + 2) // 2,
+which is the count of the rule that stops only at a whole pass pair that
+changes nothing (1 when the first two passes change nothing).
 
 A pass pair finds one turn of a path, so a minimizer that zigzags between
 two adjacent levels, as minimizers of a nonlinear time function phi do where
@@ -28,11 +38,10 @@ across the step: 2*ceil(h/2) between points h hops apart on one level,
 2*floor(h/2) + 1 across the levels. One min-plus update per band, in
 ascending order, applies it. It is exact: every closure entry is the cost of
 a path of causal edges, so no value drops below the null distance, and the
-sweeps stop only at a pass pair that changes nothing, which certifies the
-fixed point. It runs once, before the third pass pair, so runs that settle
-in two pass pairs, such as phi = t or phi = 2t + 5 on a product cone, keep
+certificate above still holds. It runs once, after the fourth pass, so runs
+that settle sooner, such as phi = t or phi = 2t + 5 on a product cone, keep
 their arithmetic bit for bit; bands whose graph has no edge besides the
-self edges are skipped, since a pass pair already closes them.
+self edges are skipped, since the passes already close them.
 """
 
 from __future__ import annotations
@@ -233,7 +242,9 @@ class _SourceRows:
 @dataclass(eq=False)
 class NullDistanceResult(_SourceRows):
     weight_levels: np.ndarray  # node weights per t-level used for |.|-edge costs
-    sweeps: tuple[int, ...]  # pass pairs each batch of _BATCH sources used
+    # pass pairs begun by each batch of _BATCH sources: (passes + 2) // 2,
+    # the passes ending with the first that certified the fixed point
+    sweeps: tuple[int, ...]
 
     def full_matrix(self) -> np.ndarray:
         if len(self.sources) != self.grid.n_points:
@@ -312,7 +323,8 @@ def null_distance(
 def _sweep_rows(
     grid: ConeGrid, sources: Sequence[tuple[int, int]], pi: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Null-distance rows of a batch of sources, and the pass pairs used."""
+    """Null-distance rows of a batch of sources, and the pass pairs begun
+    (see NullDistanceResult.sweeps)."""
     t_up, t_rev = grid._threshold_tables()
     n_lv, m, b = grid.n_levels, grid.m, len(sources)
 
@@ -324,9 +336,12 @@ def _sweep_rows(
         col[mask] = np.broadcast_to(w, (n_lv, m))[mask]
         val[i0, j0, s] = 0.0
 
-    jj = np.broadcast_to(np.arange(m)[None, :], (m, m))
-    prefix = np.empty((n_lv + 1, m, b))  # row n_lv stays +inf (pad for "no level")
-    prefix[n_lv] = np.inf
+    # running per-fiber minima of val - pi, level k in rows k*m:(k+1)*m; the
+    # last m rows stay +inf, so level -1 ("no level") reads +inf through
+    # negative indexing
+    prefix = np.empty(((n_lv + 1) * m, b))
+    prefix[n_lv * m :] = np.inf
+    fiber = np.arange(m, dtype=np.int32)[:, None]
     # Gauss-Seidel passes reassociate sums, so late iterations can keep
     # shaving single ulps; improvements below this threshold do not count
     # as progress (they are still applied). Scales exactly with the weights,
@@ -335,66 +350,77 @@ def _sweep_rows(
 
     def ascend(val: np.ndarray, pi: np.ndarray, table: np.ndarray) -> bool:
         """Relax every future-directed edge in one ascending pass; the clamp
-        to k-1 drops only same-level self edges."""
+        to k-1 drops only same-level self edges. Gathered row (c, a) is the
+        prefix minimum of fiber point c at the last level causal to (k, a);
+        with c leading, the minimum over c runs over contiguous blocks."""
         changed = False
         for k in range(n_lv):
-            cand = prefix[np.minimum(table[k], k - 1), jj, :].min(axis=1) + pi[k]
+            idx = np.minimum(table[k].T, k - 1).astype(np.int32, order="C") * m + fiber
+            cand = prefix.take(idx.ravel(), axis=0).reshape(m, m, b).min(axis=0) + pi[k]
             if np.any(cand < val[k] - eps_stop):
                 changed = True
             np.minimum(val[k], cand, out=val[k])
             row = val[k] - pi[k]
-            prefix[k] = row if k == 0 else np.minimum(prefix[k - 1], row)
+            if k == 0:
+                prefix[:m] = row
+            else:
+                np.minimum(prefix[(k - 1) * m : k * m], row, out=prefix[k * m : (k + 1) * m])
         return changed
 
-    def close_bands() -> None:
-        """One min-plus update of [val[k]; val[k+1]] by the all-pairs closure
-        of band k, k+1, band by band in ascending order. Every causal edge in
-        a band joins its two levels and costs pi[k+1] - pi[k], so a walk of
-        h fiber hops is an h-edge path; between fiber points h hops apart,
-        the cheapest path that ends on the same level takes 2*ceil(h/2)
-        edges, one that changes level 2*floor(h/2) + 1. A source column whose
-        band values satisfy every single band edge is closed already (sum
-        the edges along any path), so only the others are updated."""
-        for k, hops in enumerate(grid._band_hops()):
-            if hops is None:  # self edges only: the passes close the band
-                continue
-            step = pi[k + 1] - pi[k]
-            low, high = val[k], val[k + 1]
-            a, c = np.nonzero((hops >= 0) & (hops <= 1))  # edges (k, a) - (k + 1, c)
-            broken = np.any(low[a] + step < high[c], axis=0)
-            broken |= np.any(high[a] + step < low[c], axis=0)
-            cols = np.nonzero(broken)[0]
-            if cols.size == 0:
-                continue
-            # hop counts scale to costs; index -1 (other component) reads +inf
-            cost = np.append(step * np.arange(m + 1), np.inf)
-            same = cost[np.where(hops < 0, -1, (hops + 1) & -2)]
-            cross = cost[hops | 1]
-            w = np.block([[same, cross], [cross, same]])[:, :, None]
-            band = val[k : k + 2].reshape(2 * m, b)
-            sub = band[:, cols]
-            closed = np.empty_like(sub)
-            block = max(1, _GATHER_CAP // (2 * m * cols.size))  # band points per block
-            for lo in range(0, 2 * m, block):
-                closed[lo : lo + block] = (sub[:, None, :] + w[:, lo : lo + block]).min(axis=0)
-            band[:, cols] = closed
-
-    # Past-directed edges are future-directed on the time-reversed grid.
-    # Once a second pass pair still changed something, the bands are closed
-    # before the third: a zigzag between two levels, which the passes find
-    # one turn per pass pair, moves in one step. The closure composes only
-    # causal edges, so the fixed point and the stop rule that certifies it
-    # (a pass pair that changes nothing) stay as they are, and runs that
-    # settle in two pass pairs keep their arithmetic bit for bit. Closing
-    # again before every later pair saved at most two pass pairs per grid
-    # on 48 measured grids and time functions, and cost more than it saved.
+    # Past-directed edges are future-directed on the time-reversed grid, so
+    # the passes alternate between the two, and the first pass after the
+    # first that changes nothing certifies the fixed point (module
+    # docstring). Still going after four passes, the bands are closed once;
+    # closing again later saved at most two pass pairs per grid on 48
+    # measured grids and time functions, and cost more than it saved. The
+    # count returned is in pass pairs begun, as a rule that stops only at a
+    # whole pass pair that changes nothing counts: a certificate on the
+    # descending pass of pair c, or on the ascending pass of pair c + 1,
+    # reads c + 1, and two quiet passes from the start read 1.
     passes = ((val, pi, t_up), (val[::-1], -pi[::-1], t_rev))
-    for sweeps in range(1, 4 * (n_lv + 2) + 1):
-        if sweeps == 3:
-            close_bands()
-        if not any([ascend(*p) for p in passes]):  # a list, so both passes run
-            return val.reshape(n_lv * m, b).T, sweeps
+    quiet = 0  # passes in a row that changed nothing
+    for p in range(1, 8 * (n_lv + 2) + 1):
+        if p == 5:
+            _close_bands(grid, val, pi)
+        quiet = 0 if ascend(*passes[(p - 1) % 2]) else quiet + 1
+        if quiet and p > 1:  # quiet is 2 only when pass 1 was quiet too
+            return val.reshape(n_lv * m, b).T, (p + 2) // 2 if quiet == 1 else 1
     raise RuntimeError("null-distance sweeps did not stabilize")
+
+
+def _close_bands(grid: ConeGrid, val: np.ndarray, pi: np.ndarray) -> None:
+    """One min-plus update of [val[k]; val[k+1]] by the all-pairs closure of
+    band k, k+1, band by band in ascending order. Every causal edge in a
+    band joins its two levels and costs pi[k+1] - pi[k], so a walk of h
+    fiber hops is an h-edge path; between fiber points h hops apart, the
+    cheapest path that ends on the same level takes 2*ceil(h/2) edges, one
+    that changes level 2*floor(h/2) + 1. A source column whose band values
+    satisfy every single band edge is closed already (sum the edges along
+    any path), so only the others are updated."""
+    m, b = grid.m, val.shape[2]
+    for k, hops in enumerate(grid._band_hops()):
+        if hops is None:  # self edges only: the passes close the band
+            continue
+        step = pi[k + 1] - pi[k]
+        low, high = val[k], val[k + 1]
+        a, c = np.nonzero((hops >= 0) & (hops <= 1))  # edges (k, a) - (k + 1, c)
+        broken = np.any(low[a] + step < high[c], axis=0)
+        broken |= np.any(high[a] + step < low[c], axis=0)
+        cols = np.nonzero(broken)[0]
+        if cols.size == 0:
+            continue
+        # hop counts scale to costs; index -1 (other component) reads +inf
+        cost = np.append(step * np.arange(m + 1), np.inf)
+        same = cost[np.where(hops < 0, -1, (hops + 1) & -2)]
+        cross = cost[hops | 1]
+        w = np.block([[same, cross], [cross, same]])[:, :, None]
+        band = val[k : k + 2].reshape(2 * m, b)
+        sub = band[:, cols]
+        closed = np.empty_like(sub)
+        block = max(1, _GATHER_CAP // (2 * m * cols.size))  # band points per block
+        for lo in range(0, 2 * m, block):
+            closed[lo : lo + block] = (sub[:, None, :] + w[:, lo : lo + block]).min(axis=0)
+        band[:, cols] = closed
 
 
 def null_distance_guarantees(

@@ -266,6 +266,8 @@ class TestCommands:
         # pass pairs per batch of 64 sources: phi = t on a constant warping
         # settles in one pass pair and certifies it with a second
         assert rep.get("sweeps") == sweeps
+        # both threshold tables, int16 over 9 levels x 9 x 9 fiber pairs
+        assert rep.get("table_bytes") == (None if sweeps is None else 2 * 9 * 9 * 9 * 2)
 
     @pytest.mark.parametrize("command", ["nulldist", "timesep"])
     def test_all_sources_keep_the_full_matrix_bound(self, command, tmp_path, capsys):
@@ -389,6 +391,19 @@ class TestOverrides:
             assert json.loads((tmp_path / out / "report.json").read_text())["radius"] == radius
         assert json.loads((tmp_path / "b" / "manifest.json").read_text())["params"]["tol"] == 0.5
         assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "c"), "--tol", "0"]) == 2
+
+    def test_seed_overrides_the_experiment_seed(self, tmp_path):
+        # the experiment file sets seed 7; --seed picks other triangles
+        cfg = make_curvature_inputs(tmp_path)
+        tables = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"out{seed}"
+            assert main(["--config", str(cfg), "--out", str(out), "--seed", seed]) in (0, 1)
+            assert json.loads((out / "report.json").read_text())["sampling"]["seed"] == int(seed)
+            tables.append((out / "curvature.csv").read_bytes())
+        assert tables[0] != tables[1]
+        main(["--config", str(cfg), "--out", str(tmp_path / "out7")])
+        assert json.loads((tmp_path / "out7" / "report.json").read_text())["sampling"]["seed"] == 7
 
     def test_n_t_timesep(self, tmp_path):
         make_cone_inputs(tmp_path, n_fiber=21, n_t=8)

@@ -24,7 +24,15 @@ from nulldist import (
     time_separation_path,
     tripod_space,
 )
-from nulldist.cone import CAUSAL, CHRONOLOGICAL, NONE, all_grid_points, stratified_sources
+from nulldist.cone import (
+    _BATCH,
+    CAUSAL,
+    CHRONOLOGICAL,
+    NONE,
+    _close_bands,
+    all_grid_points,
+    stratified_sources,
+)
 from nulldist.errors import InvalidInputError, ParameterError, SizeBoundError
 
 IV = Interval(0.0, 1.0)
@@ -263,6 +271,51 @@ def reference_sweep_rows(grid, sources, pi):
     return val.reshape(n_lv * m, b).T, sweeps
 
 
+def pair_rule_rows(grid, sources, pi):
+    """Null-distance rows by the engine's former loop: the sweeps of
+    reference_sweep_rows in batches of _BATCH sources, with the bands closed
+    before the third pass pair, stopping at a pass pair that changes
+    nothing. Returns the rows and the pass pairs each batch used."""
+    t_up, t_rev = grid._threshold_tables()
+    n_lv, m = grid.n_levels, grid.m
+    jj = np.broadcast_to(np.arange(m)[None, :], (m, m))
+    eps_stop = 1e3 * np.finfo(float).eps * float(pi[-1] - pi[0])
+    rows, counts = [], []
+    for lo in range(0, len(sources), _BATCH):
+        batch = sources[lo : lo + _BATCH]
+        val = np.full((n_lv, m, len(batch)), np.inf)
+        for s, (i0, j0) in enumerate(batch):
+            mask = grid.causal_row(i0, j0)
+            col = val[:, :, s]
+            col[mask] = np.broadcast_to(np.abs(pi - pi[i0])[:, None], (n_lv, m))[mask]
+            val[i0, j0, s] = 0.0
+        prefix = np.empty((n_lv + 1, m, len(batch)))
+        prefix[n_lv] = np.inf
+
+        def ascend(val, pi, table):
+            changed = False
+            for k in range(n_lv):
+                cand = prefix[np.minimum(table[k], k - 1), jj, :].min(axis=1) + pi[k]
+                if np.any(cand < val[k] - eps_stop):
+                    changed = True
+                np.minimum(val[k], cand, out=val[k])
+                row = val[k] - pi[k]
+                prefix[k] = row if k == 0 else np.minimum(prefix[k - 1], row)
+            return changed
+
+        passes = ((val, pi, t_up), (val[::-1], -pi[::-1], t_rev))
+        sweeps = 1
+        while True:
+            if sweeps == 3:
+                _close_bands(grid, val, pi)
+            if not any([ascend(*p) for p in passes]):
+                break
+            sweeps += 1
+        rows.append(val.reshape(n_lv * m, -1).T)
+        counts.append(sweeps)
+    return np.vstack(rows), tuple(counts)
+
+
 def dijkstra_rows(w, sources):
     """Exact shortest-path rows over the dense weights w, one Dijkstra run
     per source node."""
@@ -364,6 +417,65 @@ class TestBandClosure:
         res = null_distance(g)
         assert set(res.sweeps) == {2}
         assert g._hops is None
+
+
+class TestStopRule:
+    """The engine stops at the first pass, after the first, that changes
+    nothing and counts pass pairs begun; the former rule ran whole pass
+    pairs until one changed nothing."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("phi", ["t", "t+t^2/2"])
+    def test_dyadic_rows_and_sweeps_equal_the_pair_rule(self, n, phi):
+        # every sum is exact on these grids, so a skipped pass may not move a bit
+        g = small_grid(n_t=n, n_f=n + 1)
+        pi = g.t_levels + (0.5 * g.t_levels**2 if phi != "t" else 0.0)
+        res = null_distance(g, weight_levels=pi)
+        want, sweeps = pair_rule_rows(g, all_grid_points(g), pi)
+        assert np.array_equal(res.rows, want)
+        assert res.sweeps == sweeps
+        if phi == "t":
+            assert np.array_equal(res.rows, reference_sweep_rows(g, all_grid_points(g), pi)[0])
+
+    @pytest.mark.parametrize("fiber", CLOSURE_FIBERS, ids=["path", "circle", "tripod"])
+    @pytest.mark.parametrize(
+        "warping",
+        [WarpingFunction.affine(0.5, 1.0, IV), WarpingFunction.cosh_type(0.5, 1.2, IV)],
+        ids=["affine", "cosh"],
+    )
+    def test_warped_rows_and_sweeps_match_the_pair_rule(self, fiber, warping):
+        g = ConeGrid(IV, fiber, warping, 40)
+        pi = g.t_levels + 0.5 * g.t_levels**2
+        points = all_grid_points(g)
+        pick = np.random.default_rng(1).choice(len(points), 16, replace=False)
+        sources = [points[i] for i in sorted(pick)]
+        res = null_distance(g, sources, weight_levels=pi)
+        want, sweeps = pair_rule_rows(g, sources, pi)
+        eps_stop = 1e3 * np.finfo(float).eps * float(pi[-1] - pi[0])
+        assert np.abs(res.rows - want).max() <= eps_stop
+        oracle = dijkstra_rows(causal_weights(g, pi), [g.node(*p) for p in sources])
+        assert np.abs(res.rows - oracle).max() <= 1e-12
+        assert res.sweeps == sweeps
+
+    def test_a_quiet_first_pass_certifies_nothing(self):
+        # from sources on the first level the ascending pass finds nothing
+        # the initial cones lack; the level's other points need the descent
+        g = small_grid(n_t=8, n_f=9)
+        sources = [(0, 0), (0, 5)]
+        res = null_distance(g, sources)
+        want, sweeps = pair_rule_rows(g, sources, g.t_levels)
+        assert np.array_equal(res.rows, want) and np.all(np.isfinite(res.rows))
+        assert res.sweeps == sweeps
+
+    def test_settled_start_counts_one_pass_pair(self):
+        # fiber points 10 apart never join on [0, 1]: every row is final as
+        # initialized, and the first two passes change nothing
+        fiber = FiniteLengthSpace((0, 1), np.array([[0.0, 10.0], [10.0, 0.0]]))
+        g = small_grid(n_t=4, fiber=fiber)
+        res = null_distance(g)
+        want, sweeps = pair_rule_rows(g, all_grid_points(g), g.t_levels)
+        assert np.array_equal(res.rows, want)
+        assert res.sweeps == sweeps == (1,)
 
 
 def reference_time_separation_row(grid, p):
