@@ -22,11 +22,12 @@ index per level gathers them in a single take. A minimum is exact in any
 order, so the layout does not move a bit of the result.
 
 An ascending pass leaves every future-directed edge relaxed and a descending
-pass every past-directed one, so a pass that changes nothing, right after a
-pass of the other direction, certifies the fixed point; the sweeps stop at
-the first such pass. `sweeps` counts pass pairs begun, (passes + 2) // 2,
-which is the count of the rule that stops only at a whole pass pair that
-changes nothing (1 when the first two passes change nothing).
+pass every past-directed one, so a pass that changes nothing certifies the
+fixed point when it runs right after a pass of the other direction, on the
+values that pass left; the sweeps stop at the first such pass. `sweeps`
+counts pass pairs begun, the count of the rule that stops only at a whole
+pass pair that changes nothing: passes // 2 when the last two passes both
+changed nothing, (passes + 2) // 2 otherwise.
 
 A pass pair finds one turn of a path, so a minimizer that zigzags between
 two adjacent levels, as minimizers of a nonlinear time function phi do where
@@ -37,11 +38,14 @@ closure is that cost times a hop count in the fiber graph of pairs causal
 across the step: 2*ceil(h/2) between points h hops apart on one level,
 2*floor(h/2) + 1 across the levels. One min-plus update per band, in
 ascending order, applies it. It is exact: every closure entry is the cost of
-a path of causal edges, so no value drops below the null distance, and the
-certificate above still holds. It runs once, after the fourth pass, so runs
-that settle sooner, such as phi = t or phi = 2t + 5 on a product cone, keep
-their arithmetic bit for bit; bands whose graph has no edge besides the
-self edges are skipped, since the passes already close them.
+a path of causal edges, so no value drops below the null distance. It runs
+once, after the fourth pass, so runs that settle sooner, such as phi = t or
+phi = 2t + 5 on a product cone, keep their arithmetic bit for bit; bands
+whose graph has no edge besides the self edges are skipped, since the
+passes already close them. The closure lowers values on both levels of a
+band, and past-directed edges from those values are relaxed only by a
+descending pass, so the ascending pass right after it certifies nothing:
+such runs stop at the sixth pass at the earliest.
 """
 
 from __future__ import annotations
@@ -242,8 +246,9 @@ class _SourceRows:
 @dataclass(eq=False)
 class NullDistanceResult(_SourceRows):
     weight_levels: np.ndarray  # node weights per t-level used for |.|-edge costs
-    # pass pairs begun by each batch of _BATCH sources: (passes + 2) // 2,
-    # the passes ending with the first that certified the fixed point
+    # pass pairs begun by each batch of _BATCH sources, the passes ending
+    # with the first that certified the fixed point: passes // 2 after two
+    # quiet passes in a row, (passes + 2) // 2 after one
     sweeps: tuple[int, ...]
 
     def full_matrix(self) -> np.ndarray:
@@ -368,23 +373,25 @@ def _sweep_rows(
         return changed
 
     # Past-directed edges are future-directed on the time-reversed grid, so
-    # the passes alternate between the two, and the first pass after the
-    # first that changes nothing certifies the fixed point (module
-    # docstring). Still going after four passes, the bands are closed once;
-    # closing again later saved at most two pass pairs per grid on 48
-    # measured grids and time functions, and cost more than it saved. The
-    # count returned is in pass pairs begun, as a rule that stops only at a
-    # whole pass pair that changes nothing counts: a certificate on the
-    # descending pass of pair c, or on the ascending pass of pair c + 1,
-    # reads c + 1, and two quiet passes from the start read 1.
+    # the passes alternate between the two, and a pass that changes nothing
+    # certifies the fixed point when the pass before it ran on the values it
+    # found (module docstring): not pass 1, which has no pass before it, and
+    # not pass 5, since the bands are closed between passes 4 and 5 when
+    # the sweeps are still going. Closing again later saved at most two pass
+    # pairs per grid on 48 measured grids and time functions, and cost more
+    # than it saved. The count returned is in pass pairs begun, as a rule
+    # that stops only at a whole pass pair that changes nothing counts: two
+    # quiet passes in a row end pair p // 2; a single quiet pass reads
+    # (p + 2) // 2, the pair an ascending pass begins, or the pair after the
+    # one a descending pass ends, since that pair still changed something.
     passes = ((val, pi, t_up), (val[::-1], -pi[::-1], t_rev))
     quiet = 0  # passes in a row that changed nothing
     for p in range(1, 8 * (n_lv + 2) + 1):
         if p == 5:
             _close_bands(grid, val, pi)
         quiet = 0 if ascend(*passes[(p - 1) % 2]) else quiet + 1
-        if quiet and p > 1:  # quiet is 2 only when pass 1 was quiet too
-            return val.reshape(n_lv * m, b).T, (p + 2) // 2 if quiet == 1 else 1
+        if quiet and p not in (1, 5):
+            return val.reshape(n_lv * m, b).T, p // 2 if quiet == 2 else (p + 2) // 2
     raise RuntimeError("null-distance sweeps did not stabilize")
 
 

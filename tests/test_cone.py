@@ -235,11 +235,11 @@ class TestGuarantees:
         assert rep.worst["sandwich-lower"] >= -1e-12
 
 
-def reference_sweep_rows(grid, sources, pi):
-    """Null-distance rows by plain Gauss-Seidel sweeps, with no band closure:
-    relax every future-directed edge level by level, on the grid and on its
-    time reversal, until a pass pair changes nothing. Returns the rows and
-    the pass pairs used."""
+def plain_sweeps(grid, sources, pi):
+    """The initial values of a batch of sources and the two passes of plain
+    Gauss-Seidel sweeps over them, with the 3-D gather. Each pass relaxes
+    every future-directed edge level by level, on the grid or on its time
+    reversal, and returns whether an entry improved by more than eps_stop."""
     t_up, t_rev = grid._threshold_tables()
     n_lv, m, b = grid.n_levels, grid.m, len(sources)
     val = np.full((n_lv, m, b), np.inf)
@@ -264,54 +264,36 @@ def reference_sweep_rows(grid, sources, pi):
             prefix[k] = row if k == 0 else np.minimum(prefix[k - 1], row)
         return changed
 
-    passes = ((val, pi, t_up), (val[::-1], -pi[::-1], t_rev))
+    return val, (lambda: ascend(val, pi, t_up), lambda: ascend(val[::-1], -pi[::-1], t_rev))
+
+
+def reference_sweep_rows(grid, sources, pi):
+    """Null-distance rows by plain sweeps, with no band closure, until a
+    pass pair changes nothing. Returns the rows and the pass pairs used."""
+    val, passes = plain_sweeps(grid, sources, pi)
     sweeps = 1
-    while any([ascend(*p) for p in passes]):
+    while any([p() for p in passes]):
         sweeps += 1
-    return val.reshape(n_lv * m, b).T, sweeps
+    return val.reshape(-1, len(sources)).T, sweeps
 
 
 def pair_rule_rows(grid, sources, pi):
-    """Null-distance rows by the engine's former loop: the sweeps of
-    reference_sweep_rows in batches of _BATCH sources, with the bands closed
-    before the third pass pair, stopping at a pass pair that changes
-    nothing. Returns the rows and the pass pairs each batch used."""
-    t_up, t_rev = grid._threshold_tables()
-    n_lv, m = grid.n_levels, grid.m
-    jj = np.broadcast_to(np.arange(m)[None, :], (m, m))
-    eps_stop = 1e3 * np.finfo(float).eps * float(pi[-1] - pi[0])
+    """Null-distance rows by the engine's former loop: plain sweeps in
+    batches of _BATCH sources, with the bands closed before the third pass
+    pair, stopping at a pass pair that changes nothing. Returns the rows and
+    the pass pairs each batch used."""
     rows, counts = [], []
     for lo in range(0, len(sources), _BATCH):
         batch = sources[lo : lo + _BATCH]
-        val = np.full((n_lv, m, len(batch)), np.inf)
-        for s, (i0, j0) in enumerate(batch):
-            mask = grid.causal_row(i0, j0)
-            col = val[:, :, s]
-            col[mask] = np.broadcast_to(np.abs(pi - pi[i0])[:, None], (n_lv, m))[mask]
-            val[i0, j0, s] = 0.0
-        prefix = np.empty((n_lv + 1, m, len(batch)))
-        prefix[n_lv] = np.inf
-
-        def ascend(val, pi, table):
-            changed = False
-            for k in range(n_lv):
-                cand = prefix[np.minimum(table[k], k - 1), jj, :].min(axis=1) + pi[k]
-                if np.any(cand < val[k] - eps_stop):
-                    changed = True
-                np.minimum(val[k], cand, out=val[k])
-                row = val[k] - pi[k]
-                prefix[k] = row if k == 0 else np.minimum(prefix[k - 1], row)
-            return changed
-
-        passes = ((val, pi, t_up), (val[::-1], -pi[::-1], t_rev))
+        val, passes = plain_sweeps(grid, batch, pi)
         sweeps = 1
         while True:
             if sweeps == 3:
                 _close_bands(grid, val, pi)
-            if not any([ascend(*p) for p in passes]):
+            if not any([p() for p in passes]):
                 break
             sweeps += 1
-        rows.append(val.reshape(n_lv * m, -1).T)
+        rows.append(val.reshape(-1, len(batch)).T)
         counts.append(sweeps)
     return np.vstack(rows), tuple(counts)
 
@@ -456,6 +438,31 @@ class TestStopRule:
         oracle = dijkstra_rows(causal_weights(g, pi), [g.node(*p) for p in sources])
         assert np.abs(res.rows - oracle).max() <= 1e-12
         assert res.sweeps == sweeps
+
+    @pytest.mark.parametrize(
+        "fiber, warping, n_t",
+        [
+            (CLOSURE_FIBERS[0], WarpingFunction.affine(2.0, -1.8, IV), 12),
+            (CLOSURE_FIBERS[1], WarpingFunction.affine(2.0, -1.8, IV), 22),
+            (CLOSURE_FIBERS[2], WarpingFunction.exponential(1.0, -2.0, IV), 20),
+        ],
+        ids=["path", "circle", "tripod"],
+    )
+    def test_no_certificate_right_after_the_closure(self, fiber, warping, n_t):
+        # a decreasing warping puts the cheapest zigzag band at the top, so
+        # the closure lowers values that only a descending pass carries down;
+        # the ascending pass right after it can change nothing and still
+        # leave lower rows too large
+        g = ConeGrid(IV, fiber, warping, n_t)
+        pi = g.t_levels + 0.5 * g.t_levels**2
+        points = all_grid_points(g)
+        res = null_distance(g, weight_levels=pi)
+        want, sweeps = pair_rule_rows(g, points, pi)
+        oracle = dijkstra_rows(causal_weights(g, pi), [g.node(*p) for p in points])
+        assert np.abs(res.rows - oracle).max() <= 1e-12
+        eps_stop = 1e3 * np.finfo(float).eps * float(pi[-1] - pi[0])
+        assert np.abs(res.rows - want).max() <= eps_stop
+        assert res.sweeps == sweeps and max(sweeps) >= 3
 
     def test_a_quiet_first_pass_certifies_nothing(self):
         # from sources on the first level the ascending pass finds nothing
