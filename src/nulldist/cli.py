@@ -349,6 +349,8 @@ def run_persist(cfg, paths, out, seed):
             "gh_precondition": rep.gh_precondition,
             "concavity": [(lbl, v.passed, v.witness) for lbl, v in rep.concavity],
             "fiber_bounds": rep.fiber_bounds,
+            "quadruple_subsampled_to": [(lbl, qv.subsampled_to) for lbl, _, qv in rep.fiber_quadruples],
+            "cone_n_t": rep.cone_n_t,
             "agreement": agree,
             "notes": rep.notes,
         },

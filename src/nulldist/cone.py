@@ -182,12 +182,16 @@ class ConeGrid:
     def _last_causal_levels(self, g: np.ndarray) -> np.ndarray:
         # causal_row's expression |G_i - G_k| + slack only falls as i rises
         # towards k, so the causal levels i <= k form a prefix and one search
-        # down from k finds its end; entries run from -1 to g.size - 1
+        # down from k finds its end; entries run from -1 to g.size - 1. The
+        # search runs over the fiber's distinct distances, and the inverse
+        # index spreads its result over the m x m pairs
         dtype = np.int16 if g.size < 32768 else np.int32
         table = np.empty((g.size, self.m, self.m), dtype=dtype)
+        dist, inverse = np.unique(self.fiber.dist, return_inverse=True)
+        inverse = inverse.reshape(self.m, self.m)
         for k in range(g.size):
             gap = np.abs(g - g[k]) + self.causal_slack
-            table[k] = k - np.searchsorted(gap[k::-1], self.fiber.dist, side="left")
+            table[k] = (k - np.searchsorted(gap[k::-1], dist, side="left")).take(inverse)
         return table
 
     def _fiber_moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -331,6 +331,7 @@ class PersistenceReport:
     concavity: list = field(default_factory=list)
     fiber_bounds: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    cone_n_t: list = field(default_factory=list)  # (label, n_t after _adapted_n_t)
 
     def cross_tab(self) -> list:
         rows = []
@@ -426,6 +427,7 @@ def persistence_experiment(
         grid = ConeGrid(
             iv, fiber_limit, warping_limit, _adapted_n_t(interval, fiber_limit, warping_limit, n_t)
         )
+        report.cone_n_t.append(("limit", grid.n_t))
         report.cone_verdicts.append(
             ("limit", _best_triangle_verdict(grid, k_prime, LOWER, n_triangles, n_probe, tol, seed, side_cap))
         )
@@ -448,6 +450,7 @@ def persistence_experiment(
     for label, fib in zip(labels, list(fibers) + [fiber_limit]):
         report.fiber_quadruples.append((label, k, quadruple_curvature_check(fib, k, quad_tol)))
         grid = ConeGrid(iv, fib, warp, _adapted_n_t(interval, fib, warp, n_t))
+        report.cone_n_t.append((label, grid.n_t))
         report.cone_verdicts.append(
             (label, _best_triangle_verdict(grid, 0.0, LOWER, n_triangles, n_probe, tol, seed))
         )

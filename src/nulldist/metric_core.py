@@ -415,6 +415,9 @@ def quadruple_curvature_check(
     QUADRUPLE_SAMPLE_CAP points are reduced to a deterministic farthest-point
     subsample first, since the exhaustive quadruple count grows with the
     fourth power of the size.
+
+    Work per base point: one comparison_angle_many call over the C(n - 1, 2)
+    pairs of the other points and C(n - 1, 3) triple sums gathered from it.
     """
     if tol < 0:
         raise ParameterError("tol must be nonnegative")
@@ -435,27 +438,30 @@ def quadruple_curvature_check(
     if n < 4:
         return QuadrupleVerdict(k, tol, True, subsampled_to=subsampled_to)
 
+    # pairs s < t of the n - 1 other points in triu order (the order of the
+    # angles at p); triples a < b < c in lexicographic order as the positions
+    # of their pairs ab, ac, bc; legs[j]:legs[j + 1] are the triples with a = j
+    m = n - 1
+    iu = np.triu_indices(m, k=1)
+    pair = np.zeros((m, m), dtype=np.intp)
+    pair[iu] = np.arange(iu[0].size)
+    i = np.arange(m)
+    ta, tb, tc = np.nonzero((i[:, None, None] < i[:, None]) & (i[:, None] < i))
+    ab, ac, bc = pair[ta, tb], pair[ta, tc], pair[tb, tc]
+    legs = np.searchsorted(ta, np.arange(m - 1))
     worst_excess = -math.inf
     worst_quad = None
     for p in range(n):
-        oth = np.array([i for i in range(n) if i != p])
-        m = oth.size
-        bx = np.broadcast_to(d[p, oth][:, None], (m, m))
-        cy = np.broadcast_to(d[p, oth][None, :], (m, m))
-        ax = d[np.ix_(oth, oth)]
-        iu = np.triu_indices(m, k=1)
+        oth = np.delete(np.arange(n), p)
+        s, t = oth[iu[0]], oth[iu[1]]
+        ax, bx, cy = d[s, t], d[p, s], d[p, t]
         try:
-            angles_flat = comparison_angle_many(k, ax[iu], bx[iu], cy[iu])
+            angles = comparison_angle_many(k, ax, bx, cy)
         except ValueError as exc:
             # locate one offending pair for the witness
-            for s, t in zip(*iu):
+            for j in range(ax.size):
                 try:
-                    comparison_angle_many(
-                        k,
-                        np.array([ax[s, t]]),
-                        np.array([bx[s, t]]),
-                        np.array([cy[s, t]]),
-                    )
+                    comparison_angle_many(k, ax[j : j + 1], bx[j : j + 1], cy[j : j + 1])
                 except ValueError:
                     return QuadrupleVerdict(
                         k,
@@ -463,35 +469,26 @@ def quadruple_curvature_check(
                         False,
                         model_failure=(
                             int(index_map[p]),
-                            int(index_map[oth[s]]),
-                            int(index_map[oth[t]]),
+                            int(index_map[s[j]]),
+                            int(index_map[t[j]]),
                             str(exc),
                         ),
                         subsampled_to=subsampled_to,
                     )
             raise
-        angle = np.zeros((m, m))
-        angle[iu] = angles_flat
-        angle = angle + angle.T
-        # max over triples of pairwise-angle sums, chunked over the first leg
-        for ia in range(m - 2):
-            tail = angle[ia, ia + 1 :]
-            block = tail[:, None] + tail[None, :] + angle[ia + 1 :, ia + 1 :]
-            iu2 = np.triu_indices(m - ia - 1, k=1)
-            if iu2[0].size == 0:
-                continue
-            flat = block[iu2]
-            pos = int(np.argmax(flat))
-            if flat[pos] - 2.0 * math.pi > worst_excess:
-                worst_excess = float(flat[pos] - 2.0 * math.pi)
-                ib = ia + 1 + int(iu2[0][pos])
-                ic = ia + 1 + int(iu2[1][pos])
-                worst_quad = (
-                    int(index_map[p]),
-                    int(index_map[oth[ia]]),
-                    int(index_map[oth[ib]]),
-                    int(index_map[oth[ic]]),
-                )
+        tot = angles[ab] + angles[ac] + angles[bc]
+        # first leg whose largest sum is strictly worst after taking off 2 pi,
+        # then its first largest sum (sums below pi round together there, so
+        # one argmax over tot may name another quadruple); NaN legs never win
+        excess = np.maximum.reduceat(tot, legs[:-1]) - 2.0 * math.pi
+        excess[np.isnan(excess)] = -math.inf
+        g = int(np.argmax(excess))
+        if excess[g] > worst_excess:
+            worst_excess = float(excess[g])
+            pos = legs[g] + int(np.argmax(tot[legs[g] : legs[g + 1]]))
+            worst_quad = tuple(
+                int(index_map[q]) for q in (p, oth[ta[pos]], oth[tb[pos]], oth[tc[pos]])
+            )
     return QuadrupleVerdict(
         k,
         tol,

@@ -340,9 +340,9 @@ class TestCurvature:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
-def make_persist_inputs(tmp: Path, n_t: int, tol: float) -> Path:
+def make_persist_inputs(tmp: Path, n_t: int, tol: float, n_limit: int = 21) -> Path:
     save_distance_matrix_csv(tmp / "f0.csv", path_space(11, 1.0))
-    save_distance_matrix_csv(tmp / "lim.csv", path_space(21, 1.0))
+    save_distance_matrix_csv(tmp / "lim.csv", path_space(n_limit, 1.0))
     experiment = {
         "mode": "product",
         "fibers": ["f0.csv"],
@@ -358,6 +358,24 @@ def make_persist_inputs(tmp: Path, n_t: int, tol: float) -> Path:
     write(tmp / "persist.json", json.dumps(experiment))
     cfg = {"command": "persist", "inputs": {"experiment": "persist.json"}}
     return write(tmp / "cfg.json", json.dumps(cfg))
+
+
+class TestPersist:
+    @pytest.mark.parametrize("n_limit, extra, n_ts, kept", [
+        (21, [], [6, 12], None),
+        (21, ["--n-t", "8"], [6, 8], None),
+        (61, [], [6, 36], 60),
+    ])
+    def test_report_counts_resolved_n_t_and_subsampling(self, n_limit, extra, n_ts, kept, tmp_path):
+        # _adapted_n_t asks for about 3 / (5 h) levels on [0, 3], five fiber
+        # steps of spacing h per level, capped by the requested n_t: 6 for
+        # the 11-point fiber and 12 or 36 for the limit; the quadruple test
+        # keeps 60 points of the 61-point limit
+        cfg = make_persist_inputs(tmp_path, n_t=60, tol=0.25, n_limit=n_limit)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) in (0, 1)
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["cone_n_t"] == [["fiber0", n_ts[0]], ["limit", n_ts[1]]]
+        assert rep["quadruple_subsampled_to"] == [["fiber0", None], ["limit", kept]]
 
 
 class TestOverrides:

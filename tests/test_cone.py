@@ -38,6 +38,8 @@ from nulldist.errors import InvalidInputError, ParameterError, SizeBoundError
 IV = Interval(0.0, 1.0)
 _TS = np.linspace(0.0, 1.0, 9)
 TABULATED = WarpingFunction.tabulated(_TS, 1.0 + 0.5 * np.sin(3.0 * _TS) ** 2, IV)
+_PTS = np.random.default_rng(3).uniform(0.0, 1.0, (15, 3))
+CLOUD = FiniteLengthSpace(tuple(range(15)), np.linalg.norm(_PTS[:, None] - _PTS[None], axis=2))
 
 
 def small_grid(n_t=10, n_f=11, warping=None, interval=IV, fiber=None):
@@ -128,6 +130,41 @@ class TestThresholdTables:
         assert np.array_equal(rev, want_rev)
         # the fiber is at least as long as G(1) - G(0): far pairs have no causal level
         assert np.any(up == -1) and np.any(rev == -1)
+
+    @staticmethod
+    def per_pair_search(grid, g):
+        """The tables' former build: one search over all m x m distances per level."""
+        dtype = np.int16 if g.size < 32768 else np.int32
+        table = np.empty((g.size, grid.m, grid.m), dtype=dtype)
+        for k in range(g.size):
+            gap = np.abs(g - g[k]) + grid.causal_slack
+            table[k] = k - np.searchsorted(gap[k::-1], grid.fiber.dist, side="left")
+        return table
+
+    @pytest.mark.parametrize(
+        "fiber",
+        [path_space(33, 1.0), circle_space(20, 1.0), tripod_space(6, 0.3), CLOUD],
+        ids=["path", "circle", "tripod", "random"],
+    )
+    @pytest.mark.parametrize(
+        "warping",
+        [
+            WarpingFunction.constant(1.0, IV),
+            WarpingFunction.affine(1.0, 1.5, IV),
+            WarpingFunction.exponential(1.0, -2.0, IV),
+            WarpingFunction.cosh_type(1.0, 1.2, IV),
+            TABULATED,
+        ],
+        ids=["constant", "affine", "exponential", "cosh", "tabulated"],
+    )
+    def test_tables_match_per_pair_search(self, fiber, warping):
+        # n_t = 32 puts the constant warping's levels on the path's dyadic
+        # spacing, so distances equal to level gaps are searched too
+        g = ConeGrid(IV, fiber, warping, 32)
+        want = (self.per_pair_search(g, g.g_levels), self.per_pair_search(g, -g.g_levels[::-1]))
+        for got, exp in zip(g._threshold_tables(), want):
+            assert got.dtype == exp.dtype
+            assert np.array_equal(got, exp)
 
     def test_exactly_null_pairs_stay_causal(self):
         # dyadic unit cone: d = |a - b| / 8 equals G_k - G_i exactly on null pairs

@@ -27,11 +27,14 @@ from nulldist.errors import (
     SizeBoundError,
 )
 from nulldist.metric_core import (
+    QUADRUPLE_SAMPLE_CAP,
+    QuadrupleVerdict,
     all_correspondences,
     full_correspondence,
     identity_correspondence,
     verify_net,
 )
+from nulldist.model_spaces import comparison_angle_many
 
 
 def two_point(d=1.0):
@@ -219,7 +222,125 @@ class TestGHExact:
             gh_distance_exact(path_space(6, 1.0), path_space(6, 1.0))
 
 
+def per_leg_quadruples(space, k, tol):
+    """quadruple_curvature_check as one loop per first leg a over the triple
+    sums angle[a, b] + angle[a, c] + angle[b, c]: the reference the engine's
+    flat triple gather must match bit for bit."""
+    n = space.n
+    subsampled_to = None
+    index_map = np.arange(n)
+    d = space.dist
+    if n > QUADRUPLE_SAMPLE_CAP:
+        picks = [0]
+        min_dist = d[0].copy()
+        while len(picks) < QUADRUPLE_SAMPLE_CAP:
+            far = int(np.argmax(min_dist))
+            picks.append(far)
+            np.minimum(min_dist, d[far], out=min_dist)
+        index_map = np.array(sorted(set(picks)))
+        d = d[np.ix_(index_map, index_map)]
+        n = subsampled_to = int(index_map.size)
+    if n < 4:
+        return QuadrupleVerdict(k, tol, True, subsampled_to=subsampled_to)
+
+    worst_excess = -math.inf
+    worst_quad = None
+    for p in range(n):
+        oth = np.array([i for i in range(n) if i != p])
+        m = oth.size
+        bx = np.broadcast_to(d[p, oth][:, None], (m, m))
+        cy = np.broadcast_to(d[p, oth][None, :], (m, m))
+        ax = d[np.ix_(oth, oth)]
+        iu = np.triu_indices(m, k=1)
+        try:
+            angles_flat = comparison_angle_many(k, ax[iu], bx[iu], cy[iu])
+        except ValueError as exc:
+            for s, t in zip(*iu):
+                try:
+                    comparison_angle_many(
+                        k, np.array([ax[s, t]]), np.array([bx[s, t]]), np.array([cy[s, t]])
+                    )
+                except ValueError:
+                    failure = (int(index_map[p]), int(index_map[oth[s]]), int(index_map[oth[t]]), str(exc))
+                    return QuadrupleVerdict(
+                        k, tol, False, model_failure=failure, subsampled_to=subsampled_to
+                    )
+            raise
+        angle = np.zeros((m, m))
+        angle[iu] = angles_flat
+        angle = angle + angle.T
+        for ia in range(m - 2):
+            tail = angle[ia, ia + 1 :]
+            block = tail[:, None] + tail[None, :] + angle[ia + 1 :, ia + 1 :]
+            iu2 = np.triu_indices(m - ia - 1, k=1)
+            flat = block[iu2]
+            pos = int(np.argmax(flat))
+            if flat[pos] - 2.0 * math.pi > worst_excess:
+                worst_excess = float(flat[pos] - 2.0 * math.pi)
+                ib = ia + 1 + int(iu2[0][pos])
+                ic = ia + 1 + int(iu2[1][pos])
+                worst_quad = tuple(int(index_map[q]) for q in (p, oth[ia], oth[ib], oth[ic]))
+    return QuadrupleVerdict(
+        k, tol, bool(worst_excess <= tol), worst_quad, float(worst_excess), subsampled_to=subsampled_to
+    )
+
+
+def cloud_space(n, seed):
+    pts = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 3))
+    return FiniteLengthSpace(tuple(range(n)), np.linalg.norm(pts[:, None] - pts[None], axis=2))
+
+
+def near_equilateral_space():
+    # six points 2 apart up to 1e-15: at k = -1 every triple sum is about 0.3,
+    # and group maxima a few ulps apart round together once 2 pi is taken off
+    noise = np.random.default_rng(57).uniform(0.0, 1e-15, (6, 6))
+    d = np.triu(2.0 + noise, 1)
+    return FiniteLengthSpace(tuple(range(6)), d + d.T)
+
+
+def two_component_space():
+    # a 2-point and a 5-point path infinitely far apart: base points of the
+    # path see NaN angles on the first leg only
+    d = np.full((7, 7), np.inf)
+    d[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    d[2:, 2:] = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
+    return FiniteLengthSpace(tuple(range(7)), d)
+
+
+QUADRUPLE_ORACLE_SPACES = {
+    "tripod1": tripod_space(1, 1.0),
+    "tripod5": tripod_space(5, 1.0),
+    "tripod20": tripod_space(20, 1.0),
+    "path4": path_space(4, 3.0),
+    "path20": path_space(20, 1.0),
+    "path80": path_space(80, 1.0),
+    "circle12": circle_space(12, 4.0),
+    "circle30": circle_space(30, 1.0),
+    "circle61": circle_space(61, 1.0),
+    "cloud5": cloud_space(5, 1),
+    "cloud9": cloud_space(9, 5),
+    "cloud17": cloud_space(17, 2),
+    "cloud40": cloud_space(40, 3),
+    "cloud61": cloud_space(61, 4),
+    "near_equilateral": near_equilateral_space(),
+    "two_components": two_component_space(),
+}
+
+
 class TestQuadruple:
+    @pytest.mark.parametrize("name", list(QUADRUPLE_ORACLE_SPACES))
+    def test_matches_per_leg_loop(self, name):
+        # verdicts equal by repr: passes, worst quadruples and excesses,
+        # model-failure witnesses and messages (k = 1 on the two components,
+        # k = 9 on most spaces) and subsampled_to (tripod20, path80, the
+        # 61-point spaces)
+        space = QUADRUPLE_ORACLE_SPACES[name]
+        with np.errstate(invalid="ignore"):
+            for k in (-1.0, 0.0, 1.0, 9.0):
+                for tol in (1e-9, 1e-6):
+                    got = quadruple_curvature_check(space, k, tol)
+                    assert repr(got) == repr(per_leg_quadruples(space, k, tol)), (k, tol)
+
     def test_subsampled_to_is_a_field(self):
         big, small = tripod_space(20, 1.0), tripod_space(3, 1.0)
         assert (big.n, small.n) == (61, 10)
