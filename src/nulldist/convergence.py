@@ -53,7 +53,9 @@ class WarpingSequence:
 def sup_norm(f: WarpingFunction, g: WarpingFunction) -> float:
     """max |f - g| on a shared 2001-point grid joined with the critical
     points of both warpings; exact when both are piecewise linear, since
-    f - g is then linear between consecutive points."""
+    f - g is then linear between consecutive points. Exact as well when one
+    side is a constant c: |f - c| peaks where f does, at one of f's critical
+    points, so this is max(|f_max - c|, |f_min - c|) with extrema's values."""
     if f.domain != g.domain:
         raise InvalidInputError("sup norm needs a shared domain")
     ts = np.concatenate(

@@ -418,9 +418,13 @@ def quadruple_curvature_check(
 
     Work per base point: one comparison_angle_many call over the C(n - 1, 2)
     pairs of the other points and C(n - 1, 3) triple sums gathered from it.
+    Spaces with a non-finite distance (points in different components) are
+    refused: their comparison angles are undefined.
     """
     if tol < 0:
         raise ParameterError("tol must be nonnegative")
+    if not np.all(np.isfinite(space.dist)):
+        raise InvalidInputError("quadruple test needs finite distances")
     n = space.n
     subsampled_to: Optional[int] = None
     index_map = np.arange(n)
@@ -479,9 +483,8 @@ def quadruple_curvature_check(
         tot = angles[ab] + angles[ac] + angles[bc]
         # first leg whose largest sum is strictly worst after taking off 2 pi,
         # then its first largest sum (sums below pi round together there, so
-        # one argmax over tot may name another quadruple); NaN legs never win
+        # one argmax over tot may name another quadruple)
         excess = np.maximum.reduceat(tot, legs[:-1]) - 2.0 * math.pi
-        excess[np.isnan(excess)] = -math.inf
         g = int(np.argmax(excess))
         if excess[g] > worst_excess:
             worst_excess = float(excess[g])

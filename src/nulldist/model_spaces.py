@@ -39,7 +39,8 @@ def model_size_bound(K: float) -> float:
 
 
 def _safe_arccos(x: np.ndarray) -> np.ndarray:
-    out_of_range = (x < -1 - _CLAMP) | (x > 1 + _CLAMP)
+    # NaN counts as out of range: it comes from cosh overflowing at k < 0
+    out_of_range = ~(np.abs(x) <= 1 + _CLAMP)
     if np.any(out_of_range):
         raise ModelConstraintError(
             f"law-of-cosines argument outside [-1,1]: {x[out_of_range][:3]!r}"

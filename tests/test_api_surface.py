@@ -16,7 +16,6 @@ PINNED = {
     ("cone", "stratified_sources", "seed"),
     ("cone", "null_distance", "sources"),
     ("cone", "null_distance", "weight_levels"),
-    ("cone", "null_distance_guarantees", "unit_result"),
     ("cone", "time_separation", "sources"),
     ("cone", "null_distance_phi", "sources"),
     ("convergence", "null_convergence_check", "max_entries"),

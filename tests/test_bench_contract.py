@@ -40,3 +40,20 @@ def test_private_helpers_the_workloads_call():
     from nulldist import curvature
 
     assert callable(curvature._triangle_from_vertices)
+
+
+def test_null_sweeps_guarantee_and_phi_calls():
+    # null-sweeps calls null_distance_guarantees with two arguments and reads
+    # .ok, and reads rows, causal_exact and gap_bound_holds from
+    # null_distance_phi's (result, report)
+    from nulldist import cone, metric_core
+    from nulldist.warping import Interval, WarpingFunction
+
+    iv = Interval(0.0, 1.0)
+    grid = cone.ConeGrid(iv, metric_core.path_space(9, 1.0), WarpingFunction.constant(1.0, iv), 8)
+    sources = [(0, 0), (4, 4), (8, 2)]
+    res = cone.null_distance(grid, sources=sources)
+    assert cone.null_distance_guarantees(grid, res).ok
+    res_phi, rep = cone.null_distance_phi(grid, lambda t: t + 0.5 * t * t, sources=sources)
+    assert res_phi.rows.shape == (len(sources), grid.n_points)
+    assert rep.causal_exact and rep.gap_bound_holds

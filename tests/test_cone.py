@@ -254,22 +254,35 @@ class TestEngineAgainstOracles:
         assert off.min() > 0
 
 
+def unit_sandwich_margins(grid, res, unit):
+    """Worst margins of criterion 04's comparison with the unit-warping rows
+    of the same grid: min(1, f_min) unit <= dhat <= max(1, f_max) unit."""
+    lower = float((res.rows - min(1.0, grid.f_min) * unit.rows).min())
+    upper = float((max(1.0, grid.f_max) * unit.rows - res.rows).min())
+    return lower, upper
+
+
 class TestGuarantees:
     def test_constant_two(self):
         g = small_grid(n_t=16, n_f=17, warping=WarpingFunction.constant(2.0, IV))
         res = null_distance(g)
         unit = null_distance(small_grid(n_t=16, n_f=17))
-        rep = null_distance_guarantees(g, res, unit)
+        rep = null_distance_guarantees(g, res)
         assert rep.ok, rep.violations
+        lower, upper = unit_sandwich_margins(g, res, unit)
+        assert lower >= -1e-12
+        assert upper >= -2.0 / g.n_t
 
     def test_affine_sandwich(self):
         g = small_grid(n_t=16, n_f=17, warping=WarpingFunction.affine(1.0, 2.0, IV))
         res = null_distance(g)
         unit = null_distance(small_grid(n_t=16, n_f=17))
-        rep = null_distance_guarantees(g, res, unit)
+        rep = null_distance_guarantees(g, res)
         assert rep.ok, rep.violations
         assert rep.worst["lower-bound"] >= -1e-12
-        assert rep.worst["sandwich-lower"] >= -1e-12
+        lower, upper = unit_sandwich_margins(g, res, unit)
+        assert lower >= -1e-12
+        assert upper >= -2.0 / g.n_t
 
 
 def plain_sweeps(grid, sources, pi):
@@ -670,6 +683,23 @@ class TestTimeSeparation:
         assert errs[0] >= errs[1] >= errs[2] - 1e-12
 
 
+PHI_WARPINGS = {
+    "constant2": WarpingFunction.constant(2.0, IV),
+    "affine": WarpingFunction.affine(1.0, 2.0, IV),
+    "cosh": WarpingFunction.cosh_type(0.5, 2.0, IV),
+}
+PHI_FIBERS = {
+    "path": path_space(9, 1.0),
+    "circle": circle_space(10, 2.0),
+    "tripod": tripod_space(3, 1.0),
+}
+PHIS = {
+    "quadratic": lambda t: t + 0.5 * t * t,
+    "exp": lambda t: np.exp(2.0 * t),
+    "cubic": lambda t: t**3 + t / 10.0,
+}
+
+
 class TestPhi:
     def test_identity_reduces_to_null_distance(self):
         g = small_grid(n_t=8, n_f=9)
@@ -693,7 +723,28 @@ class TestPhi:
         res, rep = null_distance_phi(g, lambda t: t + 0.5 * t * t)
         assert rep.causal_exact
         assert rep.gap_bound_holds, rep.worst_gap_margin
-        assert rep.c_constant == pytest.approx(1.0, abs=6e-3)
+        # the grid constant: the first level step, G-gap 1/12 against
+        # phi-gap 1/12 + 1/288
+        assert rep.c_constant == pytest.approx(1.0 / (1.0 + 1.0 / 24.0), rel=1e-15)
+
+    def test_gap_bound_attained_on_product_cone(self):
+        # f = 2 gives G = t/2, so c = 1/2 and the bound reads 2 d on
+        # non-causal pairs: the product cone's null distance there, which the
+        # grid attains
+        g = small_grid(n_t=16, n_f=17, warping=WarpingFunction.constant(2.0, IV))
+        _, rep = null_distance_phi(g, lambda t: t)
+        assert rep.c_constant == 0.5
+        assert rep.gap_bound_holds
+        assert abs(rep.worst_gap_margin) <= 1e-12
+
+    @pytest.mark.parametrize("phi", list(PHIS), ids=list(PHIS))
+    @pytest.mark.parametrize("fiber", list(PHI_FIBERS), ids=list(PHI_FIBERS))
+    @pytest.mark.parametrize("warping", list(PHI_WARPINGS), ids=list(PHI_WARPINGS))
+    def test_gap_bound_holds(self, warping, fiber, phi):
+        g = ConeGrid(IV, PHI_FIBERS[fiber], PHI_WARPINGS[warping], 12)
+        _, rep = null_distance_phi(g, PHIS[phi])
+        assert rep.causal_exact, rep.worst_causal_error
+        assert rep.gap_bound_holds, (rep.worst_gap_margin, rep.witness)
 
     def test_non_monotone_rejected(self):
         g = small_grid()

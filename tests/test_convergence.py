@@ -35,6 +35,18 @@ def euclidean(pts):
     )
 
 
+SUP_DOMAIN = Interval(-1.0, 1.0)
+SUP_KINDS = {
+    "constant": WarpingFunction.constant(1.7, SUP_DOMAIN),
+    "affine": WarpingFunction.affine(2.0, 0.75, SUP_DOMAIN),
+    "exponential": WarpingFunction.exponential(1.2, 1.5, SUP_DOMAIN),
+    "cosh": WarpingFunction.cosh_type(0.6, 2.0, SUP_DOMAIN),
+    "tabulated": WarpingFunction.tabulated(
+        [-1.0, -0.31374, 0.10437, 0.45219, 1.0], [1.4, 3.1, 0.8, 2.2, 1.9], SUP_DOMAIN
+    ),
+}
+
+
 class TestSupNorm:
     def test_equal(self):
         w = WarpingFunction.constant(1.0, IV)
@@ -66,6 +78,16 @@ class TestSupNorm:
         expected = max(abs(v - (1.5 + 0.5 * t)) for t, v in zip(ts.tolist(), vs.tolist()))
         assert sup_norm(tab, aff) == expected
         assert sup_norm(aff, tab) == expected
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["f_first", "const_first"])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.3, 2.0, 3.7])
+    @pytest.mark.parametrize("kind", list(SUP_KINDS))
+    def test_constant_side_is_exact(self, kind, c, swap):
+        f = SUP_KINDS[kind]
+        const = WarpingFunction.constant(c, SUP_DOMAIN)
+        f_min, f_max = f.extrema()
+        expected = max(abs(f_max - c), abs(f_min - c))
+        assert (sup_norm(const, f) if swap else sup_norm(f, const)) == expected
 
     def test_domain_mismatch(self):
         a = WarpingFunction.constant(1.0, IV)

@@ -299,8 +299,7 @@ def near_equilateral_space():
 
 
 def two_component_space():
-    # a 2-point and a 5-point path infinitely far apart: base points of the
-    # path see NaN angles on the first leg only
+    # a 2-point and a 5-point path infinitely far apart
     d = np.full((7, 7), np.inf)
     d[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
     d[2:, 2:] = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
@@ -323,7 +322,6 @@ QUADRUPLE_ORACLE_SPACES = {
     "cloud40": cloud_space(40, 3),
     "cloud61": cloud_space(61, 4),
     "near_equilateral": near_equilateral_space(),
-    "two_components": two_component_space(),
 }
 
 
@@ -335,11 +333,31 @@ class TestQuadruple:
         # k = 9 on most spaces) and subsampled_to (tripod20, path80, the
         # 61-point spaces)
         space = QUADRUPLE_ORACLE_SPACES[name]
-        with np.errstate(invalid="ignore"):
-            for k in (-1.0, 0.0, 1.0, 9.0):
-                for tol in (1e-9, 1e-6):
-                    got = quadruple_curvature_check(space, k, tol)
-                    assert repr(got) == repr(per_leg_quadruples(space, k, tol)), (k, tol)
+        for k in (-1.0, 0.0, 1.0, 9.0):
+            for tol in (1e-9, 1e-6):
+                got = quadruple_curvature_check(space, k, tol)
+                assert repr(got) == repr(per_leg_quadruples(space, k, tol)), (k, tol)
+
+    def test_infinite_distances_refused(self):
+        for k in (-1.0, 0.0, 1.0, 9.0):
+            with pytest.raises(InvalidInputError):
+                quadruple_curvature_check(two_component_space(), k)
+
+    def test_nan_distance_refused(self):
+        d = path_space(5, 1.0).dist.copy()
+        d[1, 3] = d[3, 1] = np.nan
+        with pytest.raises(InvalidInputError):
+            quadruple_curvature_check(FiniteLengthSpace(tuple(range(5)), d), 0.0)
+
+    def test_hyperbolic_overflow_is_a_model_failure(self):
+        # sides near 1000 overflow cosh at k = -1; the law of cosines then
+        # reads NaN, which must not pass silently
+        pts = np.random.default_rng(0).uniform(0.0, 1000.0, (8, 2))
+        space = FiniteLengthSpace(tuple(range(8)), np.linalg.norm(pts[:, None] - pts[None], axis=2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            verdict = quadruple_curvature_check(space, -1.0)
+        assert not verdict.passed
+        assert verdict.model_failure is not None
 
     def test_subsampled_to_is_a_field(self):
         big, small = tripod_space(20, 1.0), tripod_space(3, 1.0)
