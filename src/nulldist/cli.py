@@ -121,6 +121,7 @@ def run_nulldist(cfg, paths, out, seed):
             "coverage": _coverage(grid, res),
             "sweeps": list(res.sweeps),
             "table_bytes": sum(t.nbytes for t in grid._threshold_tables()),
+            "cover_index_bytes": sum(i.nbytes for c in grid._cover_index() for i in c),
         },
     )
     return OK if rep.ok else CHECK_FAILED

@@ -15,11 +15,32 @@ The shortest-path engine never materializes the O(N^2) edge set. Monotone
 runs of causal edges compose into single edges, so distances are reached by
 repeated passes of "relax every future edge" in ascending time, alternating
 between the grid and its time reversal. Each level update is a minimum over
-running per-fiber minima, read through a precomputed table of the last
-causal level: the minima of every level sit in one (levels + 1)*m by sources
-array whose last m rows stay +inf for "no causal level", and one int32 flat
-index per level gathers them in a single take. A minimum is exact in any
-order, so the layout does not move a bit of the result.
+running per-fiber minima P[i, c] = min over levels i' <= i of val[i', c] -
+pi[i'], read through a table of the last causal level: the update of (k, a)
+takes pi[k] + min over c of P[T'(k, a, c), c], with T'(k, a, c) =
+min(table[k, a, c], k - 1) and P[-1, c] = +inf. The minima of every level
+sit in one (levels + 1)*m by sources array whose last m rows stay +inf, and
+one int32 (W_k, m) index per level gathers them in a single take.
+
+Only cover pairs are gathered. Along a monotone causal run the weight
+telescopes, so an edge that factors through a grid point between its ends
+adds nothing the two shorter edges do not give. Pair (a, c) of level k is
+dropped when a relay c' has j = T'(k, a, c') >= 0 and T'(j, c', c) >=
+T'(k, a, c). Level j < k is relaxed earlier in the same pass, so
+P[j, c'] <= val[j, c'] - pi[j] <= P[T'(j, c', c), c] <= P[T'(k, a, c), c],
+the last step because P falls with the level. Such a relay has a strictly
+larger T'(k, a, .), so dropping every such pair leaves the minimum
+unchanged in exact arithmetic (the chain of relays ends at a kept pair),
+and any subset of the relays is valid; pairs with T' = -1 always go. Two
+relays per pair are tried: a itself one level down, and the neighbour of a
+in the fiber's relative neighbourhood graph with the least d(a, c') +
+d(c', c). On a product cone whose fiber spacing equals the level step this
+keeps exactly c in {a - 1, a, a + 1}; a fiber that prunes nothing gets
+W_k = m, the full gather. The index is built once per grid, level by level
+in O(m^2) each. Rounding: the relay reads val[j, c'] - pi[j], which may
+differ from the dropped P[T'(k, a, c), c] by an ulp when the sums are not
+exact, so rows can move by ulps against a full gather; on dyadic grids every
+sum is exact and the rows are bitwise equal.
 
 An ascending pass leaves every future-directed edge relaxed and a descending
 pass every past-directed one, so a pass that changes nothing certifies the
@@ -104,6 +125,7 @@ class ConeGrid:
         )
         self.causal_slack = 32.0 * np.finfo(float).eps * scale
         self._tables: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._cover: Optional[tuple[list[np.ndarray], list[np.ndarray]]] = None
         self._moves: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._hops: Optional[list[Optional[np.ndarray]]] = None
 
@@ -166,7 +188,7 @@ class ConeGrid:
     def _threshold_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Sweep tables for the grid and for its time reversal (G replaced by
         -G read backwards): entry [k, a, b] is the last level i <= k with
-        (i, a) causal to (k, b), or -1 (the pad row) when there is none."""
+        (i, a) causal to (k, b), or -1 when there is none."""
         if self._tables is None:
             if self.n_levels * self.m * self.m > _TABLE_CAP:
                 raise SizeBoundError(
@@ -193,6 +215,56 @@ class ConeGrid:
             gap = np.abs(g - g[k]) + self.causal_slack
             table[k] = (k - np.searchsorted(gap[k::-1], dist, side="left")).take(inverse)
         return table
+
+    def _cover_index(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per sweep table, one int32 (W_k, m) gather index per level k:
+        column a holds T'(k, a, c)*m + c for the pairs (a, c) that no relay
+        covers (module docstring), padded with the +inf row n_levels*m."""
+        if self._cover is None:
+            tables = self._threshold_tables()  # refuses oversized grids first
+            relay = self._relays()
+            self._cover = tuple(self._cover_levels(t, relay) for t in tables)
+        return self._cover
+
+    def _relays(self) -> np.ndarray:
+        """relay[a, c]: the neighbour c' of a in the fiber's relative
+        neighbourhood graph with the least d(a, c') + d(c', c), ties to the
+        smallest index; a itself when a has no neighbour. (a, b) is an edge
+        unless some point c has max(d(a, c), d(c, b)) < d(a, b)."""
+        d = self.fiber.dist
+        relay = np.repeat(np.arange(self.m)[:, None], self.m, axis=1)
+        for a in range(self.m):
+            edge = ~np.any(np.maximum(d[a][:, None], d) < d[a], axis=0)
+            edge[a] = False
+            nbrs = np.nonzero(edge)[0]
+            if nbrs.size:
+                relay[a] = nbrs[np.argmin(d[a, nbrs][:, None] + d[nbrs], axis=0)]
+        return relay
+
+    def _cover_levels(self, table: np.ndarray, relay: np.ndarray) -> list[np.ndarray]:
+        # level by level, with T' = min(table[k], k - 1): a pair goes when
+        # T' = -1, when a one level down covers it (T'(k-1, a, c) >= T'), or
+        # when relay c' covers it: at j = T'(k, a, c') both table[j, c', c]
+        # and j - 1 reach T'. Flat table indices fit int32 under _TABLE_CAP;
+        # j = -1 wraps to a valid read that j > T' then discards
+        m, n_lv = self.m, table.shape[0]
+        flat = table.reshape(-1)
+        to_relay = (np.arange(m)[:, None] * m + relay).astype(np.int32)
+        relay_pair = (relay * m + np.arange(m)).astype(np.int32)
+        index, prev = [], np.full((m, m), -1, dtype=table.dtype)
+        for k in range(n_lv):
+            cur = np.minimum(table[k], k - 1)
+            j = cur.take(to_relay)
+            via = flat.take(j.astype(np.int32) * (m * m) + relay_pair)
+            keep = (cur >= 0) & (prev < cur) & ((j <= cur) | (via < cur))
+            a, c = np.nonzero(keep)
+            counts = np.bincount(a, minlength=m)
+            idx = np.full((max(1, int(counts.max())), m), n_lv * m, dtype=np.int32)
+            rank = np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            idx[rank, a] = cur[a, c].astype(np.int32) * m + c
+            index.append(idx)
+            prev = cur
+        return index
 
     def _fiber_moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fiber pairs (src, dst) causal across the widest level step, sorted
@@ -334,7 +406,7 @@ def _sweep_rows(
 ) -> tuple[np.ndarray, int]:
     """Null-distance rows of a batch of sources, and the pass pairs begun
     (see NullDistanceResult.sweeps)."""
-    t_up, t_rev = grid._threshold_tables()
+    c_up, c_rev = grid._cover_index()
     n_lv, m, b = grid.n_levels, grid.m, len(sources)
 
     val = np.full((n_lv, m, b), np.inf)
@@ -346,26 +418,23 @@ def _sweep_rows(
         val[i0, j0, s] = 0.0
 
     # running per-fiber minima of val - pi, level k in rows k*m:(k+1)*m; the
-    # last m rows stay +inf, so level -1 ("no level") reads +inf through
-    # negative indexing
+    # last m rows stay +inf for the cover index's padding
     prefix = np.empty(((n_lv + 1) * m, b))
     prefix[n_lv * m :] = np.inf
-    fiber = np.arange(m, dtype=np.int32)[:, None]
     # Gauss-Seidel passes reassociate sums, so late iterations can keep
     # shaving single ulps; improvements below this threshold do not count
     # as progress (they are still applied). Scales exactly with the weights,
     # keeping rescaled time functions bitwise proportional.
     eps_stop = 1e3 * np.finfo(float).eps * float(pi[-1] - pi[0])
 
-    def ascend(val: np.ndarray, pi: np.ndarray, table: np.ndarray) -> bool:
-        """Relax every future-directed edge in one ascending pass; the clamp
-        to k-1 drops only same-level self edges. Gathered row (c, a) is the
-        prefix minimum of fiber point c at the last level causal to (k, a);
-        with c leading, the minimum over c runs over contiguous blocks."""
+    def ascend(val: np.ndarray, pi: np.ndarray, index: list[np.ndarray]) -> bool:
+        """Relax every future-directed edge in one ascending pass, through
+        the cover pairs of each level. Gathered row (w, a) is the prefix
+        minimum of the w-th cover pair of (k, a); with w leading, the
+        minimum over w runs over contiguous blocks."""
         changed = False
-        for k in range(n_lv):
-            idx = np.minimum(table[k].T, k - 1).astype(np.int32, order="C") * m + fiber
-            cand = prefix.take(idx.ravel(), axis=0).reshape(m, m, b).min(axis=0) + pi[k]
+        for k, idx in enumerate(index):
+            cand = prefix.take(idx.ravel(), axis=0).reshape(idx.shape[0], m, b).min(axis=0) + pi[k]
             if np.any(cand < val[k] - eps_stop):
                 changed = True
             np.minimum(val[k], cand, out=val[k])
@@ -388,7 +457,7 @@ def _sweep_rows(
     # quiet passes in a row end pair p // 2; a single quiet pass reads
     # (p + 2) // 2, the pair an ascending pass begins, or the pair after the
     # one a descending pass ends, since that pair still changed something.
-    passes = ((val, pi, t_up), (val[::-1], -pi[::-1], t_rev))
+    passes = ((val, pi, c_up), (val[::-1], -pi[::-1], c_rev))
     quiet = 0  # passes in a row that changed nothing
     for p in range(1, 8 * (n_lv + 2) + 1):
         if p == 5:

@@ -39,7 +39,7 @@ def model_size_bound(K: float) -> float:
 
 
 def _safe_arccos(x: np.ndarray) -> np.ndarray:
-    # NaN counts as out of range: it comes from cosh overflowing at k < 0
+    # NaN counts as out of range, so a NaN side never passes silently
     out_of_range = ~(np.abs(x) <= 1 + _CLAMP)
     if np.any(out_of_range):
         raise ModelConstraintError(
@@ -78,8 +78,13 @@ def comparison_angle_many(
             )
         x = (np.cos(s * a) - np.cos(s * b) * np.cos(s * c)) / (np.sin(s * b) * np.sin(s * c))
     else:
+        # (cosh sb cosh sc - cosh sa) / (sinh sb sinh sc) with numerator and
+        # denominator divided by e^{s(b+c)}/4: no exponent below exceeds
+        # s * tol, so no side length overflows
         s = math.sqrt(-k)
-        x = (np.cosh(s * b) * np.cosh(s * c) - np.cosh(s * a)) / (np.sinh(s * b) * np.sinh(s * c))
+        eb, ec = np.expm1(-2.0 * s * b), np.expm1(-2.0 * s * c)
+        num = (2.0 + eb) * (2.0 + ec) - 2.0 * (np.exp(s * (a - b - c)) + np.exp(-s * (a + b + c)))
+        x = num / (eb * ec)
     return _safe_arccos(np.where(straight, -1.0, np.where(folded, 1.0, x)))
 
 

@@ -268,6 +268,9 @@ class TestCommands:
         assert rep.get("sweeps") == sweeps
         # both threshold tables, int16 over 9 levels x 9 x 9 fiber pairs
         assert rep.get("table_bytes") == (None if sweeps is None else 2 * 9 * 9 * 9 * 2)
+        # both int32 cover indices over 9 fiber points: one padding row on
+        # level 0, the pairs (a, a) and (a, a +- 1) on each of the 8 above
+        assert rep.get("cover_index_bytes") == (None if sweeps is None else 2 * (1 + 8 * 3) * 9 * 4)
 
     @pytest.mark.parametrize("command", ["nulldist", "timesep"])
     def test_all_sources_keep_the_full_matrix_bound(self, command, tmp_path, capsys):

@@ -40,6 +40,8 @@ _TS = np.linspace(0.0, 1.0, 9)
 TABULATED = WarpingFunction.tabulated(_TS, 1.0 + 0.5 * np.sin(3.0 * _TS) ** 2, IV)
 _PTS = np.random.default_rng(3).uniform(0.0, 1.0, (15, 3))
 CLOUD = FiniteLengthSpace(tuple(range(15)), np.linalg.norm(_PTS[:, None] - _PTS[None], axis=2))
+# all distances equal: the relative neighbourhood graph is complete
+EQUIDISTANT = FiniteLengthSpace(tuple(range(8)), 0.3 * (1.0 - np.eye(8)))
 
 
 def small_grid(n_t=10, n_f=11, warping=None, interval=IV, fiber=None):
@@ -195,6 +197,9 @@ class TestEngineAgainstOracles:
             ),
             pytest.param(
                 WarpingFunction.constant(1.0, IV), None, lambda t: t + t * t / 2, id="phi-quadratic"
+            ),
+            pytest.param(
+                WarpingFunction.affine(1.0, 0.8, IV), EQUIDISTANT, None, id="equidistant"
             ),
         ],
     )
@@ -533,6 +538,98 @@ class TestStopRule:
         want, sweeps = pair_rule_rows(g, all_grid_points(g), g.t_levels)
         assert np.array_equal(res.rows, want)
         assert res.sweeps == sweeps == (1,)
+
+
+def uncovered_pairs(table):
+    """Boolean (levels, m, m): the pairs (a, c) of each level k with
+    T' = min(table[k, a, c], k - 1) >= 0 that no relay c' of the whole fiber
+    covers, i.e. none with j = T'(k, a, c') >= 0 and T'(j, c', c) >= T'."""
+    n, m = table.shape[:2]
+    clamped = np.minimum(table.astype(int), np.arange(n)[:, None, None] - 1)
+    keep = np.zeros(table.shape, dtype=bool)
+    for k in range(n):
+        for a in range(m):
+            j = clamped[k, a]  # over c'
+            via = clamped[np.maximum(j, 0)[:, None], np.arange(m)[:, None], np.arange(m)[None, :]]
+            covered = np.any((j[:, None] >= 0) & (via >= clamped[k, a][None, :]), axis=0)
+            keep[k, a] = (clamped[k, a] >= 0) & ~covered
+    return keep, clamped
+
+
+def index_entries(idx, n_levels, m):
+    """(a, level, c) of every entry of one level's cover index but the padding."""
+    w, a = np.nonzero(idx != n_levels * m)
+    level, c = np.divmod(idx[w, a], m)
+    return a, level, c
+
+
+class TestCoverIndex:
+    @pytest.mark.parametrize(
+        "fiber",
+        [path_space(9, 1.0), circle_space(12, 1.0), tripod_space(4, 0.3), IRREGULAR, EQUIDISTANT],
+        ids=["path", "circle", "tripod", "line", "equidistant"],
+    )
+    @pytest.mark.parametrize(
+        "warping",
+        [
+            WarpingFunction.constant(1.0, IV),
+            WarpingFunction.affine(1.0, 1.5, IV),
+            WarpingFunction.exponential(1.0, -2.0, IV),
+            WarpingFunction.cosh_type(1.0, 1.2, IV),
+            TABULATED,
+        ],
+        ids=["constant", "affine", "exponential", "cosh", "tabulated"],
+    )
+    def test_index_holds_every_uncovered_pair(self, fiber, warping):
+        g = ConeGrid(IV, fiber, warping, 16)
+        n, m = g.n_levels, g.m
+        for table, index in zip(g._threshold_tables(), g._cover_index()):
+            keep, clamped = uncovered_pairs(table)
+            assert len(index) == n
+            for k, idx in enumerate(index):
+                assert idx.dtype == np.int32 and idx.ndim == 2 and idx.shape[1] == m
+                a, level, c = index_entries(idx, n, m)
+                # entries are clamped table entries, one per pair
+                assert np.array_equal(level, clamped[k, a, c]) and np.all(level >= 0)
+                got = np.zeros((m, m), dtype=bool)
+                got[a, c] = True
+                assert got.sum() == a.size
+                assert np.all(got[keep[k]])
+                if fiber is EQUIDISTANT:
+                    # a relay c' other than a sits as far from a as c does, so
+                    # only a one level down can cover: the index is minimal
+                    assert np.array_equal(got, keep[k])
+                # the widest column sets the width
+                assert idx.shape[0] == max(1, np.bincount(a, minlength=m).max())
+
+    def test_product_cone_keeps_three_neighbours(self):
+        # fiber spacing equal to the level step: the pairs (a, a +- 1) and
+        # (a, a) one level down cover every other pair
+        g = ConeGrid(IV, path_space(41, 1.0), WarpingFunction.constant(1.0, IV), 40)
+        for index in g._cover_index():
+            assert index[0].shape[0] == 1 and np.all(index[0] == g.n_levels * g.m)
+            for k, idx in enumerate(index[1:], 1):
+                assert idx.shape[0] == 3
+                a, level, c = index_entries(idx, g.n_levels, g.m)
+                assert np.all(np.abs(a - c) <= 1) and np.all(level == k - 1)
+                assert a.size == 3 * g.m - 2
+
+    def test_relays_follow_the_neighbourhood_graph(self):
+        # on a path the relay of (a, c) is the neighbour of a towards c; on
+        # the equidistant fiber every pair is an edge and c relays itself;
+        # a tie goes to the smallest index
+        m = 9
+        relay = small_grid(n_f=m)._relays()
+        a, c = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+        toward = a + np.sign(c - a)
+        toward[a == c] = np.where(np.arange(m) == 0, 1, np.arange(m) - 1)
+        assert np.array_equal(relay, toward)
+        relay = small_grid(fiber=EQUIDISTANT)._relays()
+        m = EQUIDISTANT.n
+        a, c = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+        want = c.copy()
+        want[a == c] = np.where(np.arange(m) == 0, 1, 0)
+        assert np.array_equal(relay, want)
 
 
 def reference_time_separation_row(grid, p):

@@ -349,15 +349,15 @@ class TestQuadruple:
         with pytest.raises(InvalidInputError):
             quadruple_curvature_check(FiniteLengthSpace(tuple(range(5)), d), 0.0)
 
-    def test_hyperbolic_overflow_is_a_model_failure(self):
-        # sides near 1000 overflow cosh at k = -1; the law of cosines then
-        # reads NaN, which must not pass silently
+    def test_large_hyperbolic_sides_get_a_verdict(self):
+        # sides near 1000 would overflow cosh at k = -1; the scaled law of
+        # cosines keeps every angle finite, and a flat square passes k = -1
         pts = np.random.default_rng(0).uniform(0.0, 1000.0, (8, 2))
         space = FiniteLengthSpace(tuple(range(8)), np.linalg.norm(pts[:, None] - pts[None], axis=2))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             verdict = quadruple_curvature_check(space, -1.0)
-        assert not verdict.passed
-        assert verdict.model_failure is not None
+        assert verdict.model_failure is None
+        assert verdict.passed and math.isfinite(verdict.worst_excess)
 
     def test_subsampled_to_is_a_field(self):
         big, small = tripod_space(20, 1.0), tripod_space(3, 1.0)

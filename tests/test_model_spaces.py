@@ -19,7 +19,9 @@ from nulldist.errors import (
 )
 from nulldist.model_spaces import (
     _future_unit_timelike,
+    _safe_arccos,
     chart_point,
+    comparison_angle_many,
     embedded_time_separation,
     geodesic_point,
 )
@@ -86,6 +88,31 @@ class TestComparisonAngle:
     def test_sphere_size_restriction(self):
         with pytest.raises(ModelConstraintError):
             comparison_angle(4.0, 1.2, 1.2, 1.2)
+
+    @pytest.mark.parametrize("k", [-0.25, -1.0, -4.0])
+    def test_hyperbolic_matches_the_cosh_form(self, k):
+        # the scaled law of cosines is the cosh form divided by e^{s(b+c)}/4;
+        # on triangles where arccos is well conditioned the two agree
+        rng = np.random.default_rng(7)
+        b, c = rng.uniform(0.1, 5.0, (2, 2000))
+        a = np.abs(b - c) + rng.uniform(0.05, 0.95, 2000) * (b + c - np.abs(b - c))
+        s = math.sqrt(-k)
+        x = (np.cosh(s * b) * np.cosh(s * c) - np.cosh(s * a)) / (np.sinh(s * b) * np.sinh(s * c))
+        got = comparison_angle_many(k, a, b, c)
+        assert np.abs(got - np.arccos(np.clip(x, -1.0, 1.0))).max() <= 1e-12
+
+    def test_hyperbolic_sides_beyond_cosh_range(self):
+        # cosh overflows past 710; these angles are tiny but defined
+        b, c = np.array([800.0, 1000.0, 1500.0]), np.array([900.0, 1000.0, 700.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ang = comparison_angle_many(-1.0, 0.5 * (b + c), b, c)
+        assert np.all(np.isfinite(ang)) and np.all((ang >= 0.0) & (ang < 1e-6))
+
+    def test_nan_argument_is_a_model_failure(self):
+        with pytest.raises(ModelConstraintError):
+            _safe_arccos(np.array([0.5, np.nan]))
+        with pytest.raises(ModelConstraintError):
+            comparison_angle(-1.0, math.nan, 1.0, 1.0)
 
     def test_continuity_at_zero(self):
         for sides in [(1.0, 1.0, 1.0), (0.5, 0.7, 1.0), (1.3, 0.8, 0.9)]:
