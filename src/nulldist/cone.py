@@ -16,11 +16,14 @@ runs of causal edges compose into single edges, so distances are reached by
 repeated passes of "relax every future edge" in ascending time, alternating
 between the grid and its time reversal. Each level update is a minimum over
 running per-fiber minima P[i, c] = min over levels i' <= i of val[i', c] -
-pi[i'], read through a table of the last causal level: the update of (k, a)
-takes pi[k] + min over c of P[T'(k, a, c), c], with T'(k, a, c) =
-min(table[k, a, c], k - 1) and P[-1, c] = +inf. The minima of every level
-sit in one (levels + 1)*m by sources array whose last m rows stay +inf, and
-one int32 (W_k, m) index per level gathers them in a single take.
+pi[i']: the update of (k, a) takes pi[k] + min over c of P[T'(k, a, c), c],
+where T(k, a, c) is the last level i <= k with (i, a) causal to (k, c) or
+-1, T'(k, a, c) = min(T(k, a, c), k - 1) and P[-1, c] = +inf. T reads the
+pair only through its distance, so it is kept per distinct fiber distance: a
+(levels, U) table for U distinct distances, one search per level. The
+minima of every level sit in one (levels + 1)*m by sources array whose last
+m rows stay +inf, and one int32 (W_k, m) index per level gathers them in a
+single take.
 
 Only cover pairs are gathered. Along a monotone causal run the weight
 telescopes, so an edge that factors through a grid point between its ends
@@ -36,11 +39,16 @@ relays per pair are tried: a itself one level down, and the neighbour of a
 in the fiber's relative neighbourhood graph with the least d(a, c') +
 d(c', c). On a product cone whose fiber spacing equals the level step this
 keeps exactly c in {a - 1, a, a + 1}; a fiber that prunes nothing gets
-W_k = m, the full gather. The index is built once per grid, level by level
-in O(m^2) each. Rounding: the relay reads val[j, c'] - pi[j], which may
-differ from the dropped P[T'(k, a, c), c] by an ulp when the sums are not
-exact, so rows can move by ulps against a full gather; on dyadic grids every
-sum is exact and the rows are bitwise equal.
+W_k = m, the full gather. The rule reads a pair only through the distances
+of (a, c), (a, c') and (c', c), so the index is built once per grid from
+pair classes, the pairs grouped by those three distances: each level
+evaluates the rule once per class, over the prefix of classes (sorted by
+distance) with T' >= 0, and expands only the kept classes into pairs. A
+level costs O(classes) plus its kept pairs, m^2 at worst, when every pair is
+a class of its own, as on a random point cloud. Rounding: the relay reads
+val[j, c'] - pi[j], which may differ from the dropped P[T'(k, a, c), c] by
+an ulp when the sums are not exact, so rows can move by ulps against a full
+gather; on dyadic grids every sum is exact and the rows are bitwise equal.
 
 An ascending pass leaves every future-directed edge relaxed and a descending
 pass every past-directed one, so a pass that changes nothing certifies the
@@ -83,7 +91,7 @@ from .reporting import GuaranteeReport
 from .warping import Interval, WarpingFunction
 
 DEFAULT_N_T = 200
-_TABLE_CAP = 3e8  # entries per threshold table
+_TABLE_CAP = 3e8  # levels x fiber pairs: cover-index pair-class work and int32 flat indices
 _GATHER_CAP = 1 << 16  # candidates per time-separation or band-closure block
 _BATCH = 64  # sources per null-distance sweep batch
 CHRONOLOGICAL, CAUSAL, NONE = "chronological", "causal", "none"
@@ -124,7 +132,6 @@ class ConeGrid:
             float(np.max(self.fiber.dist)),
         )
         self.causal_slack = 32.0 * np.finfo(float).eps * scale
-        self._tables: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._cover: Optional[tuple[list[np.ndarray], list[np.ndarray]]] = None
         self._moves: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._hops: Optional[list[Optional[np.ndarray]]] = None
@@ -183,37 +190,29 @@ class ConeGrid:
         gaps = np.abs(self.g_levels - self.g_levels[i])[:, None]
         return self.fiber.dist[j][None, :] <= gaps + self.causal_slack
 
-    # -- threshold tables for the sweep engine -----------------------------
+    # -- cover index for the sweep engine ----------------------------------
 
-    def _threshold_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sweep tables for the grid and for its time reversal (G replaced by
-        -G read backwards): entry [k, a, b] is the last level i <= k with
-        (i, a) causal to (k, b), or -1 when there is none."""
-        if self._tables is None:
-            if self.n_levels * self.m * self.m > _TABLE_CAP:
-                raise SizeBoundError(
-                    "threshold tables would exceed the memory cap; "
-                    "use a coarser fiber or time_separation-style queries"
-                )
-            self._tables = (
-                self._last_causal_levels(self.g_levels),
-                self._last_causal_levels(-self.g_levels[::-1]),
-            )
-        return self._tables
+    def _level_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sweep tables over the fiber's distinct distances, for the grid and
+        for its time reversal (G replaced by -G read backwards): entry [k, u]
+        is the last level i <= k with (i, a) causal to (k, c) for the pairs
+        (a, c) at the u-th distance, or -1 when there is none. Returned with
+        the int32 (m, m) index u of each pair's distance."""
+        dist, inv = np.unique(self.fiber.dist, return_inverse=True)
+        up = self._last_causal_levels(self.g_levels, dist)
+        rev = self._last_causal_levels(-self.g_levels[::-1], dist)
+        return up, rev, inv.reshape(self.m, self.m).astype(np.int32)
 
-    def _last_causal_levels(self, g: np.ndarray) -> np.ndarray:
+    def _last_causal_levels(self, g: np.ndarray, dist: np.ndarray) -> np.ndarray:
         # causal_row's expression |G_i - G_k| + slack only falls as i rises
         # towards k, so the causal levels i <= k form a prefix and one search
-        # down from k finds its end; entries run from -1 to g.size - 1. The
-        # search runs over the fiber's distinct distances, and the inverse
-        # index spreads its result over the m x m pairs
+        # down from k finds its end; entries run from -1 to g.size - 1 and
+        # fall as the distance grows
         dtype = np.int16 if g.size < 32768 else np.int32
-        table = np.empty((g.size, self.m, self.m), dtype=dtype)
-        dist, inverse = np.unique(self.fiber.dist, return_inverse=True)
-        inverse = inverse.reshape(self.m, self.m)
+        table = np.empty((g.size, dist.size), dtype=dtype)
         for k in range(g.size):
             gap = np.abs(g - g[k]) + self.causal_slack
-            table[k] = (k - np.searchsorted(gap[k::-1], dist, side="left")).take(inverse)
+            table[k] = k - np.searchsorted(gap[k::-1], dist, side="left")
         return table
 
     def _cover_index(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -221,9 +220,17 @@ class ConeGrid:
         column a holds T'(k, a, c)*m + c for the pairs (a, c) that no relay
         covers (module docstring), padded with the +inf row n_levels*m."""
         if self._cover is None:
-            tables = self._threshold_tables()  # refuses oversized grids first
-            relay = self._relays()
-            self._cover = tuple(self._cover_levels(t, relay) for t in tables)
+            # refused before the O(m^3) relays: the pair classes take up to
+            # m^2 entries per level, and flat indices into levels x pairs
+            # must fit int32
+            if self.n_levels * self.m * self.m > _TABLE_CAP:
+                raise SizeBoundError(
+                    "the sweep cover index over levels x fiber pairs would exceed "
+                    "its size cap; use a coarser fiber or time_separation-style queries"
+                )
+            up, rev, inv = self._level_tables()
+            classes = self._pair_classes(inv)
+            self._cover = tuple(self._cover_levels(t, *classes) for t in (up, rev))
         return self._cover
 
     def _relays(self) -> np.ndarray:
@@ -232,38 +239,80 @@ class ConeGrid:
         smallest index; a itself when a has no neighbour. (a, b) is an edge
         unless some point c has max(d(a, c), d(c, b)) < d(a, b)."""
         d = self.fiber.dist
+        edge = np.zeros((self.m, self.m), dtype=bool)
+        for a in range(self.m - 1):
+            # the test is symmetric in (a, b): each pair once, with b > a
+            far = np.maximum(d[a][:, None], d[:, a + 1 :]) < d[a, a + 1 :]
+            edge[a, a + 1 :] = ~np.any(far, axis=0)
+        edge |= edge.T
         relay = np.repeat(np.arange(self.m)[:, None], self.m, axis=1)
         for a in range(self.m):
-            edge = ~np.any(np.maximum(d[a][:, None], d) < d[a], axis=0)
-            edge[a] = False
-            nbrs = np.nonzero(edge)[0]
+            nbrs = np.nonzero(edge[a])[0]
             if nbrs.size:
                 relay[a] = nbrs[np.argmin(d[a, nbrs][:, None] + d[nbrs], axis=0)]
         return relay
 
-    def _cover_levels(self, table: np.ndarray, relay: np.ndarray) -> list[np.ndarray]:
-        # level by level, with T' = min(table[k], k - 1): a pair goes when
-        # T' = -1, when a one level down covers it (T'(k-1, a, c) >= T'), or
-        # when relay c' covers it: at j = T'(k, a, c') both table[j, c', c]
-        # and j - 1 reach T'. Flat table indices fit int32 under _TABLE_CAP;
-        # j = -1 wraps to a valid read that j > T' then discards
-        m, n_lv = self.m, table.shape[0]
-        flat = table.reshape(-1)
-        to_relay = (np.arange(m)[:, None] * m + relay).astype(np.int32)
-        relay_pair = (relay * m + np.arange(m)).astype(np.int32)
-        index, prev = [], np.full((m, m), -1, dtype=table.dtype)
-        for k in range(n_lv):
-            cur = np.minimum(table[k], k - 1)
-            j = cur.take(to_relay)
-            via = flat.take(j.astype(np.int32) * (m * m) + relay_pair)
-            keep = (cur >= 0) & (prev < cur) & ((j <= cur) | (via < cur))
-            a, c = np.nonzero(keep)
-            counts = np.bincount(a, minlength=m)
+    def _pair_classes(self, inv: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The fiber pairs (a, c) grouped by the distance indices inv (see
+        _level_tables) of (a, c), (a, c') and (c', c), with c' = relay[a, c]:
+        all the cover rule reads of a pair. Returns int32 u, v, w per class,
+        sorted by u (so by distance), and the classes' flat pairs a*m + c in
+        CSR form (pairs, indptr), ascending within each class."""
+        m = self.m
+        relay = self._relays()
+        u = inv.ravel()
+        v = np.take_along_axis(inv, relay, axis=1).ravel()
+        w = inv[relay, np.arange(m)].ravel()
+        pairs = np.lexsort((w, v, u)).astype(np.int32)
+        new = np.zeros(pairs.size, dtype=bool)
+        new[:1] = True
+        for x in (u[pairs], v[pairs], w[pairs]):
+            new[1:] |= x[1:] != x[:-1]
+        start = np.flatnonzero(new)
+        first = pairs[start]
+        return u[first], v[first], w[first], pairs, np.append(start, pairs.size)
+
+    def _cover_levels(
+        self,
+        table: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        w: np.ndarray,
+        pairs: np.ndarray,
+        indptr: np.ndarray,
+    ) -> list[np.ndarray]:
+        # level by level, with T' = min(table[k], k - 1) read once per pair
+        # class: a class goes when T' = -1, when a one level down covers it
+        # (T'(k-1, a, c) >= T'), or when the relay covers it: at
+        # j = T'(k, a, c') both table[j, w] and j - 1 reach T'. T' is -1 on
+        # level 0 and falls with the distance, so the classes with T' >= 0
+        # are a prefix. Flat indices fit int32 under _TABLE_CAP; j = -1 wraps
+        # to a valid read that j > T' then discards
+        m, (n_lv, n_u) = self.m, table.shape
+        flat, sizes = table.reshape(-1), np.diff(indptr)
+        ends = np.searchsorted(u, np.count_nonzero(table >= 0, axis=1)).tolist()
+        index = [np.full((1, m), n_lv * m, dtype=np.int32)]
+        for k in range(1, n_lv):
+            n = ends[k]
+            cur = np.minimum(table[k].take(u[:n]), k - 1)
+            prev = np.minimum(table[k - 1].take(u[:n]), k - 2)
+            j = np.minimum(table[k].take(v[:n]), k - 1)
+            via = flat.take(j.astype(np.int32) * n_u + w[:n])
+            kept = np.flatnonzero((prev < cur) & ((j <= cur) | (via < cur)))
+            # the kept classes' pairs, sorted by pair with their level; a
+            # column's entries are then contiguous
+            counts = sizes[kept]
+            pos = np.repeat(indptr[kept] - (np.cumsum(counts) - counts), counts)
+            pos += np.arange(pos.size)
+            key = np.sort(pairs[pos] * n_lv + np.repeat(cur[kept].astype(np.int32), counts))
+            pair = key // n_lv
+            a = pair // m
+            bounds = np.searchsorted(a, np.arange(m + 1))
+            counts = np.diff(bounds)
             idx = np.full((max(1, int(counts.max())), m), n_lv * m, dtype=np.int32)
-            rank = np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            idx[rank, a] = cur[a, c].astype(np.int32) * m + c
+            rank = np.arange(a.size) - np.repeat(bounds[:-1], counts)
+            idx[rank, a] = (key - pair * n_lv) * m + pair - a * m  # level * m + c
             index.append(idx)
-            prev = cur
         return index
 
     def _fiber_moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -831,7 +880,8 @@ def minimizer_analysis(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -
 
     The distances from p are the sweep engine's row `null_distance(grid, [p])`,
     so the grid size is bounded as for `null_distance`: SizeBoundError when
-    the threshold tables would exceed `_TABLE_CAP` entries. The path is read
+    levels x fiber pairs exceed `_TABLE_CAP`, the bound on the sweep cover
+    index's pair-class work and int32 flat indices. The path is read
     back from q by `metric_core.read_back_path`: each step goes to a causally
     comparable point of smallest distance (then smallest node index) whose
     distance plus |dt| meets the current one within 1e-12; RuntimeError if

@@ -266,8 +266,11 @@ class TestCommands:
         # pass pairs per batch of 64 sources: phi = t on a constant warping
         # settles in one pass pair and certifies it with a second
         assert rep.get("sweeps") == sweeps
-        # both threshold tables, int16 over 9 levels x 9 x 9 fiber pairs
-        assert rep.get("table_bytes") == (None if sweeps is None else 2 * 9 * 9 * 9 * 2)
+        # both sweep tables, int16 over 9 levels x the fiber's distinct
+        # distances (9 on the dyadic path: 0, 1/8, ..., 1)
+        n_dist = np.unique(load_distance_matrix_csv(tmp_path / "fiber.csv").dist).size
+        assert n_dist == 9
+        assert rep.get("table_bytes") == (None if sweeps is None else 2 * 9 * n_dist * 2)
         # both int32 cover indices over 9 fiber points: one padding row on
         # level 0, the pairs (a, a) and (a, a +- 1) on each of the 8 above
         assert rep.get("cover_index_bytes") == (None if sweeps is None else 2 * (1 + 8 * 3) * 9 * 4)

@@ -70,6 +70,32 @@ def causal_weights(grid, pi):
     return w
 
 
+def per_pair_search(grid, g):
+    """A 3-D sweep table by one search over all m x m distances per level:
+    entry [k, a, c] is the last level i <= k with |g_i - g_k| + slack >=
+    d(a, c), or -1."""
+    dtype = np.int16 if g.size < 32768 else np.int32
+    table = np.empty((g.size, grid.m, grid.m), dtype=dtype)
+    for k in range(g.size):
+        gap = np.abs(g - g[k]) + grid.causal_slack
+        table[k] = k - np.searchsorted(gap[k::-1], grid.fiber.dist, side="left")
+    return table
+
+
+def reference_tables(grid):
+    """Both 3-D sweep tables by per_pair_search: the grid's and its time
+    reversal's (G replaced by -G read backwards)."""
+    return per_pair_search(grid, grid.g_levels), per_pair_search(grid, -grid.g_levels[::-1])
+
+
+def expanded_tables(grid):
+    """The engine's per-distance sweep tables spread over the m x m fiber
+    pairs through the inverse index of the distinct distances."""
+    up, rev, inv = grid._level_tables()
+    assert np.array_equal(np.unique(grid.fiber.dist)[inv], grid.fiber.dist)
+    return up[:, inv], rev[:, inv]
+
+
 class TestCausalRelation:
     def test_product_chronological(self):
         g = small_grid()
@@ -125,23 +151,13 @@ class TestThresholdTables:
     )
     def test_tables_follow_causal_row(self, warping):
         g = small_grid(n_t=8, n_f=9, warping=warping)
-        up, rev = g._threshold_tables()
+        up, rev = expanded_tables(g)
         assert up.dtype == rev.dtype == np.int16
         want_up, want_rev = self.expected(g)
         assert np.array_equal(up, want_up)
         assert np.array_equal(rev, want_rev)
         # the fiber is at least as long as G(1) - G(0): far pairs have no causal level
         assert np.any(up == -1) and np.any(rev == -1)
-
-    @staticmethod
-    def per_pair_search(grid, g):
-        """The tables' former build: one search over all m x m distances per level."""
-        dtype = np.int16 if g.size < 32768 else np.int32
-        table = np.empty((g.size, grid.m, grid.m), dtype=dtype)
-        for k in range(g.size):
-            gap = np.abs(g - g[k]) + grid.causal_slack
-            table[k] = k - np.searchsorted(gap[k::-1], grid.fiber.dist, side="left")
-        return table
 
     @pytest.mark.parametrize(
         "fiber",
@@ -161,17 +177,32 @@ class TestThresholdTables:
     )
     def test_tables_match_per_pair_search(self, fiber, warping):
         # n_t = 32 puts the constant warping's levels on the path's dyadic
-        # spacing, so distances equal to level gaps are searched too
+        # spacing, so distances equal to level gaps are searched too; both
+        # directions, spread through the inverse of the distinct distances
         g = ConeGrid(IV, fiber, warping, 32)
-        want = (self.per_pair_search(g, g.g_levels), self.per_pair_search(g, -g.g_levels[::-1]))
-        for got, exp in zip(g._threshold_tables(), want):
+        for got, exp in zip(expanded_tables(g), reference_tables(g)):
             assert got.dtype == exp.dtype
             assert np.array_equal(got, exp)
+
+    @pytest.mark.parametrize(
+        "fiber",
+        [path_space(33, 1.0), circle_space(20, 1.0), tripod_space(6, 0.3), CLOUD],
+        ids=["path", "circle", "tripod", "random"],
+    )
+    def test_tables_fall_with_the_distance(self, fiber):
+        # one column per distinct distance, ascending: the entries of a level
+        # never rise along a row, so the pairs with a causal level come first
+        g = ConeGrid(IV, fiber, WarpingFunction.cosh_type(1.0, 1.2, IV), 32)
+        n_dist = np.unique(fiber.dist).size
+        for table in g._level_tables()[:2]:
+            assert table.shape == (g.n_levels, n_dist)
+            assert np.all(np.diff(table.astype(int), axis=1) <= 0)
+            assert table[:, 0].tolist() == list(range(g.n_levels))
 
     def test_exactly_null_pairs_stay_causal(self):
         # dyadic unit cone: d = |a - b| / 8 equals G_k - G_i exactly on null pairs
         g = small_grid(n_t=8, n_f=9)
-        up, rev = g._threshold_tables()
+        up, rev = expanded_tables(g)
         k = np.arange(g.n_levels)[:, None, None]
         ab = np.abs(np.subtract.outer(np.arange(g.m), np.arange(g.m)))[None]
         closed_form = np.maximum(k - ab, -1)
@@ -295,7 +326,7 @@ def plain_sweeps(grid, sources, pi):
     Gauss-Seidel sweeps over them, with the 3-D gather. Each pass relaxes
     every future-directed edge level by level, on the grid or on its time
     reversal, and returns whether an entry improved by more than eps_stop."""
-    t_up, t_rev = grid._threshold_tables()
+    t_up, t_rev = reference_tables(grid)
     n_lv, m, b = grid.n_levels, grid.m, len(sources)
     val = np.full((n_lv, m, b), np.inf)
     for s, (i0, j0) in enumerate(sources):
@@ -563,11 +594,51 @@ def index_entries(idx, n_levels, m):
     return a, level, c
 
 
+def plane_cloud(n, seed):
+    """n uniform random points of the unit square, Euclidean distances."""
+    pts = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 2))
+    return FiniteLengthSpace(tuple(range(n)), np.linalg.norm(pts[:, None] - pts[None], axis=2))
+
+
+def reference_relays(fiber):
+    """ConeGrid._relays by the full lune test: every ordered pair (a, b)
+    against every point."""
+    d = fiber.dist
+    m = fiber.n
+    relay = np.repeat(np.arange(m)[:, None], m, axis=1)
+    for a in range(m):
+        edge = ~np.any(np.maximum(d[a][:, None], d) < d[a], axis=0)
+        edge[a] = False
+        nbrs = np.nonzero(edge)[0]
+        if nbrs.size:
+            relay[a] = nbrs[np.argmin(d[a, nbrs][:, None] + d[nbrs], axis=0)]
+    return relay
+
+
+def cached_arrays(obj):
+    """Every array an object holds in its attributes, through tuples and
+    lists."""
+    todo = list(vars(obj).values())
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, (tuple, list)):
+            todo.extend(x)
+
+
 class TestCoverIndex:
     @pytest.mark.parametrize(
         "fiber",
-        [path_space(9, 1.0), circle_space(12, 1.0), tripod_space(4, 0.3), IRREGULAR, EQUIDISTANT],
-        ids=["path", "circle", "tripod", "line", "equidistant"],
+        [
+            path_space(9, 1.0),
+            circle_space(12, 1.0),
+            tripod_space(4, 0.3),
+            IRREGULAR,
+            EQUIDISTANT,
+            plane_cloud(40, 11),
+        ],
+        ids=["path", "circle", "tripod", "line", "equidistant", "cloud"],
     )
     @pytest.mark.parametrize(
         "warping",
@@ -583,7 +654,7 @@ class TestCoverIndex:
     def test_index_holds_every_uncovered_pair(self, fiber, warping):
         g = ConeGrid(IV, fiber, warping, 16)
         n, m = g.n_levels, g.m
-        for table, index in zip(g._threshold_tables(), g._cover_index()):
+        for table, index in zip(reference_tables(g), g._cover_index()):
             keep, clamped = uncovered_pairs(table)
             assert len(index) == n
             for k, idx in enumerate(index):
@@ -630,6 +701,25 @@ class TestCoverIndex:
         want = c.copy()
         want[a == c] = np.where(np.arange(m) == 0, 1, 0)
         assert np.array_equal(relay, want)
+
+    def test_relays_equal_the_full_lune_test(self):
+        # the edge test runs once per unordered pair; a random plane cloud
+        # has distinct distances and a sparse, irregular graph
+        fiber = plane_cloud(60, 4)
+        assert np.array_equal(small_grid(fiber=fiber)._relays(), reference_relays(fiber))
+
+    @pytest.mark.parametrize(
+        "warping",
+        [WarpingFunction.constant(1.0, IV), WarpingFunction.cosh_type(1.0, 1.2, IV)],
+        ids=["constant", "cosh"],
+    )
+    def test_grid_caches_no_level_by_pair_array(self, warping):
+        # the sweeps leave only the cover index and fiber-sized arrays behind
+        g = ConeGrid(IV, path_space(41, 1.0), warping, 40)
+        null_distance(g, [(0, 0), (20, 20), (40, 40)])
+        sizes = [x.size for x in cached_arrays(g)]
+        assert len(sizes) > 2 * g.n_levels
+        assert max(sizes) < g.n_levels * g.m * g.m
 
 
 def reference_time_separation_row(grid, p):
