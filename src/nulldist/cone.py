@@ -62,19 +62,21 @@ A pass pair finds one turn of a path, so a minimizer that zigzags between
 two adjacent levels, as minimizers of a nonlinear time function phi do where
 phi' f is smallest, would cost one pass pair per turn. A band closure moves
 such a zigzag in one step. In the band of levels k, k+1 every causal edge
-joins the two levels and costs pi[k+1] - pi[k], so the band's all-pairs
-closure is that cost times a hop count in the fiber graph of pairs causal
-across the step: 2*ceil(h/2) between points h hops apart on one level,
-2*floor(h/2) + 1 across the levels. One min-plus update per band, in
-ascending order, applies it. It is exact: every closure entry is the cost of
-a path of causal edges, so no value drops below the null distance. It runs
-once, after the fourth pass, so runs that settle sooner, such as phi = t or
-phi = 2t + 5 on a product cone, keep their arithmetic bit for bit; bands
-whose graph has no edge besides the self edges are skipped, since the
-passes already close them. The closure lowers values on both levels of a
-band, and past-directed edges from those values are relaxed only by a
-descending pass, so the ascending pass right after it certifies nothing:
-such runs stop at the sixth pass at the earliest.
+joins the two levels and costs pi[k+1] - pi[k], so closing the band is a
+shortest path over its edges, the fiber pairs causal across the step, from
+the band's current values. Band by band, the closure relaxes every edge into
+the lower level, then into the higher one, until a round changes nothing.
+Round r reaches every path of up to 2r - 1 edges, and a shortest path on the
+band's 2m points has at most 2m - 1, so m rounds bound the loop. It is
+exact: every value it writes is the cost of a path of causal edges, so no
+value drops below the null distance. It runs once, after the fourth pass, so
+runs that settle sooner, such as phi = t or phi = 2t + 5 on a product cone,
+keep their arithmetic bit for bit; bands whose graph has no edge besides the
+self edges are skipped, since the passes already close them. The closure
+lowers values on both levels of a band, and past-directed edges from those
+values are relaxed only by a descending pass, so the ascending pass right
+after it certifies nothing: such runs stop at the sixth pass at the
+earliest.
 """
 
 from __future__ import annotations
@@ -86,13 +88,13 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError, SizeBoundError
-from .metric_core import FiniteLengthSpace, floyd_warshall, read_back_path
+from .metric_core import FiniteLengthSpace, read_back_path
 from .reporting import GuaranteeReport
 from .warping import Interval, WarpingFunction
 
 DEFAULT_N_T = 200
 _TABLE_CAP = 3e8  # levels x fiber pairs: cover-index pair-class work and int32 flat indices
-_GATHER_CAP = 1 << 16  # candidates per time-separation or band-closure block
+_GATHER_CAP = 1 << 16  # gathered entries per block: time-separation columns, band-closure points
 _BATCH = 64  # sources per null-distance sweep batch
 CHRONOLOGICAL, CAUSAL, NONE = "chronological", "causal", "none"
 
@@ -134,7 +136,7 @@ class ConeGrid:
         self.causal_slack = 32.0 * np.finfo(float).eps * scale
         self._cover: Optional[tuple[list[np.ndarray], list[np.ndarray]]] = None
         self._moves: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._hops: Optional[list[Optional[np.ndarray]]] = None
+        self._nbrs: Optional[list[Optional[np.ndarray]]] = None
 
     # -- indexing ----------------------------------------------------------
 
@@ -326,26 +328,28 @@ class ConeGrid:
             self._moves = (src, dst, indptr)
         return self._moves
 
-    def _band_hops(self) -> list[Optional[np.ndarray]]:
-        """Per band k, k+1: the hop metric of the fiber graph joining pairs
-        causal across that level step (the sweep tables' own test
-        d <= |G[k+1] - G[k]| + slack), int16 with -1 between components, or
-        None when the graph has no edge off the diagonal. The graphs are
-        thresholds of one distance matrix, so equal edge counts mean equal
-        graphs, and bands with the same graph share one array."""
-        if self._hops is None:
+    def _band_neighbours(self) -> list[Optional[np.ndarray]]:
+        """Per band k, k+1: the fiber graph joining pairs causal across that
+        level step (the sweep tables' own test d <= |G[k+1] - G[k]| + slack)
+        as an int32 (deg, m) index, column a listing the neighbours of a, a
+        itself among them and as padding; None when the graph has no edge
+        off the diagonal. The graphs are thresholds of one distance matrix,
+        so equal edge counts mean equal graphs, and bands with the same graph
+        share one index."""
+        if self._nbrs is None:
             d = self.fiber.dist
             thr = np.abs(np.diff(self.g_levels)) + self.causal_slack
             n_edges = np.searchsorted(np.sort(d, axis=None), thr, side="right").tolist()
             shared = {}
             for k, n in enumerate(n_edges):
                 if n > self.m and n not in shared:
-                    unit = np.where(d <= thr[k], 1.0, np.inf)
-                    np.fill_diagonal(unit, 0.0)
-                    hops = floyd_warshall(unit)
-                    shared[n] = np.where(np.isinf(hops), -1, hops).astype(np.int16)
-            self._hops = [shared.get(n) for n in n_edges]
-        return self._hops
+                    a, c = np.nonzero(d <= thr[k])
+                    counts = np.bincount(a, minlength=self.m)
+                    nbrs = np.repeat(np.arange(self.m, dtype=np.int32)[None], counts.max(), axis=0)
+                    nbrs[np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts), a] = c
+                    shared[n] = nbrs
+            self._nbrs = [shared.get(n) for n in n_edges]
+        return self._nbrs
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +401,11 @@ def stratified_sources(
     if n_src >= n:
         return all_grid_points(grid)
     rng = np.random.default_rng(seed)
-    levels = np.unique(np.linspace(0, grid.n_levels - 1, n_src).round().astype(int))
-    fibers = np.unique(np.linspace(0, grid.m - 1, n_src).round().astype(int))
+    # return_index keeps np.unique from importing numpy.ma on a first call
+    levels, fibers = (
+        np.unique(np.linspace(0, top, n_src).round().astype(int), return_index=True)[0]
+        for top in (grid.n_levels - 1, grid.m - 1)
+    )
     fib_perm = rng.permutation(fibers)
     return [(int(lev), int(fib_perm[idx % fib_perm.size])) for idx, lev in enumerate(levels)]
 
@@ -518,38 +525,28 @@ def _sweep_rows(
 
 
 def _close_bands(grid: ConeGrid, val: np.ndarray, pi: np.ndarray) -> None:
-    """One min-plus update of [val[k]; val[k+1]] by the all-pairs closure of
-    band k, k+1, band by band in ascending order. Every causal edge in a
-    band joins its two levels and costs pi[k+1] - pi[k], so a walk of h
-    fiber hops is an h-edge path; between fiber points h hops apart, the
-    cheapest path that ends on the same level takes 2*ceil(h/2) edges, one
-    that changes level 2*floor(h/2) + 1. A source column whose band values
-    satisfy every single band edge is closed already (sum the edges along
-    any path), so only the others are updated."""
+    """Close each band k, k+1 of val, in ascending order, by shortest paths
+    over its edges of cost pi[k+1] - pi[k] (module docstring): a round
+    relaxes every edge into level k, then every edge into level k + 1. The
+    gathers run in blocks of band points, each under _GATHER_CAP entries
+    unless one point's neighbours over all columns exceed it."""
     m, b = grid.m, val.shape[2]
-    for k, hops in enumerate(grid._band_hops()):
-        if hops is None:  # self edges only: the passes close the band
+    for k, nbrs in enumerate(grid._band_neighbours()):
+        if nbrs is None:  # self edges only: the passes close the band
             continue
         step = pi[k + 1] - pi[k]
-        low, high = val[k], val[k + 1]
-        a, c = np.nonzero((hops >= 0) & (hops <= 1))  # edges (k, a) - (k + 1, c)
-        broken = np.any(low[a] + step < high[c], axis=0)
-        broken |= np.any(high[a] + step < low[c], axis=0)
-        cols = np.nonzero(broken)[0]
-        if cols.size == 0:
-            continue
-        # hop counts scale to costs; index -1 (other component) reads +inf
-        cost = np.append(step * np.arange(m + 1), np.inf)
-        same = cost[np.where(hops < 0, -1, (hops + 1) & -2)]
-        cross = cost[hops | 1]
-        w = np.block([[same, cross], [cross, same]])[:, :, None]
-        band = val[k : k + 2].reshape(2 * m, b)
-        sub = band[:, cols]
-        closed = np.empty_like(sub)
-        block = max(1, _GATHER_CAP // (2 * m * cols.size))  # band points per block
-        for lo in range(0, 2 * m, block):
-            closed[lo : lo + block] = (sub[:, None, :] + w[:, lo : lo + block]).min(axis=0)
-        band[:, cols] = closed
+        block = max(1, _GATHER_CAP // (nbrs.shape[0] * b))  # band points per block
+        for _ in range(m):
+            changed = False
+            for src, dst in ((val[k + 1], val[k]), (val[k], val[k + 1])):
+                for lo in range(0, m, block):
+                    cand = src.take(nbrs[:, lo : lo + block], axis=0).min(axis=0)
+                    cand += step
+                    out = dst[lo : lo + block]
+                    changed |= (cand < out).any()
+                    np.minimum(out, cand, out=out)
+            if not changed:
+                break
 
 
 def null_distance_guarantees(grid: ConeGrid, result: NullDistanceResult) -> GuaranteeReport:

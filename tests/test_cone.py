@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
-from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nulldist
 from nulldist import (
     ConeGrid,
     DiscretePreLengthSpace,
@@ -26,6 +30,7 @@ from nulldist import (
 )
 from nulldist.cone import (
     _BATCH,
+    _GATHER_CAP,
     CAUSAL,
     CHRONOLOGICAL,
     NONE,
@@ -365,9 +370,10 @@ def reference_sweep_rows(grid, sources, pi):
 
 def pair_rule_rows(grid, sources, pi):
     """Null-distance rows by the engine's former loop: plain sweeps in
-    batches of _BATCH sources, with the bands closed before the third pass
-    pair, stopping at a pass pair that changes nothing. Returns the rows and
-    the pass pairs each batch used."""
+    batches of _BATCH sources, with the bands closed by
+    reference_close_bands before the third pass pair, stopping at a pass
+    pair that changes nothing. Returns the rows and the pass pairs each
+    batch used."""
     rows, counts = [], []
     for lo in range(0, len(sources), _BATCH):
         batch = sources[lo : lo + _BATCH]
@@ -375,7 +381,7 @@ def pair_rule_rows(grid, sources, pi):
         sweeps = 1
         while True:
             if sweeps == 3:
-                _close_bands(grid, val, pi)
+                reference_close_bands(grid, val, pi)
             if not any([p() for p in passes]):
                 break
             sweeps += 1
@@ -405,19 +411,59 @@ def dijkstra_rows(w, sources):
 
 def bfs_hops(adj):
     """Hop counts of the graph with boolean adjacency adj, breadth first from
-    every vertex; -1 between components."""
+    every vertex, one frontier at a time; -1 between components."""
     n = adj.shape[0]
     hops = np.full((n, n), -1)
     for s in range(n):
         hops[s, s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in np.nonzero(adj[u])[0]:
-                if hops[s, v] < 0:
-                    hops[s, v] = hops[s, u] + 1
-                    queue.append(v)
+        frontier, h = [s], 0
+        while len(frontier):
+            h += 1
+            frontier = np.nonzero(adj[frontier].any(axis=0) & (hops[s] < 0))[0]
+            hops[s, frontier] = h
     return hops
+
+
+def reference_close_bands(grid, val, pi):
+    """The engine's former band closure: one min-plus update of
+    [val[k]; val[k+1]] by the all-pairs closure of band k, k+1, band by band
+    in ascending order. Every causal edge in a band joins its two levels and
+    costs pi[k+1] - pi[k], so a walk of h fiber hops (bfs_hops of the band
+    graph) is an h-edge path; between fiber points h hops apart, the
+    cheapest path that ends on the same level takes 2*ceil(h/2) edges, one
+    that changes level 2*floor(h/2) + 1. A source column whose band values
+    satisfy every single band edge is closed already, so only the others
+    are updated."""
+    m, b = grid.m, val.shape[2]
+    hops_of = {}
+    for k in range(grid.n_t):
+        adj = grid.fiber.dist <= abs(grid.g_levels[k + 1] - grid.g_levels[k]) + grid.causal_slack
+        if np.count_nonzero(adj) == m:  # self edges only
+            continue
+        key = adj.tobytes()
+        if key not in hops_of:
+            hops_of[key] = bfs_hops(adj)
+        hops = hops_of[key]
+        step = pi[k + 1] - pi[k]
+        low, high = val[k], val[k + 1]
+        a, c = np.nonzero(adj)  # edges (k, a) - (k + 1, c)
+        broken = np.any(low[a] + step < high[c], axis=0)
+        broken |= np.any(high[a] + step < low[c], axis=0)
+        cols = np.nonzero(broken)[0]
+        if cols.size == 0:
+            continue
+        # hop counts scale to costs; index -1 (other component) reads +inf
+        cost = np.append(step * np.arange(m + 1), np.inf)
+        same = cost[np.where(hops < 0, -1, (hops + 1) & -2)]
+        cross = cost[hops | 1]
+        w = np.block([[same, cross], [cross, same]])[:, :, None]
+        band = val[k : k + 2].reshape(2 * m, b)
+        sub = band[:, cols]
+        closed = np.empty_like(sub)
+        block = max(1, _GATHER_CAP // (2 * m * cols.size))  # band points per block
+        for lo in range(0, 2 * m, block):
+            closed[lo : lo + block] = (sub[:, None, :] + w[:, lo : lo + block]).min(axis=0)
+        band[:, cols] = closed
 
 
 _XS = np.sort(np.random.default_rng(5).uniform(0.0, 0.8, 14))
@@ -430,26 +476,71 @@ class TestBandClosure:
         "fiber", CLOSURE_FIBERS + [IRREGULAR], ids=["path", "circle", "tripod", "irregular"]
     )
     def test_hops_match_bfs(self, fiber):
-        # f runs from 0.1 to 1.1: band graphs from several hops wide down to
-        # self edges only
+        # the closure equals the min-plus closure by BFS hop counts of each
+        # band graph. f runs from 0.1 to 1.1: band graphs from several hops
+        # wide down to self edges only
         g = ConeGrid(IV, fiber, WarpingFunction.affine(0.1, 1.0, IV), 40)
-        shared = {}
-        for k, hops in enumerate(g._band_hops()):
+        m, shared, split = g.m, {}, False
+        for k, nbrs in enumerate(g._band_neighbours()):
             adj = fiber.dist <= abs(g.g_levels[k + 1] - g.g_levels[k]) + g.causal_slack
-            if hops is None:
-                assert np.array_equal(adj, np.eye(g.m, dtype=bool))
+            if nbrs is None:
+                assert np.array_equal(adj, np.eye(m, dtype=bool))
                 continue
-            assert hops.dtype == np.int16
-            assert np.array_equal(hops, bfs_hops(adj))
-            shared.setdefault(adj.tobytes(), set()).add(id(hops))
-        # one array per distinct graph, and several graphs
+            # column a lists exactly the neighbours of a, padded with a
+            assert nbrs.dtype == np.int32
+            listed = np.zeros((m, m), dtype=bool)
+            listed[np.arange(m), nbrs] = True
+            assert np.array_equal(listed, adj)
+            assert np.all(np.any(nbrs == np.arange(m), axis=0))
+            shared.setdefault(adj.tobytes(), set()).add(id(nbrs))
+            split |= bool(np.any(bfs_hops(adj) < 0))
+        # one index per distinct graph, and several graphs
         assert len(shared) > 1 and all(len(ids) == 1 for ids in shared.values())
         assert len({i for ids in shared.values() for i in ids}) == len(shared)
         if fiber is IRREGULAR:
             # close points join every band somewhere, and far ones split it
-            assert any(np.any(h < 0) for h in g._band_hops())
+            assert split
         else:
-            assert any(h is None for h in g._band_hops())
+            assert any(nbrs is None for nbrs in g._band_neighbours())
+        # arbitrary band values, some unreached, and the values of two pass
+        # pairs, as the engine closes them
+        rng = np.random.default_rng(2)
+        val = rng.uniform(0.0, 2.0, (g.n_levels, m, 8))
+        val[rng.random(val.shape) < 0.2] = np.inf
+        swept, passes = plain_sweeps(g, [(0, 0), (20, m // 2), (40, m - 1)], g.t_levels)
+        for p in passes + passes:
+            p()
+        for start in (val, swept):
+            got, want = start.copy(), start.copy()
+            _close_bands(g, got, g.t_levels)
+            reference_close_bands(g, want, g.t_levels)
+            assert not np.array_equal(want, start)
+            fin = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), fin)
+            assert np.abs(got[fin] - want[fin]).max() <= 1e-14
+
+    def test_wide_band_gathers_in_blocks(self):
+        # across a level step of 0.5 the middle of a 301-point path is causal
+        # to every point, so deg * m > _GATHER_CAP; one gather of the whole
+        # band over a batch of 64 columns would take 46 MB
+        g = ConeGrid(IV, path_space(301, 1.0), WarpingFunction.constant(1.0, IV), 2)
+        nbrs = g._band_neighbours()
+        assert nbrs[0] is nbrs[1] and nbrs[0].shape[0] * g.m > _GATHER_CAP
+        rng = np.random.default_rng(4)
+        val = rng.uniform(0.0, 2.0, (g.n_levels, g.m, _BATCH))
+        val[rng.random(val.shape) < 0.2] = np.inf
+        want = val.copy()
+        reference_close_bands(g, want, g.t_levels)
+        tracemalloc.start()
+        try:
+            _close_bands(g, val, g.t_levels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _GATHER_CAP * 8
+        fin = np.isfinite(want)
+        assert np.array_equal(np.isfinite(val), fin)
+        assert np.abs(val[fin] - want[fin]).max() <= 1e-14
 
     @pytest.mark.parametrize("fiber", CLOSURE_FIBERS, ids=["path", "circle", "tripod"])
     @pytest.mark.parametrize(
@@ -467,7 +558,7 @@ class TestBandClosure:
         sources = [points[i] for i in sorted(pick)]
         res = null_distance(g, sources, weight_levels=pi)
         assert res.sweeps[0] >= 3
-        assert any(h is not None for h in g._band_hops())
+        assert any(nbrs is not None for nbrs in g._band_neighbours())
         oracle = dijkstra_rows(causal_weights(g, pi), [g.node(*p) for p in sources])
         assert np.abs(res.rows - oracle).max() <= 1e-12
 
@@ -484,7 +575,7 @@ class TestBandClosure:
         g = small_grid(n_t=16, n_f=17)
         res = null_distance(g)
         assert set(res.sweeps) == {2}
-        assert g._hops is None
+        assert g._nbrs is None
 
 
 class TestStopRule:
@@ -1012,6 +1103,29 @@ class TestSources:
         srcs = stratified_sources(g, 5000, seed=1)
         assert len(srcs) * g.n_points <= 5000 + g.n_points
         assert len(set(srcs)) == len(srcs)
+        assert srcs == [(0, 30), (8, 0), (15, 8), (22, 15), (30, 22)]
+
+    def test_sources_leave_numpy_ma_unloaded(self):
+        # a bare np.unique imports numpy.ma on its first call in a process
+        code = (
+            "import sys\n"
+            "from nulldist import Interval, WarpingFunction, path_space\n"
+            "from nulldist.cone import ConeGrid, stratified_sources\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "iv = Interval(0.0, 1.0)\n"
+            "g = ConeGrid(iv, path_space(31, 1.0), WarpingFunction.constant(1.0, iv), 30)\n"
+            "assert stratified_sources(g, 5000, seed=1)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(nulldist.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["False", "False"]
 
     def test_full_matrix_guard(self):
         fiber = path_space(101, 1.0)
