@@ -94,7 +94,7 @@ from .warping import Interval, WarpingFunction
 
 DEFAULT_N_T = 200
 _TABLE_CAP = 3e8  # levels x fiber pairs: cover-index pair-class work and int32 flat indices
-_GATHER_CAP = 1 << 16  # gathered entries per block: time-separation columns, band-closure points
+_GATHER_CAP = 1 << 16  # entries per block: time-separation columns, band points, checked rows
 _BATCH = 64  # sources per null-distance sweep batch
 CHRONOLOGICAL, CAUSAL, NONE = "chronological", "causal", "none"
 
@@ -186,11 +186,11 @@ class ConeGrid:
             return CHRONOLOGICAL
         return CAUSAL
 
-    def causal_row(self, i: int, j: int) -> np.ndarray:
+    def causal_row(self, i, j) -> np.ndarray:
         """Boolean (n_levels, m) array: points causally comparable with (i, j)
-        in either time direction."""
-        gaps = np.abs(self.g_levels - self.g_levels[i])[:, None]
-        return self.fiber.dist[j][None, :] <= gaps + self.causal_slack
+        in either time direction. Arrays of levels i and fibers j of shape
+        (b,) give the (b, n_levels, m) stack of their rows."""
+        return self.fiber.dist[j][..., None, :] <= _level_gaps(self.g_levels, i) + self.causal_slack
 
     # -- cover index for the sweep engine ----------------------------------
 
@@ -465,12 +465,9 @@ def _sweep_rows(
     c_up, c_rev = grid._cover_index()
     n_lv, m, b = grid.n_levels, grid.m, len(sources)
 
-    val = np.full((n_lv, m, b), np.inf)
+    val = np.empty((n_lv, m, b))
     for s, (i0, j0) in enumerate(sources):
-        mask = grid.causal_row(i0, j0)
-        w = np.abs(pi - pi[i0])[:, None]
-        col = val[:, :, s]
-        col[mask] = np.broadcast_to(w, (n_lv, m))[mask]
+        val[:, :, s] = np.where(grid.causal_row(i0, j0), _level_gaps(pi, i0), np.inf)
         val[i0, j0, s] = 0.0
 
     # running per-fiber minima of val - pi, level k in rows k*m:(k+1)*m; the
@@ -549,6 +546,29 @@ def _close_bands(grid: ConeGrid, val: np.ndarray, pi: np.ndarray) -> None:
                 break
 
 
+def _level_gaps(x: np.ndarray, levels) -> np.ndarray:
+    """|x[k] - x[i]| over the levels k, as an (n_levels, 1) column for a
+    level i, or a (b, n_levels, 1) stack for an array of b levels."""
+    return np.abs(x - x[levels][..., None])[..., None]
+
+
+def _source_blocks(grid: ConeGrid, result: NullDistanceResult) -> Iterator[tuple]:
+    """The sources of `result` in order, in blocks of b: yields (sources,
+    levels, fibers, rows, dists, gaps, causal) with the block's rows and
+    causal mask (b, n_levels, m), each source's fiber distances (b, 1, m)
+    and G-gaps (b, n_levels, 1). An array holds at most _GATHER_CAP
+    entries, unless one source's row alone holds more."""
+    block = max(1, _GATHER_CAP // grid.n_points)
+    src = np.array(result.sources, dtype=int).reshape(-1, 2)
+    for lo in range(0, len(src), block):
+        levels, fibers = src[lo : lo + block].T
+        rows = result.rows[lo : lo + block].reshape(-1, grid.n_levels, grid.m)
+        dists = grid.fiber.dist[fibers][:, None, :]
+        gaps = _level_gaps(grid.g_levels, levels)
+        causal = grid.causal_row(levels, fibers)
+        yield result.sources[lo : lo + block], levels, fibers, rows, dists, gaps, causal
+
+
 def null_distance_guarantees(grid: ConeGrid, result: NullDistanceResult) -> GuaranteeReport:
     """Check the structural inequalities on computed null-distance rows.
 
@@ -565,47 +585,39 @@ def null_distance_guarantees(grid: ConeGrid, result: NullDistanceResult) -> Guar
     """
     tol_fmax = (2.0 + grid.f_max) * grid.grid_step()
     rep = GuaranteeReport()
-    d = grid.fiber.dist
     pi = result.weight_levels
-    lv = np.repeat(np.arange(grid.n_levels), grid.m)
-    fb = np.tile(np.arange(grid.m), grid.n_levels)
-    for s, src in enumerate(result.sources):
-        i0, j0 = src
-        row = result.rows[s]
-        dists = d[j0, fb]
-        causal = grid.causal_row(i0, j0).ravel()
-        wgap = np.abs(pi[lv] - pi[i0])
-
-        err = np.abs(row[causal] - wgap[causal])
-        worst = float(err.max()) if err.size else 0.0
-        bad = worst > 1e-12
-        rep.record("causal-exact", -worst if bad else 0.0, (src, worst) if bad else None)
-
-        lower = row - grid.f_min * dists
-        k = int(np.argmin(lower))
-        wl = float(lower[k])
-        rep.record("lower-bound", wl, (src, grid.point(k), wl) if wl < -1e-12 else None)
-
-        noncausal = ~causal
-        if np.any(noncausal):
-            upper = grid.f_max * dists[noncausal] - row[noncausal]
-            wu = float(upper.min())
-            bad = wu < -tol_fmax
-            rep.record("upper-bound", wu + tol_fmax, (src, float(-wu)) if bad else None)
-            if bad:
-                rep.notes.append(
-                    f"upper bound missed by {-wu:.3g} at source {src}; "
-                    "refine the grid (error shrinks with 1/n_t)"
-                )
-
-        off = row > 0
-        off[grid.node(i0, j0)] = True
-        rep.record("definiteness", 0.0, None if np.all(off) else src)
-
-        fut = causal & (lv != i0)
-        dt = np.abs(grid.t_levels[lv[fut]] - grid.t_levels[i0])
-        wa = float((dt - grid.f_min * dists[fut]).min()) if np.any(fut) else 0.0
-        rep.record("anti-lipschitz", wa, src if wa < -1e-12 else None)
+    for srcs, levels, fibers, rows, dists, _, causal in _source_blocks(grid, result):
+        ix = np.arange(levels.size)
+        err = np.where(causal, np.abs(rows - _level_gaps(pi, levels)), 0.0).max(axis=(1, 2))
+        lower = (rows - grid.f_min * dists).reshape(ix.size, -1)
+        low_at = lower.argmin(axis=1)
+        upper = np.where(causal, np.inf, grid.f_max * dists - rows).min(axis=(1, 2))
+        has_non = ~causal.all(axis=(1, 2))
+        off = rows > 0
+        off[ix, levels, fibers] = True
+        definite = off.all(axis=(1, 2))
+        dt = _level_gaps(grid.t_levels, levels)
+        fut = causal & (dt > 0)  # causal pairs off the source's level
+        anti = np.where(fut, dt - grid.f_min * dists, np.inf).min(axis=(1, 2))
+        anti[~fut.any(axis=(1, 2))] = 0.0
+        for s, src in enumerate(srcs):
+            worst = float(err[s])
+            bad = worst > 1e-12
+            rep.record("causal-exact", -worst if bad else 0.0, (src, worst) if bad else None)
+            wl = float(lower[s, low_at[s]])
+            rep.record("lower-bound", wl, (src, grid.point(low_at[s]), wl) if wl < -1e-12 else None)
+            if has_non[s]:
+                wu = float(upper[s])
+                bad = wu < -tol_fmax
+                rep.record("upper-bound", wu + tol_fmax, (src, float(-wu)) if bad else None)
+                if bad:
+                    rep.notes.append(
+                        f"upper bound missed by {-wu:.3g} at source {src}; "
+                        "refine the grid (error shrinks with 1/n_t)"
+                    )
+            rep.record("definiteness", 0.0, None if definite[s] else src)
+            wa = float(anti[s])
+            rep.record("anti-lipschitz", wa, src if wa < -1e-12 else None)
     return rep
 
 
@@ -768,39 +780,27 @@ def null_distance_phi(
     result = null_distance(grid, sources=sources, weight_levels=phi_levels)
     c_const = float(np.max(np.diff(grid.g_levels) / np.diff(phi_levels)))
 
-    d = grid.fiber.dist
-    g = grid.g_levels
-    lv = np.repeat(np.arange(grid.n_levels), grid.m)
-    fb = np.tile(np.arange(grid.m), grid.n_levels)
     worst_causal = 0.0
     worst_margin = np.inf
     witness = None
-    n_checked = 0
-    for s, (i0, j0) in enumerate(result.sources):
-        row = result.rows[s]
-        gaps = np.abs(g[lv] - g[i0])
-        dists = d[j0, fb]
-        causal = grid.causal_row(i0, j0).ravel()
-        n_checked += row.size
-        err = np.abs(row[causal] - np.abs(phi_levels[lv[causal]] - phi_levels[i0]))
-        if err.size:
-            worst_causal = max(worst_causal, float(err.max()))
-        non = ~causal
-        if np.any(non):
-            phigap = np.abs(phi_levels[lv[non]] - phi_levels[i0])
-            bound = phigap + (dists[non] - gaps[non]) / c_const
-            margin = row[non] - bound
-            k = int(np.argmin(margin))
-            if float(margin[k]) < worst_margin:
-                worst_margin = float(margin[k])
-                witness = ((i0, j0), grid.point(int(np.nonzero(non)[0][k])))
+    for srcs, levels, _, rows, dists, gaps, causal in _source_blocks(grid, result):
+        phigap = _level_gaps(phi_levels, levels)
+        worst_causal = max(worst_causal, float(np.where(causal, np.abs(rows - phigap), 0.0).max()))
+        margin = np.where(causal, np.inf, rows - (phigap + (dists - gaps) / c_const))
+        margin = margin.reshape(len(srcs), -1)
+        at = margin.argmin(axis=1)
+        mins = margin[np.arange(len(srcs)), at]
+        s = int(mins.argmin())  # the first source at the minimum, at its first point
+        if mins[s] < worst_margin:
+            worst_margin = float(mins[s])
+            witness = (srcs[s], grid.point(at[s]))
     return result, PhiReport(
         causal_exact=worst_causal <= 1e-9,
         worst_causal_error=worst_causal,
         gap_bound_holds=bool(worst_margin >= -1e-9),
         worst_gap_margin=worst_margin if math.isfinite(worst_margin) else 0.0,
         c_constant=c_const,
-        n_checked=n_checked,
+        n_checked=result.rows.size,
         witness=witness,
     )
 
@@ -899,11 +899,10 @@ def minimizer_analysis(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -
     dst = grid.node(*q)
     if not math.isfinite(dist[dst]):
         return MinimizerAnalysis([], [], grid.grid_step(), "unreachable pair")
-    t_node = np.repeat(grid.t_levels, grid.m)
 
     def weight_row(v: int) -> np.ndarray:
         i, j = grid.point(v)
-        return np.where(grid.causal_row(i, j).ravel(), np.abs(t_node - t_node[v]), np.inf)
+        return np.where(grid.causal_row(i, j), _level_gaps(grid.t_levels, i), np.inf).ravel()
 
     path = [grid.point(v) for v in read_back_path(dist, weight_row, grid.node(*p), dst)]
     runs = []

@@ -34,6 +34,7 @@ from .reporting import Verdict
 from .warping import Interval, WarpingFunction
 
 LOWER, UPPER = "lower", "upper"
+_QUAD_TOL = 1e-6  # angle-sum tolerance of the fiber quadruple tests in persistence_experiment
 
 
 @dataclass
@@ -393,7 +394,6 @@ def persistence_experiment(
     warping_limit: Optional[WarpingFunction] = None,
     k_primes: Optional[Sequence[float]] = None,
     k_prime: float = 0.0,
-    quad_tol: float = 1e-6,
 ) -> PersistenceReport:
     """Cross-tabulate fiber curvature bounds against cone triangle comparisons.
 
@@ -416,13 +416,13 @@ def persistence_experiment(
             report.fiber_bounds.append((f"warping{idx}", k_n))
             if idx < len(fibers):
                 report.fiber_quadruples.append(
-                    (f"fiber{idx}", k_n, quadruple_curvature_check(fibers[idx], k_n, quad_tol))
+                    (f"fiber{idx}", k_n, quadruple_curvature_check(fibers[idx], k_n, _QUAD_TOL))
                 )
         report.concavity.append(("limit", concavity_check(warping_limit, k_prime)))
         k_lim = compute_fiber_bound(warping_limit, k_prime)
         report.fiber_bounds.append(("limit", k_lim))
         report.fiber_quadruples.append(
-            ("limit", k_lim, quadruple_curvature_check(fiber_limit, k_lim, quad_tol))
+            ("limit", k_lim, quadruple_curvature_check(fiber_limit, k_lim, _QUAD_TOL))
         )
         grid = ConeGrid(
             iv, fiber_limit, warping_limit, _adapted_n_t(interval, fiber_limit, warping_limit, n_t)
@@ -448,7 +448,7 @@ def persistence_experiment(
         raise ParameterError(f"unknown mode {mode!r}")
     labels = [f"fiber{idx}" for idx in range(len(fibers))] + ["limit"]
     for label, fib in zip(labels, list(fibers) + [fiber_limit]):
-        report.fiber_quadruples.append((label, k, quadruple_curvature_check(fib, k, quad_tol)))
+        report.fiber_quadruples.append((label, k, quadruple_curvature_check(fib, k, _QUAD_TOL)))
         grid = ConeGrid(iv, fib, warp, _adapted_n_t(interval, fib, warp, n_t))
         report.cone_n_t.append((label, grid.n_t))
         report.cone_verdicts.append(

@@ -30,7 +30,6 @@ PINNED = {
     ("curvature", "persistence_experiment", "warping_limit"),
     ("curvature", "persistence_experiment", "k_primes"),
     ("curvature", "persistence_experiment", "k_prime"),
-    ("curvature", "persistence_experiment", "quad_tol"),
     ("curvature", "_best_triangle_verdict", "side_cap"),
     ("formats", "save_pls_json", "tau"),
     ("formats", "write_long_matrix_csv", "col_ids"),

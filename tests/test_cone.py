@@ -34,11 +34,13 @@ from nulldist.cone import (
     CAUSAL,
     CHRONOLOGICAL,
     NONE,
+    PhiReport,
     _close_bands,
     all_grid_points,
     stratified_sources,
 )
 from nulldist.errors import InvalidInputError, ParameterError, SizeBoundError
+from nulldist.reporting import GuaranteeReport
 
 IV = Interval(0.0, 1.0)
 _TS = np.linspace(0.0, 1.0, 9)
@@ -125,6 +127,27 @@ class TestCausalRelation:
         g = small_grid()
         with pytest.raises(ParameterError):
             g.causal_relation((0, 0), (11, 0))
+
+    @pytest.mark.parametrize(
+        "fiber, warping",
+        [
+            (path_space(17, 1.0), WarpingFunction.constant(1.0, IV)),
+            (circle_space(12, 2.0), WarpingFunction.cosh_type(0.5, 2.0, IV)),
+            (CLOUD, TABULATED),
+        ],
+        ids=["unit-path", "cosh-circle", "tabulated-cloud"],
+    )
+    def test_causal_row_broadcasts(self, fiber, warping):
+        g = ConeGrid(IV, fiber, warping, 16)
+        rng = np.random.default_rng(11)
+        levels = rng.integers(0, g.n_levels, 40)
+        fibers = rng.integers(0, g.m, 40)
+        stack = g.causal_row(levels, fibers)
+        assert stack.shape == (40, g.n_levels, g.m)
+        want = np.array([g.causal_row(int(i), int(j)) for i, j in zip(levels, fibers)])
+        assert want.shape == (40, g.n_levels, g.m)
+        assert np.array_equal(stack, want)
+        assert g.causal_row(np.int64(3), np.int64(5)).shape == (g.n_levels, g.m)
 
 
 class TestThresholdTables:
@@ -301,6 +324,54 @@ def unit_sandwich_margins(grid, res, unit):
     lower = float((res.rows - min(1.0, grid.f_min) * unit.rows).min())
     upper = float((max(1.0, grid.f_max) * unit.rows - res.rows).min())
     return lower, upper
+
+
+def reference_guarantees(grid, result):
+    """null_distance_guarantees one source at a time, as a per-source loop."""
+    tol_fmax = (2.0 + grid.f_max) * grid.grid_step()
+    rep = GuaranteeReport()
+    d = grid.fiber.dist
+    pi = result.weight_levels
+    lv = np.repeat(np.arange(grid.n_levels), grid.m)
+    fb = np.tile(np.arange(grid.m), grid.n_levels)
+    for s, src in enumerate(result.sources):
+        i0, j0 = src
+        row = result.rows[s]
+        dists = d[j0, fb]
+        causal = grid.causal_row(i0, j0).ravel()
+        wgap = np.abs(pi[lv] - pi[i0])
+
+        err = np.abs(row[causal] - wgap[causal])
+        worst = float(err.max()) if err.size else 0.0
+        bad = worst > 1e-12
+        rep.record("causal-exact", -worst if bad else 0.0, (src, worst) if bad else None)
+
+        lower = row - grid.f_min * dists
+        k = int(np.argmin(lower))
+        wl = float(lower[k])
+        rep.record("lower-bound", wl, (src, grid.point(k), wl) if wl < -1e-12 else None)
+
+        noncausal = ~causal
+        if np.any(noncausal):
+            upper = grid.f_max * dists[noncausal] - row[noncausal]
+            wu = float(upper.min())
+            bad = wu < -tol_fmax
+            rep.record("upper-bound", wu + tol_fmax, (src, float(-wu)) if bad else None)
+            if bad:
+                rep.notes.append(
+                    f"upper bound missed by {-wu:.3g} at source {src}; "
+                    "refine the grid (error shrinks with 1/n_t)"
+                )
+
+        off = row > 0
+        off[grid.node(i0, j0)] = True
+        rep.record("definiteness", 0.0, None if np.all(off) else src)
+
+        fut = causal & (lv != i0)
+        dt = np.abs(grid.t_levels[lv[fut]] - grid.t_levels[i0])
+        wa = float((dt - grid.f_min * dists[fut]).min()) if np.any(fut) else 0.0
+        rep.record("anti-lipschitz", wa, src if wa < -1e-12 else None)
+    return rep
 
 
 class TestGuarantees:
@@ -978,6 +1049,49 @@ PHIS = {
 }
 
 
+def reference_phi_checks(grid, result):
+    """null_distance_phi's report on its own result, one source at a time:
+    the witness is the first source, then its first point, at the strict
+    minimum of the gap margin."""
+    phi_levels = result.weight_levels
+    c_const = float(np.max(np.diff(grid.g_levels) / np.diff(phi_levels)))
+    d = grid.fiber.dist
+    g = grid.g_levels
+    lv = np.repeat(np.arange(grid.n_levels), grid.m)
+    fb = np.tile(np.arange(grid.m), grid.n_levels)
+    worst_causal = 0.0
+    worst_margin = np.inf
+    witness = None
+    n_checked = 0
+    for s, (i0, j0) in enumerate(result.sources):
+        row = result.rows[s]
+        gaps = np.abs(g[lv] - g[i0])
+        dists = d[j0, fb]
+        causal = grid.causal_row(i0, j0).ravel()
+        n_checked += row.size
+        err = np.abs(row[causal] - np.abs(phi_levels[lv[causal]] - phi_levels[i0]))
+        if err.size:
+            worst_causal = max(worst_causal, float(err.max()))
+        non = ~causal
+        if np.any(non):
+            phigap = np.abs(phi_levels[lv[non]] - phi_levels[i0])
+            bound = phigap + (dists[non] - gaps[non]) / c_const
+            margin = row[non] - bound
+            k = int(np.argmin(margin))
+            if float(margin[k]) < worst_margin:
+                worst_margin = float(margin[k])
+                witness = ((i0, j0), grid.point(int(np.nonzero(non)[0][k])))
+    return PhiReport(
+        causal_exact=worst_causal <= 1e-9,
+        worst_causal_error=worst_causal,
+        gap_bound_holds=bool(worst_margin >= -1e-9),
+        worst_gap_margin=worst_margin if math.isfinite(worst_margin) else 0.0,
+        c_constant=c_const,
+        n_checked=n_checked,
+        witness=witness,
+    )
+
+
 class TestPhi:
     def test_identity_reduces_to_null_distance(self):
         g = small_grid(n_t=8, n_f=9)
@@ -1020,14 +1134,68 @@ class TestPhi:
     @pytest.mark.parametrize("warping", list(PHI_WARPINGS), ids=list(PHI_WARPINGS))
     def test_gap_bound_holds(self, warping, fiber, phi):
         g = ConeGrid(IV, PHI_FIBERS[fiber], PHI_WARPINGS[warping], 12)
-        _, rep = null_distance_phi(g, PHIS[phi])
+        res, rep = null_distance_phi(g, PHIS[phi])
         assert rep.causal_exact, rep.worst_causal_error
         assert rep.gap_bound_holds, (rep.worst_gap_margin, rep.witness)
+        assert repr(rep) == repr(reference_phi_checks(g, res))
 
     def test_non_monotone_rejected(self):
         g = small_grid()
         with pytest.raises(InvalidInputError):
             null_distance_phi(g, lambda t: -t)
+
+
+class TestCheckParity:
+    """The block-wise checks report what the per-source loops report, by
+    repr: every worst margin, violation list and its order, note and
+    witness."""
+
+    @staticmethod
+    def assert_same(g, sources=None, phi=lambda t: t + 0.5 * t * t):
+        res = null_distance(g, sources)
+        rep = null_distance_guarantees(g, res)
+        assert repr(rep) == repr(reference_guarantees(g, res))
+        res_phi, rep_phi = null_distance_phi(g, phi, sources)
+        assert repr(rep_phi) == repr(reference_phi_checks(g, res_phi))
+        return rep, rep_phi
+
+    def test_unit_cone_full_matrix(self):
+        g = ConeGrid(IV, path_space(41, 1.0), WarpingFunction.constant(1.0, IV), 40)
+        rep, _ = self.assert_same(g)
+        assert rep.ok
+
+    def test_tied_margins_keep_the_first_witness(self):
+        # a dyadic unit cone: phi = t attains its gap margin 0 exactly, at
+        # sources in every block; the witness is the first of them
+        g = ConeGrid(IV, path_space(33, 1.0), WarpingFunction.constant(1.0, IV), 32)
+        _, rep_phi = self.assert_same(g, phi=lambda t: t)
+        assert rep_phi.worst_gap_margin == 0.0
+        assert rep_phi.witness == ((0, 0), (0, 2))
+
+    def test_upper_bound_violations_and_notes(self):
+        g = ConeGrid(IV, path_space(41, 1.0), WarpingFunction.constant(1.01, IV), 40)
+        res = null_distance(g)
+        rep = null_distance_guarantees(g, res)
+        assert len(rep.violations["upper-bound"]) > _GATHER_CAP // g.n_points
+        assert rep.notes
+        assert repr(rep) == repr(reference_guarantees(g, res))
+
+    def test_worst_source_in_a_later_block(self):
+        g = ConeGrid(IV, circle_space(24, 2.0), WarpingFunction.cosh_type(0.5, 2.0, IV), 30)
+        rep, rep_phi = self.assert_same(g)
+        block = _GATHER_CAP // g.n_points
+        later = lambda src: all_grid_points(g).index(src) >= block
+        assert later(rep_phi.witness[0])
+        assert rep.violations["upper-bound"] and later(rep.violations["upper-bound"][-1][0])
+        # the same sources in reverse: other blocks, other first witnesses
+        self.assert_same(g, all_grid_points(g)[::-1])
+
+    def test_one_source_per_block(self):
+        g = ConeGrid(IV, path_space(257, 1.0), WarpingFunction.constant(1.0, IV), 256)
+        assert g.n_points > _GATHER_CAP
+        rng = np.random.default_rng(5)
+        sources = list(zip(rng.integers(0, 257, 4).tolist(), rng.integers(0, 257, 4).tolist()))
+        self.assert_same(g, sources)
 
 
 class TestFiberComparison:

@@ -238,7 +238,6 @@ class TestPersistence:
             n_triangles=4,
             n_probe=4,
             tol=0.12,
-            quad_tol=1e-6,
         )
         for row in rep.cross_tab():
             assert row["fiber_pass"]
