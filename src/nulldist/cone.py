@@ -136,6 +136,7 @@ class ConeGrid:
         self.causal_slack = 32.0 * np.finfo(float).eps * scale
         self._cover: Optional[tuple[list[np.ndarray], list[np.ndarray]]] = None
         self._moves: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._weights: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._nbrs: Optional[list[Optional[np.ndarray]]] = None
 
     # -- indexing ----------------------------------------------------------
@@ -327,6 +328,21 @@ class ConeGrid:
             indptr = np.searchsorted(dst, np.arange(self.m + 1))
             self._moves = (src, dst, indptr)
         return self._moves
+
+    def _step_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Step lengths of the fiber moves as (table, rows, move_dist): move e
+        on the step i -> i+1 has length table[rows[i], move_dist[e]]. A row is
+        `_level_step_weights` over the moves' distinct distances, once per
+        distinct (G-gap, dt, f_mid) step, since the formula reads nothing else
+        of the level; move_dist indexes those distances."""
+        if self._weights is None:
+            src, dst, _ = self._fiber_moves()
+            dist, move_dist = np.unique(self.fiber.dist[src, dst], return_inverse=True)
+            steps = np.stack([np.diff(self.g_levels), np.diff(self.t_levels), self.f_mid], axis=1)
+            _, first, rows = np.unique(steps, axis=0, return_index=True, return_inverse=True)
+            table = np.stack([_level_step_weights(self, i, dist) for i in first.tolist()])
+            self._weights = (table, rows, move_dist.astype(np.int32))
+        return self._weights
 
     def _band_neighbours(self) -> list[Optional[np.ndarray]]:
         """Per band k, k+1: the fiber graph joining pairs causal across that
@@ -653,10 +669,11 @@ def _dp_levels(
 
     A level step is one gather over the fiber move list and a
     `np.maximum.reduceat` per destination, in column blocks of bounded
-    gather size; move distances are gathered once, step lengths once per level.
+    gather size; the moves' step lengths are one take from the grid's step
+    table (`ConeGrid._step_weights`).
     """
-    src, dst, indptr = grid._fiber_moves()
-    dist = grid.fiber.dist[src, dst]
+    src, _, indptr = grid._fiber_moves()
+    table, rows, move_dist = grid._step_weights()
     levels = np.array([i for i, _ in sources], dtype=int)
     order = np.argsort(levels, kind="stable")
     levels = levels[order]
@@ -669,7 +686,7 @@ def _dp_levels(
         n = val.shape[1]
         nxt = np.empty((grid.m, k))
         if n:
-            w = _level_step_weights(grid, i - 1, dist)[:, None]
+            w = table[rows[i - 1]].take(move_dist)[:, None]
             for lo in range(0, n, block):
                 cand = val[src, lo : lo + block]
                 cand += w
@@ -723,11 +740,13 @@ def time_separation_path(
     if not math.isfinite(total):
         return 0.0, []
     src, _, indptr = grid._fiber_moves()
+    table, rows, move_dist = grid._step_weights()
     path = [(i1, j1)]
     cur = j1
     for i in range(i1 - 1, i0 - 1, -1):
-        prev = src[indptr[cur] : indptr[cur + 1]]
-        cand = vals[i - i0, prev] + _level_step_weights(grid, i, grid.fiber.dist[prev, cur])
+        into = slice(indptr[cur], indptr[cur + 1])
+        prev = src[into]
+        cand = vals[i - i0, prev] + table[rows[i]].take(move_dist[into])
         hit = np.nonzero(np.isfinite(cand) & (np.abs(cand - vals[i - i0 + 1, cur]) <= 1e-12))[0]
         if hit.size == 0:
             raise RuntimeError("backtracking lost the maximizing path")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import ConeGrid, _level_step_weights, time_separation, time_separation_path
+from .cone import ConeGrid, time_separation, time_separation_path
 from .errors import InvalidInputError, ModelConstraintError, ParameterError
 from .metric_core import (
     GH_SIZE_CAP,
@@ -65,10 +65,17 @@ class CurvatureVerdict:
 
 
 def _accumulate(grid: ConeGrid, path: list) -> np.ndarray:
-    """Accumulated single-step segment lengths along a DP path."""
+    """Accumulated single-step segment lengths along a DP path, read from the
+    grid's step table; a step j -> k that is no fiber move is not causal on
+    any level and adds -inf."""
+    src, _, indptr = grid._fiber_moves()
+    table, rows, move_dist = grid._step_weights()
     acc = [0.0]
     for (i, j), (_, k) in zip(path, path[1:]):
-        acc.append(acc[-1] + float(_level_step_weights(grid, i, grid.fiber.dist[j, k])))
+        lo, hi = indptr[k], indptr[k + 1]
+        e = lo + int(np.searchsorted(src[lo:hi], j))
+        w = table[rows[i], move_dist[e]] if e < hi and src[e] == j else -np.inf
+        acc.append(acc[-1] + float(w))
     return np.asarray(acc)
 
 

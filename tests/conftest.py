@@ -1,3 +1,4 @@
+import math
 from typing import Sequence
 
 import numpy as np
@@ -9,6 +10,7 @@ from nulldist import (
     Interval,
     WarpingFunction,
 )
+from nulldist.cone import _level_step_weights
 from nulldist.metric_core import distortion
 
 
@@ -78,3 +80,44 @@ def dense_lift_distortion(lifted, fiber_a, fiber_b, t_grid) -> float:
     return distortion(
         lifted, lifted_product_space(fiber_a, t_grid), lifted_product_space(fiber_b, t_grid)
     )
+
+
+def reference_time_separation_path(grid, p, q):
+    """The DP maximizer from p to q with every step length recomputed by
+    `_level_step_weights` from the moves' fiber distances: the values level
+    by level over the fiber move list, then the backtrack to the smallest
+    predecessor whose value plus step length meets the current value within
+    1e-12."""
+    (i0, j0), (i1, j1) = p, q
+    if p == q:
+        return 0.0, [p]
+    if i1 < i0:
+        return 0.0, []
+    src, dst, indptr = grid._fiber_moves()
+    dist = grid.fiber.dist[src, dst]
+    vals = np.full((i1 - i0 + 1, grid.m), -np.inf)
+    vals[0, j0] = 0.0
+    for i in range(i0, i1):
+        cand = vals[i - i0, src] + _level_step_weights(grid, i, dist)
+        vals[i - i0 + 1] = np.maximum.reduceat(cand, indptr[:-1])
+    total = vals[-1, j1]
+    if not math.isfinite(total):
+        return 0.0, []
+    path = [(i1, j1)]
+    cur = j1
+    for i in range(i1 - 1, i0 - 1, -1):
+        prev = src[indptr[cur] : indptr[cur + 1]]
+        cand = vals[i - i0, prev] + _level_step_weights(grid, i, grid.fiber.dist[prev, cur])
+        hit = np.nonzero(np.isfinite(cand) & (np.abs(cand - vals[i - i0 + 1, cur]) <= 1e-12))[0]
+        cur = int(prev[hit[0]])
+        path.append((i, cur))
+    return float(max(total, 0.0)), path[::-1]
+
+
+def reference_accumulate(grid, path):
+    """Accumulated step lengths along a path, each recomputed by
+    `_level_step_weights` from the fiber distance of the step."""
+    acc = [0.0]
+    for (i, j), (_, k) in zip(path, path[1:]):
+        acc.append(acc[-1] + float(_level_step_weights(grid, i, grid.fiber.dist[j, k])))
+    return np.asarray(acc)

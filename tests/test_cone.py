@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_time_separation_path
 
 import nulldist
 from nulldist import (
@@ -24,6 +25,7 @@ from nulldist import (
     null_distance_phi,
     null_distance_matrix,
     path_space,
+    sample_timelike_triangles,
     time_separation,
     time_separation_path,
     tripod_space,
@@ -36,6 +38,7 @@ from nulldist.cone import (
     NONE,
     PhiReport,
     _close_bands,
+    _level_step_weights,
     all_grid_points,
     stratified_sources,
 )
@@ -988,6 +991,7 @@ class TestTimeSeparation:
             assert np.array_equal(res.rows[0], reference_time_separation_row(g, p))
             val, path = time_separation_path(g, p, q)
             assert val == res.value(p, q)  # bitwise
+            assert (val, path) == reference_time_separation_path(g, p, q)
             if val > 0:
                 positive += 1
                 assert path[0] == p and path[-1] == q
@@ -995,6 +999,46 @@ class TestTimeSeparation:
                     assert v[0] == u[0] + 1
                     assert g.causal_relation(u, v) != NONE
         assert positive >= 3
+
+    # several moves per point; the circle has exactly-null moves and the
+    # warped steps have moves that are causal only across the widest step
+    @pytest.mark.parametrize(
+        "fiber", [path_space(41, 0.5), circle_space(24, 0.5), tripod_space(8, 0.1)]
+    )
+    @pytest.mark.parametrize(
+        "warping",
+        [
+            WarpingFunction.constant(1.0, IV),
+            WarpingFunction.affine(1.0, 0.8, IV),
+            WarpingFunction.exponential(1.0, -0.6, IV),
+            WarpingFunction.cosh_type(1.0, 1.2, IV),
+            TABULATED,
+        ],
+        ids=["constant", "affine", "exponential", "cosh", "tabulated"],
+    )
+    def test_step_table_equals_the_level_formula(self, fiber, warping):
+        g = ConeGrid(IV, fiber, warping, 24)
+        src, dst, _ = g._fiber_moves()
+        table, rows, move_dist = g._step_weights()
+        for i in range(g.n_t):
+            expected = _level_step_weights(g, i, g.fiber.dist[src, dst])
+            assert np.array_equal(table[rows[i]].take(move_dist), expected)  # bitwise
+        steps = set(zip(np.diff(g.g_levels), np.diff(g.t_levels), g.f_mid))
+        assert rows.shape == (g.n_t,) and move_dist.shape == src.shape
+        assert table.shape == (len(steps), len(set(g.fiber.dist[src, dst].tolist())))
+
+    def test_grid_caches_no_level_by_move_array(self):
+        # the step table holds one row per distinct level step and one column
+        # per distinct move distance, not one entry per level and move
+        g = ConeGrid(IV, path_space(41, 1.0), WarpingFunction.cosh_type(1.0, 1.3, IV), 40)
+        time_separation(g, sources=[(0, 20), (10, 5)])
+        tris, _ = sample_timelike_triangles(g, 3, seed=7)
+        assert tris
+        n_moves = g._fiber_moves()[0].size
+        floats = [x.size for x in cached_arrays(g) if x.dtype.kind == "f"]
+        assert max(floats) < g.n_t * n_moves
+        table = g._step_weights()[0]
+        assert table.shape[0] == len(set(zip(np.diff(g.g_levels), np.diff(g.t_levels), g.f_mid)))
 
     def test_all_sources_memory_stays_bounded(self):
         # every fiber pair is causal across a level step: 90000 moves, 900
@@ -1284,6 +1328,10 @@ class TestSources:
             "g = ConeGrid(iv, path_space(31, 1.0), WarpingFunction.constant(1.0, iv), 30)\n"
             "assert stratified_sources(g, 5000, seed=1)\n"
             "print('numpy.ma' in sys.modules)\n"
+            "from nulldist import time_separation, time_separation_path\n"
+            "assert time_separation(g, [(0, 15), (4, 3)]).rows.any()\n"
+            "assert time_separation_path(g, (0, 15), (30, 12))[0] > 0\n"
+            "print('numpy.ma' in sys.modules)\n"
         )
         src = str(Path(nulldist.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -1293,7 +1341,7 @@ class TestSources:
             text=True,
             check=True,
         )
-        assert out.stdout.split() == ["False", "False"]
+        assert out.stdout.split() == ["False", "False", "False"]
 
     def test_full_matrix_guard(self):
         fiber = path_space(101, 1.0)

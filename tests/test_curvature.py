@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_accumulate, reference_time_separation_path
 
 from nulldist import (
     ConeGrid,
@@ -13,6 +14,7 @@ from nulldist import (
     path_space,
     persistence_experiment,
     sample_timelike_triangles,
+    time_separation_path,
     triangle_comparison,
     tripod_space,
 )
@@ -48,10 +50,15 @@ class TestSampling:
         tris, _ = sample_timelike_triangles(g, 5, seed=7)
         assert len(tris) == 5
         for t in tris:
-            for name, side in (("xy", t.a), ("yz", t.b), ("xz", t.c)):
+            for (u, v), name, side in (
+                ((t.x, t.y), "xy", t.a), ((t.y, t.z), "yz", t.b), ((t.x, t.z), "xz", t.c)
+            ):
                 path, acc = t.side_paths[name]
                 assert abs(_accumulate(g, path)[-1] - side) <= 1e-12
                 assert abs(acc[-1] - side) <= 1e-12
+                # the step table gives bitwise the per-step formula
+                assert reference_time_separation_path(g, u, v) == (side, path)
+                assert np.array_equal(acc, reference_accumulate(g, path))
 
     def test_count_zero(self):
         g = flat_grid(n_t=20, n_f=21)
@@ -74,6 +81,49 @@ class TestSampling:
         assert tris == []
         assert "note" in diag
         assert diag["filtered_by_size"] > 0
+
+
+class TestAccumulate:
+    @pytest.mark.parametrize(
+        "fiber,warping",
+        [
+            (circle_space(24, 1.0), WarpingFunction.affine(1.0, 0.8, IV01)),
+            (tripod_space(10, 0.3), WarpingFunction.cosh_type(1.0, 1.2, IV01)),
+            (path_space(31, 1.0), WarpingFunction.exponential(1.0, -0.6, IV01)),
+        ],
+    )
+    def test_equals_the_per_step_formula(self, fiber, warping):
+        g = ConeGrid(IV01, fiber, warping, 12)
+        rng = np.random.default_rng(3)
+        positive = 0
+        for _ in range(12):
+            p = (int(rng.integers(0, 4)), int(rng.integers(0, g.m)))
+            q = (int(rng.integers(p[0] + 4, g.n_levels)), int(rng.integers(0, g.m)))
+            val, path = time_separation_path(g, p, q)
+            if val > 0:
+                positive += 1
+                acc = _accumulate(g, path)
+                assert np.array_equal(acc, reference_accumulate(g, path))  # bitwise
+                assert abs(acc[-1] - val) <= 1e-12
+        assert positive >= 3
+
+    def test_a_step_that_is_no_move_adds_minus_infinity(self):
+        g = ConeGrid(IV01, path_space(11, 1.0), WarpingFunction.constant(1.0, IV01), 10)
+        path = [(0, 0), (1, 1), (2, 4), (3, 4)]
+        assert _accumulate(g, path).tolist() == [0.0, 0.0, -math.inf, -math.inf]
+        assert np.array_equal(_accumulate(g, path), reference_accumulate(g, path))
+        # only self-moves: the moves into 0 end where those into 1 begin,
+        # with 1 -> 1, which the step 1 -> 0 must not read
+        far = ConeGrid(IV01, path_space(3, 10.0), WarpingFunction.constant(1.0, IV01), 4)
+        assert _accumulate(far, [(0, 1), (1, 0)]).tolist() == [0.0, -math.inf]
+        assert _accumulate(far, [(0, 0), (1, 0), (2, 2)]).tolist() == [0.0, 0.25, -math.inf]
+
+    def test_an_exactly_null_step_adds_zero(self):
+        # G-gap 0.1 equals the fiber spacing, within the causal slack
+        g = ConeGrid(IV01, path_space(11, 1.0), WarpingFunction.constant(1.0, IV01), 10)
+        acc = _accumulate(g, [(0, 0), (1, 1), (2, 2), (3, 2)])
+        assert acc.tolist() == [0.0, 0.0, 0.0, float(g.t_levels[3] - g.t_levels[2])]
+        assert np.array_equal(acc, reference_accumulate(g, [(0, 0), (1, 1), (2, 2), (3, 2)]))
 
 
 class TestFlatComparison:
