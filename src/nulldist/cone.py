@@ -63,16 +63,17 @@ two adjacent levels, as minimizers of a nonlinear time function phi do where
 phi' f is smallest, would cost one pass pair per turn. A band closure moves
 such a zigzag in one step. In the band of levels k, k+1 every causal edge
 joins the two levels and costs pi[k+1] - pi[k], so closing the band is a
-shortest path over its edges, the fiber pairs causal across the step, from
-the band's current values. Band by band, the closure relaxes every edge into
-the lower level, then into the higher one, until a round changes nothing.
+shortest path over its edges, the fiber pairs causal across the step (the
+leading rows of the move index the time-separation DP reads), from the
+band's current values. Band by band, the closure relaxes every edge into the
+lower level, then into the higher one, until a round changes nothing.
 Round r reaches every path of up to 2r - 1 edges, and a shortest path on the
 band's 2m points has at most 2m - 1, so m rounds bound the loop. It is
 exact: every value it writes is the cost of a path of causal edges, so no
 value drops below the null distance. It runs once, after the fourth pass, so
 runs that settle sooner, such as phi = t or phi = 2t + 5 on a product cone,
-keep their arithmetic bit for bit; bands whose graph has no edge besides the
-self edges are skipped, since the passes already close them. The closure
+keep their arithmetic bit for bit; bands with self edges only (depth 1) are
+skipped, since the passes already close them. The closure
 lowers values on both levels of a band, and past-directed edges from those
 values are relaxed only by a descending pass, so the ascending pass right
 after it certifies nothing: such runs stop at the sixth pass at the
@@ -135,9 +136,8 @@ class ConeGrid:
         )
         self.causal_slack = 32.0 * np.finfo(float).eps * scale
         self._cover: Optional[tuple[list[np.ndarray], list[np.ndarray]]] = None
-        self._moves: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._weights: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._nbrs: Optional[list[Optional[np.ndarray]]] = None
+        self._moves: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
+        self._weights: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # -- indexing ----------------------------------------------------------
 
@@ -259,8 +259,8 @@ class ConeGrid:
         """The fiber pairs (a, c) grouped by the distance indices inv (see
         _level_tables) of (a, c), (a, c') and (c', c), with c' = relay[a, c]:
         all the cover rule reads of a pair. Returns int32 u, v, w per class,
-        sorted by u (so by distance), and the classes' flat pairs a*m + c in
-        CSR form (pairs, indptr), ascending within each class."""
+        sorted by u (so by distance), and the classes' flat pairs a*m + c,
+        class i ascending at pairs[offsets[i]:offsets[i + 1]]."""
         m = self.m
         relay = self._relays()
         u = inv.ravel()
@@ -282,7 +282,7 @@ class ConeGrid:
         v: np.ndarray,
         w: np.ndarray,
         pairs: np.ndarray,
-        indptr: np.ndarray,
+        offsets: np.ndarray,
     ) -> list[np.ndarray]:
         # level by level, with T' = min(table[k], k - 1) read once per pair
         # class: a class goes when T' = -1, when a one level down covers it
@@ -292,7 +292,7 @@ class ConeGrid:
         # are a prefix. Flat indices fit int32 under _TABLE_CAP; j = -1 wraps
         # to a valid read that j > T' then discards
         m, (n_lv, n_u) = self.m, table.shape
-        flat, sizes = table.reshape(-1), np.diff(indptr)
+        flat, sizes = table.reshape(-1), np.diff(offsets)
         ends = np.searchsorted(u, np.count_nonzero(table >= 0, axis=1)).tolist()
         index = [np.full((1, m), n_lv * m, dtype=np.int32)]
         for k in range(1, n_lv):
@@ -305,7 +305,7 @@ class ConeGrid:
             # the kept classes' pairs, sorted by pair with their level; a
             # column's entries are then contiguous
             counts = sizes[kept]
-            pos = np.repeat(indptr[kept] - (np.cumsum(counts) - counts), counts)
+            pos = np.repeat(offsets[kept] - (np.cumsum(counts) - counts), counts)
             pos += np.arange(pos.size)
             key = np.sort(pairs[pos] * n_lv + np.repeat(cur[kept].astype(np.int32), counts))
             pair = key // n_lv
@@ -318,54 +318,44 @@ class ConeGrid:
             index.append(idx)
         return index
 
-    def _fiber_moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fiber pairs (src, dst) causal across the widest level step, sorted
-        by dst and then src; returns (src, dst, indptr) with the moves into
-        dst at indptr[dst]:indptr[dst + 1]. Every dst has its self-move."""
+    def _move_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The fiber moves of every level step as (nbrs, du, depth, dist).
+        Column a of the int32 (deg, m) nbrs lists the points c causal to a
+        across the widest step, d(c, a) <= G-gap + slack, nearest first with
+        ties to the smallest index, padded with a at an infinite distance; du
+        indexes each entry's distance in dist, the ascending distinct move
+        distances and inf. A step's moves lead every column, so depth[k], the
+        rows holding step k's moves, counts the rows whose least distance
+        passes step k's test."""
         if self._moves is None:
-            gap = float(np.max(np.diff(self.g_levels)))
-            dst, src = np.nonzero(self.fiber.dist.T <= gap + self.causal_slack)
-            indptr = np.searchsorted(dst, np.arange(self.m + 1))
-            self._moves = (src, dst, indptr)
+            thr = np.diff(self.g_levels) + self.causal_slack
+            a, src = np.nonzero(self.fiber.dist.T <= thr.max())  # a ascending
+            d = self.fiber.dist[src, a]
+            order = np.lexsort((d, a))  # stable: equal distances keep src ascending
+            counts = np.bincount(a, minlength=self.m)
+            rank = np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            dist, inv = np.unique(np.append(d, np.inf), return_inverse=True)
+            nbrs = np.repeat(np.arange(self.m, dtype=np.int32)[None], counts.max(), axis=0)
+            du = np.full(nbrs.shape, dist.size - 1, dtype=np.int32)
+            nbrs[rank, a], du[rank, a] = src[order], inv[order]
+            # dist ascends, so a row's least distance is that of its least du
+            depth = np.searchsorted(dist[du.min(axis=1)], thr, side="right")
+            self._moves = (nbrs, du, depth, dist)
         return self._moves
 
-    def _step_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Step lengths of the fiber moves as (table, rows, move_dist): move e
-        on the step i -> i+1 has length table[rows[i], move_dist[e]]. A row is
-        `_level_step_weights` over the moves' distinct distances, once per
-        distinct (G-gap, dt, f_mid) step, since the formula reads nothing else
-        of the level; move_dist indexes those distances."""
+    def _step_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Step lengths of the fiber moves as (table, rows): entry (r, a) of
+        the move index has length table[rows[i], du[r, a]] on the step
+        i -> i+1 (-inf on the padding). A row is `_level_step_weights` over
+        the index's distances, once per distinct (G-gap, dt, f_mid) step,
+        since the formula reads nothing else of the level."""
         if self._weights is None:
-            src, dst, _ = self._fiber_moves()
-            dist, move_dist = np.unique(self.fiber.dist[src, dst], return_inverse=True)
+            dist = self._move_index()[3]
             steps = np.stack([np.diff(self.g_levels), np.diff(self.t_levels), self.f_mid], axis=1)
             _, first, rows = np.unique(steps, axis=0, return_index=True, return_inverse=True)
             table = np.stack([_level_step_weights(self, i, dist) for i in first.tolist()])
-            self._weights = (table, rows, move_dist.astype(np.int32))
+            self._weights = (table, rows)
         return self._weights
-
-    def _band_neighbours(self) -> list[Optional[np.ndarray]]:
-        """Per band k, k+1: the fiber graph joining pairs causal across that
-        level step (the sweep tables' own test d <= |G[k+1] - G[k]| + slack)
-        as an int32 (deg, m) index, column a listing the neighbours of a, a
-        itself among them and as padding; None when the graph has no edge
-        off the diagonal. The graphs are thresholds of one distance matrix,
-        so equal edge counts mean equal graphs, and bands with the same graph
-        share one index."""
-        if self._nbrs is None:
-            d = self.fiber.dist
-            thr = np.abs(np.diff(self.g_levels)) + self.causal_slack
-            n_edges = np.searchsorted(np.sort(d, axis=None), thr, side="right").tolist()
-            shared = {}
-            for k, n in enumerate(n_edges):
-                if n > self.m and n not in shared:
-                    a, c = np.nonzero(d <= thr[k])
-                    counts = np.bincount(a, minlength=self.m)
-                    nbrs = np.repeat(np.arange(self.m, dtype=np.int32)[None], counts.max(), axis=0)
-                    nbrs[np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts), a] = c
-                    shared[n] = nbrs
-            self._nbrs = [shared.get(n) for n in n_edges]
-        return self._nbrs
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +531,17 @@ def _close_bands(grid: ConeGrid, val: np.ndarray, pi: np.ndarray) -> None:
     """Close each band k, k+1 of val, in ascending order, by shortest paths
     over its edges of cost pi[k+1] - pi[k] (module docstring): a round
     relaxes every edge into level k, then every edge into level k + 1. The
-    gathers run in blocks of band points, each under _GATHER_CAP entries
-    unless one point's neighbours over all columns exceed it."""
+    band's graph is the move index's first depth[k] rows, the entries of
+    distances beyond the step's first n_dist[k] padded with their column's
+    point. The gathers run in blocks of band points, each under _GATHER_CAP
+    entries unless one point's neighbours over all columns exceed it."""
     m, b = grid.m, val.shape[2]
-    for k, nbrs in enumerate(grid._band_neighbours()):
-        if nbrs is None:  # self edges only: the passes close the band
+    moves, du, depth, dist = grid._move_index()
+    n_dist = np.searchsorted(dist, np.diff(grid.g_levels) + grid.causal_slack, side="right")
+    for k, deg in enumerate(depth.tolist()):
+        if deg == 1:  # self edges only: the passes close the band
             continue
+        nbrs = np.where(du[:deg] < n_dist[k], moves[:deg], np.arange(m, dtype=np.int32))
         step = pi[k + 1] - pi[k]
         block = max(1, _GATHER_CAP // (nbrs.shape[0] * b))  # band points per block
         for _ in range(m):
@@ -667,18 +662,17 @@ def _dp_levels(
     -inf where no causal chain arrives. A source's column enters with 0 at
     its own point on its own level and is not stepped before.
 
-    A level step is one gather over the fiber move list and a
-    `np.maximum.reduceat` per destination, in column blocks of bounded
-    gather size; the moves' step lengths are one take from the grid's step
-    table (`ConeGrid._step_weights`).
+    A level step gathers the move index's first depth[i] rows, which hold
+    the step's moves, in column blocks of bounded gather size, adds their
+    step lengths from the grid's step table (-inf off the step's moves) and
+    takes the maximum down each column.
     """
-    src, _, indptr = grid._fiber_moves()
-    table, rows, move_dist = grid._step_weights()
+    nbrs, du, depth, _ = grid._move_index()
+    table, rows = grid._step_weights()
     levels = np.array([i for i, _ in sources], dtype=int)
     order = np.argsort(levels, kind="stable")
     levels = levels[order]
     fibers = np.array([sources[s][1] for s in order], dtype=int)
-    block = max(1, _GATHER_CAP // src.size)
     first = int(levels.min(initial=top + 1))
     counts = np.searchsorted(levels, np.arange(first, top + 1), side="right").tolist()
     val = np.empty((grid.m, 0))
@@ -686,11 +680,13 @@ def _dp_levels(
         n = val.shape[1]
         nxt = np.empty((grid.m, k))
         if n:
-            w = table[rows[i - 1]].take(move_dist)[:, None]
+            d = depth[i - 1]
+            w = table[rows[i - 1]].take(du[:d])[..., None]
+            block = max(1, _GATHER_CAP // w.size)
             for lo in range(0, n, block):
-                cand = val[src, lo : lo + block]
+                cand = val[:, lo : lo + block].take(nbrs[:d], axis=0)
                 cand += w
-                nxt[:, lo : lo + cand.shape[1]] = np.maximum.reduceat(cand, indptr[:-1], axis=0)
+                nxt[:, lo : lo + cand.shape[2]] = cand.max(axis=0)
         if k > n:
             nxt[:, n:] = -np.inf
             nxt[fibers[n:k], np.arange(n, k)] = 0.0
@@ -724,8 +720,9 @@ def time_separation_path(
     value is zero and the pair is not a trivial/causal-start pair).
 
     The path is read back from the values of `_dp_levels` up to the level of
-    q: at each level the predecessor is the smallest fiber index whose value
-    plus step length meets the current value within 1e-12.
+    q: at each level the predecessor is the smallest fiber index in the
+    current point's column of the move index whose value plus step length
+    meets the current value within 1e-12.
     """
     i0, j0 = map(int, p)
     i1, j1 = map(int, q)
@@ -739,18 +736,17 @@ def time_separation_path(
     total = vals[-1, j1]
     if not math.isfinite(total):
         return 0.0, []
-    src, _, indptr = grid._fiber_moves()
-    table, rows, move_dist = grid._step_weights()
+    nbrs, du, _, _ = grid._move_index()
+    table, rows = grid._step_weights()
     path = [(i1, j1)]
     cur = j1
     for i in range(i1 - 1, i0 - 1, -1):
-        into = slice(indptr[cur], indptr[cur + 1])
-        prev = src[into]
-        cand = vals[i - i0, prev] + table[rows[i]].take(move_dist[into])
-        hit = np.nonzero(np.isfinite(cand) & (np.abs(cand - vals[i - i0 + 1, cur]) <= 1e-12))[0]
+        prev = nbrs[:, cur]
+        cand = vals[i - i0, prev] + table[rows[i]].take(du[:, cur])
+        hit = prev[np.isfinite(cand) & (np.abs(cand - vals[i - i0 + 1, cur]) <= 1e-12)]
         if hit.size == 0:
             raise RuntimeError("backtracking lost the maximizing path")
-        cur = int(prev[hit[0]])
+        cur = int(hit.min())
         path.append((i, cur))
     return float(max(total, 0.0)), path[::-1]
 

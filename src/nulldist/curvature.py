@@ -66,15 +66,14 @@ class CurvatureVerdict:
 
 def _accumulate(grid: ConeGrid, path: list) -> np.ndarray:
     """Accumulated single-step segment lengths along a DP path, read from the
-    grid's step table; a step j -> k that is no fiber move is not causal on
-    any level and adds -inf."""
-    src, _, indptr = grid._fiber_moves()
-    table, rows, move_dist = grid._step_weights()
+    grid's step table at the first entry of j in column k of the move index
+    (its padding k comes last); a step j -> k that is no move adds -inf."""
+    nbrs, du, _, _ = grid._move_index()
+    table, rows = grid._step_weights()
     acc = [0.0]
     for (i, j), (_, k) in zip(path, path[1:]):
-        lo, hi = indptr[k], indptr[k + 1]
-        e = lo + int(np.searchsorted(src[lo:hi], j))
-        w = table[rows[i], move_dist[e]] if e < hi and src[e] == j else -np.inf
+        r = np.flatnonzero(nbrs[:, k] == j)
+        w = table[rows[i], du[r[0], k]] if r.size else -np.inf
         acc.append(acc[-1] + float(w))
     return np.asarray(acc)
 

@@ -85,15 +85,18 @@ def dense_lift_distortion(lifted, fiber_a, fiber_b, t_grid) -> float:
 def reference_time_separation_path(grid, p, q):
     """The DP maximizer from p to q with every step length recomputed by
     `_level_step_weights` from the moves' fiber distances: the values level
-    by level over the fiber move list, then the backtrack to the smallest
-    predecessor whose value plus step length meets the current value within
-    1e-12."""
+    by level over a move list of its own, the fiber pairs (src, dst) causal
+    across the widest level step sorted by dst and then src, then the
+    backtrack to the smallest predecessor whose value plus step length meets
+    the current value within 1e-12."""
     (i0, j0), (i1, j1) = p, q
     if p == q:
         return 0.0, [p]
     if i1 < i0:
         return 0.0, []
-    src, dst, indptr = grid._fiber_moves()
+    gap = float(np.max(np.diff(grid.g_levels)))
+    dst, src = np.nonzero(grid.fiber.dist.T <= gap + grid.causal_slack)
+    indptr = np.searchsorted(dst, np.arange(grid.m + 1))
     dist = grid.fiber.dist[src, dst]
     vals = np.full((i1 - i0 + 1, grid.m), -np.inf)
     vals[0, j0] = 0.0

@@ -36,10 +36,30 @@ def test_traced_name_resolves(module, attr):
         assert callable(getattr(owner, attr))
 
 
-def test_private_helpers_the_workloads_call():
-    from nulldist import curvature
+def test_timelike_triangles_call_shapes():
+    # timelike-triangles calls sample_timelike_triangles with a positional
+    # size bound, _triangle_from_vertices with three vertices,
+    # triangle_comparison with seven positional arguments (a shared rho
+    # cache last) and with six, and time_separation with keyword sources
+    from nulldist import cone, curvature, metric_core
+    from nulldist.warping import Interval, WarpingFunction
 
-    assert callable(curvature._triangle_from_vertices)
+    iv = Interval(0.0, 1.0)
+    grid = cone.ConeGrid(iv, metric_core.path_space(9, 0.5), WarpingFunction.constant(1.0, iv), 16)
+    tris, diag = curvature.sample_timelike_triangles(grid, 2, 7, 2.0)
+    assert len(tris) == diag["found"] == 2
+    tri = curvature._triangle_from_vertices(grid, (0, 0), (8, 4), (16, 8))
+    assert tri is not None and tri.vertices() == ((0, 0), (8, 4), (16, 8))
+    cache = {}
+    for t in tris + [tri]:
+        for direction in ("lower", "upper"):
+            verdict = curvature.triangle_comparison(grid, t, 0.0, direction, 5, 0.05, cache)
+            assert verdict.n_probes == 5 and verdict.direction == direction
+    assert cache
+    verdict = curvature.triangle_comparison(grid, tri, 0.0, "lower", 5, 0.05)
+    assert isinstance(verdict.passed, bool) and verdict.worst_witness is not None
+    res = cone.time_separation(grid, sources=[(0, 4)])
+    assert res.rows.shape == (1, grid.n_points) and res.value((0, 4), (16, 4)) > 0
 
 
 def test_null_sweeps_guarantee_and_phi_calls():

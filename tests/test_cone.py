@@ -554,28 +554,40 @@ class TestBandClosure:
         # band graph. f runs from 0.1 to 1.1: band graphs from several hops
         # wide down to self edges only
         g = ConeGrid(IV, fiber, WarpingFunction.affine(0.1, 1.0, IV), 40)
-        m, shared, split = g.m, {}, False
-        for k, nbrs in enumerate(g._band_neighbours()):
+        m, graphs, split = g.m, set(), False
+        nbrs, du, depth, dist = g._move_index()
+        assert nbrs.dtype == du.dtype == np.int32 and nbrs.shape == du.shape
+        own = np.arange(m)
+        for k in range(g.n_t):
             adj = fiber.dist <= abs(g.g_levels[k + 1] - g.g_levels[k]) + g.causal_slack
-            if nbrs is None:
+            counts = adj.sum(axis=0)
+            assert depth[k] == counts.max()
+            if depth[k] == 1:
                 assert np.array_equal(adj, np.eye(m, dtype=bool))
                 continue
-            # column a lists exactly the neighbours of a, padded with a
-            assert nbrs.dtype == np.int32
-            listed = np.zeros((m, m), dtype=bool)
-            listed[np.arange(m), nbrs] = True
-            assert np.array_equal(listed, adj)
-            assert np.all(np.any(nbrs == np.arange(m), axis=0))
-            shared.setdefault(adj.tobytes(), set()).add(id(nbrs))
+            # the band's graph is the index prefix: column a lists the
+            # neighbours of a nearest first, ties to the smaller index, and
+            # every later entry of the prefix is no edge of the band, which
+            # the closure pads with a
+            prefix, near = nbrs[: depth[k]], dist[du[: depth[k]]]
+            for a in range(m):
+                want = sorted(np.nonzero(adj[:, a])[0], key=lambda c: (fiber.dist[c, a], c))
+                assert prefix[: counts[a], a].tolist() == want
+                assert np.array_equal(near[: counts[a], a], fiber.dist[want, a])
+                rest = near[counts[a] :, a]
+                assert np.all(rest > abs(g.g_levels[k + 1] - g.g_levels[k]) + g.causal_slack)
+            graphs.add(adj.tobytes())
             split |= bool(np.any(bfs_hops(adj) < 0))
-        # one index per distinct graph, and several graphs
-        assert len(shared) > 1 and all(len(ids) == 1 for ids in shared.values())
-        assert len({i for ids in shared.values() for i in ids}) == len(shared)
+        # several graphs, all read from one index
+        assert len(graphs) > 1
         if fiber is IRREGULAR:
             # close points join every band somewhere, and far ones split it
             assert split
         else:
-            assert any(nbrs is None for nbrs in g._band_neighbours())
+            assert np.any(depth == 1)
+        # the padding repeats the column's own point at the infinite distance
+        pad = du == dist.size - 1
+        assert np.isinf(dist[-1]) and np.all(nbrs[pad] == np.broadcast_to(own, nbrs.shape)[pad])
         # arbitrary band values, some unreached, and the values of two pass
         # pairs, as the engine closes them
         rng = np.random.default_rng(2)
@@ -598,8 +610,8 @@ class TestBandClosure:
         # to every point, so deg * m > _GATHER_CAP; one gather of the whole
         # band over a batch of 64 columns would take 46 MB
         g = ConeGrid(IV, path_space(301, 1.0), WarpingFunction.constant(1.0, IV), 2)
-        nbrs = g._band_neighbours()
-        assert nbrs[0] is nbrs[1] and nbrs[0].shape[0] * g.m > _GATHER_CAP
+        depth = g._move_index()[2]
+        assert depth[0] == depth[1] and depth[0] * g.m > _GATHER_CAP
         rng = np.random.default_rng(4)
         val = rng.uniform(0.0, 2.0, (g.n_levels, g.m, _BATCH))
         val[rng.random(val.shape) < 0.2] = np.inf
@@ -632,7 +644,7 @@ class TestBandClosure:
         sources = [points[i] for i in sorted(pick)]
         res = null_distance(g, sources, weight_levels=pi)
         assert res.sweeps[0] >= 3
-        assert any(nbrs is not None for nbrs in g._band_neighbours())
+        assert np.any(g._move_index()[2] > 1)
         oracle = dijkstra_rows(causal_weights(g, pi), [g.node(*p) for p in sources])
         assert np.abs(res.rows - oracle).max() <= 1e-12
 
@@ -649,7 +661,7 @@ class TestBandClosure:
         g = small_grid(n_t=16, n_f=17)
         res = null_distance(g)
         assert set(res.sweeps) == {2}
-        assert g._nbrs is None
+        assert g._moves is None
 
 
 class TestStopRule:
@@ -1018,27 +1030,69 @@ class TestTimeSeparation:
     )
     def test_step_table_equals_the_level_formula(self, fiber, warping):
         g = ConeGrid(IV, fiber, warping, 24)
-        src, dst, _ = g._fiber_moves()
-        table, rows, move_dist = g._step_weights()
+        nbrs, du, _, dist = g._move_index()
+        table, rows = g._step_weights()
+        # every index entry at its own fiber distance, the padding at inf
+        real = du < dist.size - 1
+        d = np.where(real, g.fiber.dist[nbrs, np.arange(g.m)], np.inf)
+        assert np.array_equal(dist[du], d)
         for i in range(g.n_t):
-            expected = _level_step_weights(g, i, g.fiber.dist[src, dst])
-            assert np.array_equal(table[rows[i]].take(move_dist), expected)  # bitwise
+            expected = _level_step_weights(g, i, d)
+            assert np.array_equal(table[rows[i]].take(du), expected)  # bitwise
+            assert np.all(expected[~real] == -np.inf)
         steps = set(zip(np.diff(g.g_levels), np.diff(g.t_levels), g.f_mid))
-        assert rows.shape == (g.n_t,) and move_dist.shape == src.shape
-        assert table.shape == (len(steps), len(set(g.fiber.dist[src, dst].tolist())))
+        assert rows.shape == (g.n_t,) and du.shape == nbrs.shape
+        assert table.shape == (len(steps), len(set(d[real].tolist())) + 1)
 
     def test_grid_caches_no_level_by_move_array(self):
         # the step table holds one row per distinct level step and one column
-        # per distinct move distance, not one entry per level and move
+        # per distinct move distance, not one entry per level and move, and
+        # the DP, its backtrack, the accumulations and the band closure read
+        # one move index: no copy of it per level step or per band
         g = ConeGrid(IV, path_space(41, 1.0), WarpingFunction.cosh_type(1.0, 1.3, IV), 40)
         time_separation(g, sources=[(0, 20), (10, 5)])
         tris, _ = sample_timelike_triangles(g, 3, seed=7)
         assert tris
-        n_moves = g._fiber_moves()[0].size
+        res = null_distance(g, [(0, 0), (20, 20), (40, 40)], weight_levels=g.t_levels**2 + g.t_levels)
+        assert max(res.sweeps) >= 3  # the bands were closed
+        du, dist = g._moves[1], g._moves[3]
+        n_moves = np.count_nonzero(du < dist.size - 1)
         floats = [x.size for x in cached_arrays(g) if x.dtype.kind == "f"]
         assert max(floats) < g.n_t * n_moves
-        table = g._step_weights()[0]
+        table, rows = g._weights
         assert table.shape[0] == len(set(zip(np.diff(g.g_levels), np.diff(g.t_levels), g.f_mid)))
+        # the level arrays, the sweeps' cover index, the move index and the
+        # step table: nothing else
+        held = [g.t_levels, g.g_levels, g.f_mid, *g._moves, *g._weights, *g._cover[0], *g._cover[1]]
+        assert sorted(map(id, cached_arrays(g))) == sorted(map(id, held))
+
+    @pytest.mark.parametrize(
+        "warping",
+        [
+            WarpingFunction.cosh_type(1.0, 1.3, IV),
+            WarpingFunction.affine(1.0, 0.8, IV),
+            WarpingFunction.exponential(1.0, -0.6, IV),
+        ],
+        ids=["cosh", "affine", "exponential"],
+    )
+    def test_each_step_gathers_its_own_moves(self, warping):
+        # the DP reads the first depth[k] rows of the move index on step k:
+        # all of that step's moves and few others, where the widest step's
+        # move list read 14-27 % -inf weights on these grids
+        g = ConeGrid(IV, path_space(201, 1.0), warping, 40)
+        nbrs, du, depth, dist = g._move_index()
+        table, rows = g._step_weights()
+        d = np.where(du < dist.size - 1, g.fiber.dist[nbrs, np.arange(g.m)], np.inf)
+        read = no_move = 0
+        for k in range(g.n_t):
+            thr = g.g_levels[k + 1] - g.g_levels[k] + g.causal_slack
+            assert depth[k] == (g.fiber.dist <= thr).sum(axis=0).max()
+            assert not np.any(d[depth[k] :] <= thr)
+            w = table[rows[k]].take(du[: depth[k]])
+            read += w.size
+            no_move += np.count_nonzero(w == -np.inf)
+        assert len(set(depth.tolist())) > 1
+        assert no_move / read < 0.03
 
     def test_all_sources_memory_stays_bounded(self):
         # every fiber pair is causal across a level step: 90000 moves, 900
