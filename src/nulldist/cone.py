@@ -82,6 +82,7 @@ earliest.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -694,6 +695,17 @@ def _dp_levels(
         yield i, order[:k], val
 
 
+def _dp_rows(grid: ConeGrid, sources: Sequence[tuple[int, int]], top: int) -> np.ndarray:
+    """The values of `_dp_levels` up to level `top` as raw (len(sources),
+    n_points) rows: -inf where no causal chain arrives, on every point below
+    a source's own level and on every level above `top`."""
+    m = grid.m
+    rows = np.full((len(sources), grid.n_points), -np.inf)
+    for i, cols, val in _dp_levels(grid, sources, top):
+        rows[cols, i * m : (i + 1) * m] = val.T
+    return rows
+
+
 def time_separation(
     grid: ConeGrid, sources: Optional[Sequence[tuple[int, int]]] = None
 ) -> TimeSeparationResult:
@@ -705,12 +717,48 @@ def time_separation(
     chronological pair. One pass over the levels serves every source.
     """
     sources = _resolve_sources(grid, sources)
-    m = grid.m
-    rows = np.zeros((len(sources), grid.n_points))
-    for i, cols, val in _dp_levels(grid, sources, grid.n_t):
-        rows[cols, i * m : (i + 1) * m] = val.T
+    rows = _dp_rows(grid, sources, grid.n_t)
     np.maximum(rows, 0.0, out=rows)
     return TimeSeparationResult(grid, tuple(sources), rows)
+
+
+def _read_back(
+    grid: ConeGrid, row: np.ndarray, p: tuple[int, int], q: tuple[int, int]
+) -> tuple[float, list[tuple[int, int]], np.ndarray]:
+    """A maximizing single-step path from p to q read back from p's raw DP
+    row (from `_dp_rows`, up to at least q's level; -inf below p's level) as
+    (value, path, acc).
+
+    At each level the predecessor is the smallest fiber index in the current
+    point's column of the move index whose value plus step length meets the
+    current value within 1e-12. acc holds the running sums of the step
+    lengths of the path, read from the grid's step table at the hits, added
+    front to back from 0. When no chain reaches q the result is (0.0, [],
+    an empty acc); p itself gives (0.0, [p], [0.0]).
+    """
+    i0, (i1, j1) = int(p[0]), map(int, q)
+    m = grid.m
+    total = row[i1 * m + j1]
+    if not math.isfinite(total):
+        return 0.0, [], np.empty(0)
+    nbrs, du, _, _ = grid._move_index()
+    table, rows = grid._step_weights()
+    path = [(i1, j1)]
+    steps = []
+    cur = j1
+    for i in range(i1 - 1, i0 - 1, -1):
+        prev = nbrs[:, cur]
+        w = table[rows[i]].take(du[:, cur])
+        cand = row[i * m + prev] + w
+        hit = np.flatnonzero(np.isfinite(cand) & (np.abs(cand - row[(i + 1) * m + cur]) <= 1e-12))
+        if hit.size == 0:
+            raise RuntimeError("backtracking lost the maximizing path")
+        r = hit[np.argmin(prev[hit])]
+        cur = int(prev[r])
+        path.append((i, cur))
+        steps.append(float(w[r]))
+    acc = np.array(list(itertools.accumulate(steps[::-1], initial=0.0)))
+    return float(max(total, 0.0)), path[::-1], acc
 
 
 def time_separation_path(
@@ -719,36 +767,14 @@ def time_separation_path(
     """One maximizing single-step path realizing the DP value (empty when the
     value is zero and the pair is not a trivial/causal-start pair).
 
-    The path is read back from the values of `_dp_levels` up to the level of
-    q: at each level the predecessor is the smallest fiber index in the
-    current point's column of the move index whose value plus step length
-    meets the current value within 1e-12.
+    One DP run from p up to the level of q (`_dp_rows`), then the path is
+    read back from that row by `_read_back`.
     """
-    i0, j0 = map(int, p)
-    i1, j1 = map(int, q)
-    grid._check_point(i0, j0)
-    grid._check_point(i1, j1)
-    if (i0, j0) == (i1, j1):
-        return 0.0, [(i0, j0)]
-    if i1 < i0:
-        return 0.0, []
-    vals = np.array([val[:, 0] for _, _, val in _dp_levels(grid, [(i0, j0)], i1)])
-    total = vals[-1, j1]
-    if not math.isfinite(total):
-        return 0.0, []
-    nbrs, du, _, _ = grid._move_index()
-    table, rows = grid._step_weights()
-    path = [(i1, j1)]
-    cur = j1
-    for i in range(i1 - 1, i0 - 1, -1):
-        prev = nbrs[:, cur]
-        cand = vals[i - i0, prev] + table[rows[i]].take(du[:, cur])
-        hit = prev[np.isfinite(cand) & (np.abs(cand - vals[i - i0 + 1, cur]) <= 1e-12)]
-        if hit.size == 0:
-            raise RuntimeError("backtracking lost the maximizing path")
-        cur = int(hit.min())
-        path.append((i, cur))
-    return float(max(total, 0.0)), path[::-1]
+    p, q = tuple(map(int, p)), tuple(map(int, q))
+    grid._check_point(*p)
+    grid._check_point(*q)
+    value, path, _ = _read_back(grid, _dp_rows(grid, [p], q[0])[0], p, q)
+    return value, path
 
 
 # ---------------------------------------------------------------------------

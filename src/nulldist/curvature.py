@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cone import ConeGrid, time_separation, time_separation_path
+from .cone import ConeGrid, _dp_rows, _read_back, time_separation
 from .errors import InvalidInputError, ModelConstraintError, ParameterError
 from .metric_core import (
     GH_SIZE_CAP,
@@ -64,35 +64,33 @@ class CurvatureVerdict:
         return self.passed
 
 
-def _accumulate(grid: ConeGrid, path: list) -> np.ndarray:
-    """Accumulated single-step segment lengths along a DP path, read from the
-    grid's step table at the first entry of j in column k of the move index
-    (its padding k comes last); a step j -> k that is no move adds -inf."""
-    nbrs, du, _, _ = grid._move_index()
-    table, rows = grid._step_weights()
-    acc = [0.0]
-    for (i, j), (_, k) in zip(path, path[1:]):
-        r = np.flatnonzero(nbrs[:, k] == j)
-        w = table[rows[i], du[r[0], k]] if r.size else -np.inf
-        acc.append(acc[-1] + float(w))
-    return np.asarray(acc)
-
-
-def _triangle_from_vertices(
-    grid: ConeGrid, x: tuple, y: tuple, z: tuple
+def _triangle(
+    grid: ConeGrid, x: tuple, y: tuple, z: tuple, row_of: Callable[[tuple], np.ndarray]
 ) -> Optional[TimelikeTriangle]:
+    """The triangle x, y, z with its sides read back from the raw DP rows of x
+    and y that `row_of` returns (None unless every side is positive)."""
     sides = {}
     lengths = {}
     for name, (p, q) in (("xy", (x, y)), ("yz", (y, z)), ("xz", (x, z))):
-        val, path = time_separation_path(grid, p, q)
-        if val <= 0 or not path:
+        val, path, acc = _read_back(grid, row_of(p), p, q)
+        if val <= 0:
             return None
-        sides[name] = (path, _accumulate(grid, path))
+        sides[name] = (path, acc)
         lengths[name] = val
     return TimelikeTriangle(
         tuple(x), tuple(y), tuple(z),
         lengths["xy"], lengths["yz"], lengths["xz"], sides,
     )
+
+
+def _triangle_from_vertices(
+    grid: ConeGrid, x: tuple, y: tuple, z: tuple
+) -> Optional[TimelikeTriangle]:
+    """The triangle x, y, z from one DP run over the sources x and y."""
+    for i, j in (x, y, z):
+        grid._check_point(int(i), int(j))
+    rows = dict(zip((tuple(x), tuple(y)), _dp_rows(grid, [x, y], grid.n_t)))
+    return _triangle(grid, x, y, z, lambda p: rows[tuple(p)])
 
 
 def sample_timelike_triangles(
@@ -115,8 +113,10 @@ def sample_timelike_triangles(
     row_cache: dict[tuple, np.ndarray] = {}
 
     def rho_row(p: tuple) -> np.ndarray:
+        # raw rows (-inf off the future) pass the > 0 tests where clamped rows
+        # do, and the sides of an admitted triangle are read back from them
         if p not in row_cache:
-            row_cache[p] = time_separation(grid, sources=[p]).rows[0]
+            row_cache[p] = _dp_rows(grid, [p], grid.n_t)[0]
         return row_cache[p]
 
     def admit(x: tuple, y: tuple, z: tuple) -> None:
@@ -125,7 +125,7 @@ def sample_timelike_triangles(
             return
         if rho_row(x)[grid.node(*z)] <= 0:
             return
-        tri = _triangle_from_vertices(grid, x, y, z)
+        tri = _triangle(grid, x, y, z, rho_row)
         if tri is None:
             return
         if size_bound is not None and max(tri.a, tri.b, tri.c) >= size_bound:
@@ -221,28 +221,28 @@ def triangle_comparison(
         raise ParameterError(f"n_probe must be at least 1, got {n_probe!r}")
     model = realize_timelike_triangle(bound, tri.a, tri.b, tri.c)
     cache = rho_cache if rho_cache is not None else {}
-
-    def rho(p: tuple, q: tuple) -> float:
-        if p[0] > q[0]:
-            return 0.0
-        if p not in cache:
-            cache[p] = time_separation(grid, sources=[p]).rows[0]
-        return float(cache[p][grid.node(*q)])
+    probes = []
+    for side_a, frac_a, side_b, frac_b in _PROBE_SCHEME[:n_probe]:
+        p, s_a, err_a = _snap(tri, side_a, frac_a)
+        q, s_b, err_b = _snap(tri, side_b, frac_b)
+        probes.append((p, q, side_a, s_a, side_b, s_b, err_a + err_b))
+    # the earlier probe of a pair is its source: one DP run for those not cached
+    sources = dict.fromkeys(p if p[0] <= q[0] else q for p, q, *_ in probes)
+    missing = [s for s in sources if s not in cache]
+    if missing:
+        cache.update(zip(missing, time_separation(grid, sources=missing).rows))
 
     worst = None
     worst_adjusted = math.inf
     n_done = 0
-    for side_a, frac_a, side_b, frac_b in _PROBE_SCHEME[:n_probe]:
-        p, s_a, err_a = _snap(tri, side_a, frac_a)
-        q, s_b, err_b = _snap(tri, side_b, frac_b)
-        slack = err_a + err_b
+    for p, q, side_a, s_a, side_b, s_b, slack in probes:
         p_model = point_on_side(model, side_a, min(s_a, model.side_length(side_a)))
         q_model = point_on_side(model, side_b, min(s_b, model.side_length(side_b)))
         if p[0] <= q[0]:
-            rho_cone = rho(p, q)
+            rho_cone = float(cache[p][grid.node(*q)])
             rho_model = l2k_time_separation(bound, p_model, q_model)
         else:
-            rho_cone = rho(q, p)
+            rho_cone = float(cache[q][grid.node(*p)])
             rho_model = l2k_time_separation(bound, q_model, p_model)
         margin = (rho_model - rho_cone) if direction == LOWER else (rho_cone - rho_model)
         n_done += 1
@@ -274,14 +274,19 @@ def dp_refinement_error(
     if grid.n_t % 2 or grid.n_t < 2:
         raise ParameterError("need an even t-resolution to halve")
     coarse = ConeGrid(grid.interval, grid.fiber, grid.warping, grid.n_t // 2)
+    pairs = [(p, q) for p, q in pairs if p[0] % 2 == 0 and q[0] % 2 == 0]
+    if not pairs:
+        return 0.0
+
+    def half(v) -> tuple:
+        return (v[0] // 2, v[1])
+
+    # one DP run per grid over the sources of every pair
+    fine = time_separation(grid, sources=list(dict.fromkeys(tuple(p) for p, _ in pairs)))
+    rough = time_separation(coarse, sources=list(dict.fromkeys(half(p) for p, _ in pairs)))
     worst = 0.0
     for p, q in pairs:
-        if p[0] % 2 or q[0] % 2:
-            continue
-        fine_val = time_separation(grid, sources=[p]).value(p, q)
-        cp, cq = (p[0] // 2, p[1]), (q[0] // 2, q[1])
-        coarse_val = time_separation(coarse, sources=[cp]).value(cp, cq)
-        worst = max(worst, abs(fine_val - coarse_val))
+        worst = max(worst, abs(fine.value(p, q) - rough.value(half(p), half(q))))
     return worst
 
 

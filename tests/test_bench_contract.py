@@ -50,6 +50,9 @@ def test_timelike_triangles_call_shapes():
     assert len(tris) == diag["found"] == 2
     tri = curvature._triangle_from_vertices(grid, (0, 0), (8, 4), (16, 8))
     assert tri is not None and tri.vertices() == ((0, 0), (8, 4), (16, 8))
+    # the sampler reads its sides back from its cached rows; the three-vertex
+    # call runs its own DP and must give the same triangle
+    assert repr(curvature._triangle_from_vertices(grid, *tris[0].vertices())) == repr(tris[0])
     cache = {}
     for t in tris + [tri]:
         for direction in ("lower", "upper"):

@@ -38,6 +38,7 @@ from nulldist.cone import (
     NONE,
     PhiReport,
     _close_bands,
+    _dp_rows,
     _level_step_weights,
     all_grid_points,
     stratified_sources,
@@ -1011,6 +1012,32 @@ class TestTimeSeparation:
                     assert v[0] == u[0] + 1
                     assert g.causal_relation(u, v) != NONE
         assert positive >= 3
+
+    @pytest.mark.parametrize(
+        "fiber,warping,n_t,n_src",
+        [
+            (circle_space(24, 1.0), WarpingFunction.cosh_type(1.0, 1.2, IV), 16, 12),
+            (tripod_space(10, 0.3), WarpingFunction.affine(1.0, 0.8, IV), 16, 12),
+            (path_space(31, 1.0), WarpingFunction.exponential(1.0, -0.6, IV), 16, 12),
+            # wide enough that a level step gathers its columns in blocks
+            (path_space(201, 1.0), WarpingFunction.cosh_type(1.0, 1.2, IV), 40, 48),
+        ],
+    )
+    def test_multi_source_rows_equal_the_single_source_rows(self, fiber, warping, n_t, n_src):
+        # the triangle pipeline batches probe sources into one DP run: the
+        # columns are independent and max is exact, so each row is bitwise
+        # the row of a run from its source alone
+        g = ConeGrid(IV, fiber, warping, n_t)
+        rng = np.random.default_rng(8)
+        srcs = [(int(rng.integers(0, n_t // 2)), int(rng.integers(0, g.m))) for _ in range(n_src)]
+        _, _, depth, _ = g._move_index()
+        if g.m > 100:
+            assert _GATHER_CAP // (int(depth.max()) * g.m) < n_src
+        raw = _dp_rows(g, srcs, g.n_t)
+        res = time_separation(g, sources=srcs)
+        for s, p in enumerate(srcs):
+            assert raw[s].tobytes() == _dp_rows(g, [p], g.n_t)[0].tobytes()
+            assert res.rows[s].tobytes() == time_separation(g, sources=[p]).rows[0].tobytes()
 
     # several moves per point; the circle has exactly-null moves and the
     # warped steps have moves that are causal only across the widest step

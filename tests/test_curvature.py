@@ -18,7 +18,9 @@ from nulldist import (
     triangle_comparison,
     tripod_space,
 )
-from nulldist.curvature import _accumulate, _triangle_from_vertices, dp_refinement_error
+from nulldist import cone
+from nulldist.cone import _dp_rows, _read_back, all_grid_points, time_separation
+from nulldist.curvature import _triangle_from_vertices, dp_refinement_error
 from nulldist.errors import ModelConstraintError, ParameterError
 
 IV01 = Interval(0.0, 1.0)
@@ -54,7 +56,6 @@ class TestSampling:
                 ((t.x, t.y), "xy", t.a), ((t.y, t.z), "yz", t.b), ((t.x, t.z), "xz", t.c)
             ):
                 path, acc = t.side_paths[name]
-                assert abs(_accumulate(g, path)[-1] - side) <= 1e-12
                 assert abs(acc[-1] - side) <= 1e-12
                 # the step table gives bitwise the per-step formula
                 assert reference_time_separation_path(g, u, v) == (side, path)
@@ -83,7 +84,13 @@ class TestSampling:
         assert diag["filtered_by_size"] > 0
 
 
+def read_back(g, p, q):
+    return _read_back(g, _dp_rows(g, [p], g.n_t)[0], p, q)
+
+
 class TestAccumulate:
+    """Step lengths accumulated by the read-back of a DP row."""
+
     @pytest.mark.parametrize(
         "fiber,warping",
         [
@@ -99,31 +106,93 @@ class TestAccumulate:
         for _ in range(12):
             p = (int(rng.integers(0, 4)), int(rng.integers(0, g.m)))
             q = (int(rng.integers(p[0] + 4, g.n_levels)), int(rng.integers(0, g.m)))
-            val, path = time_separation_path(g, p, q)
+            val, path, acc = read_back(g, p, q)
+            assert (val, path) == time_separation_path(g, p, q)
             if val > 0:
                 positive += 1
-                acc = _accumulate(g, path)
                 assert np.array_equal(acc, reference_accumulate(g, path))  # bitwise
                 assert abs(acc[-1] - val) <= 1e-12
         assert positive >= 3
 
-    def test_a_step_that_is_no_move_adds_minus_infinity(self):
-        g = ConeGrid(IV01, path_space(11, 1.0), WarpingFunction.constant(1.0, IV01), 10)
-        path = [(0, 0), (1, 1), (2, 4), (3, 4)]
-        assert _accumulate(g, path).tolist() == [0.0, 0.0, -math.inf, -math.inf]
-        assert np.array_equal(_accumulate(g, path), reference_accumulate(g, path))
-        # only self-moves: the moves into 0 end where those into 1 begin,
-        # with 1 -> 1, which the step 1 -> 0 must not read
-        far = ConeGrid(IV01, path_space(3, 10.0), WarpingFunction.constant(1.0, IV01), 4)
-        assert _accumulate(far, [(0, 1), (1, 0)]).tolist() == [0.0, -math.inf]
-        assert _accumulate(far, [(0, 0), (1, 0), (2, 2)]).tolist() == [0.0, 0.25, -math.inf]
+    @pytest.mark.parametrize("n_f,spacing,n_t", [(11, 1.0, 10), (3, 10.0, 4)])
+    def test_every_step_is_a_move_of_its_level(self, n_f, spacing, n_t):
+        # the wide grid has self-moves only, each column its move and its
+        # padding at an infinite distance
+        g = ConeGrid(IV01, path_space(n_f, spacing), WarpingFunction.constant(1.0, IV01), n_t)
+        nbrs, _, depth, _ = g._move_index()
+        for p in all_grid_points(g):
+            row = _dp_rows(g, [p], g.n_t)[0]
+            for node in np.flatnonzero(np.isfinite(row)).tolist():
+                _, path, acc = _read_back(g, row, p, g.point(node))
+                assert path[0] == p and path[-1] == g.point(node)
+                assert all(
+                    j in nbrs[: depth[i], k] for (i, j), (_, k) in zip(path, path[1:])
+                )
+                assert np.isfinite(acc).all()
 
     def test_an_exactly_null_step_adds_zero(self):
-        # G-gap 0.1 equals the fiber spacing, within the causal slack
+        # G-gap 0.1 equals the fiber spacing, within the causal slack: the
+        # maximizer climbs once and then takes two exactly-null steps
         g = ConeGrid(IV01, path_space(11, 1.0), WarpingFunction.constant(1.0, IV01), 10)
-        acc = _accumulate(g, [(0, 0), (1, 1), (2, 2), (3, 2)])
-        assert acc.tolist() == [0.0, 0.0, 0.0, float(g.t_levels[3] - g.t_levels[2])]
-        assert np.array_equal(acc, reference_accumulate(g, [(0, 0), (1, 1), (2, 2), (3, 2)]))
+        val, path, acc = read_back(g, (0, 0), (3, 2))
+        assert path == [(0, 0), (1, 0), (2, 1), (3, 2)]
+        dt = float(g.t_levels[1] - g.t_levels[0])
+        assert acc.tolist() == [0.0, dt, dt, dt] and abs(val - dt) <= 1e-12
+        assert np.array_equal(acc, reference_accumulate(g, path))
+
+    def test_trivial_and_unreachable_pairs(self):
+        g = ConeGrid(IV01, path_space(11, 1.0), WarpingFunction.constant(1.0, IV01), 10)
+        val, path, acc = read_back(g, (2, 3), (2, 3))
+        assert (val, path, acc.tolist()) == (0.0, [(2, 3)], [0.0])
+        for q in ((2, 4), (1, 3), (3, 8)):
+            val, path, acc = read_back(g, (2, 3), q)
+            assert (val, path, acc.size) == (0.0, [], 0)
+
+
+class TestDpRuns:
+    """One time-separation DP run per source on the README curvature grid."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+        inner = cone._dp_levels
+
+        def spied(grid, sources, top):
+            calls.append([tuple(s) for s in sources])
+            return inner(grid, sources, top)
+
+        monkeypatch.setattr(cone, "_dp_levels", spied)
+        return calls
+
+    def test_sampler_runs_one_per_distinct_source(self, spy):
+        g = flat_grid(n_t=40, n_f=41, t_max=2.0)
+        tris, _ = sample_timelike_triangles(g, 5, seed=7)
+        assert len(tris) == 5
+        sources = [s for call in spy for s in call]
+        assert all(len(call) == 1 for call in spy)
+        assert len(sources) == len(set(sources))
+        assert {t.x for t in tris} | {t.y for t in tris} <= set(sources)
+
+    def test_triangle_from_vertices_runs_one(self, spy):
+        g = flat_grid(n_t=40, n_f=41, t_max=2.0)
+        assert _triangle_from_vertices(g, (0, 20), (15, 22), (40, 18)) is not None
+        assert spy == [[(0, 20), (15, 22)]]
+
+    def test_comparison_runs_at_most_one(self, spy):
+        g = flat_grid(n_t=40, n_f=41, t_max=2.0)
+        tris, _ = sample_timelike_triangles(g, 5, seed=7)
+        cache = {}
+        for tri in tris:
+            spy.clear()
+            triangle_comparison(g, tri, 0.0, "lower", 5, 0.05, cache)
+            assert len(spy) <= 1
+            # every probe source is cached now
+            spy.clear()
+            triangle_comparison(g, tri, 0.0, "upper", 5, 0.05, cache)
+            assert spy == []
+        spy.clear()
+        triangle_comparison(g, tris[0], 0.0, "lower", 5, 0.05)
+        assert len(spy) == 1
 
 
 class TestFlatComparison:
@@ -231,6 +300,22 @@ class TestRefinementError:
         pairs = [((0, 0), (40, 60)), ((0, 20), (40, 80))]
         err = dp_refinement_error(g, pairs)
         assert 0 <= err <= 0.05
+
+    def test_equals_the_per_pair_runs(self):
+        # one DP per grid over all sources gives bitwise the per-pair rows
+        g = ConeGrid(IV01, circle_space(24, 1.0), WarpingFunction.cosh_type(1.0, 1.2, IV01), 20)
+        coarse = ConeGrid(IV01, g.fiber, g.warping, 10)
+        pairs = [((0, 0), (20, 6)), ((2, 5), (18, 9)), ((4, 3), (12, 3)), ((1, 0), (9, 2)),
+                 ((0, 0), (14, 20)), ((6, 11), (4, 11))]
+        want = 0.0
+        for p, q in pairs[:5]:
+            if p[0] % 2 == 0 and q[0] % 2 == 0:
+                cp, cq = (p[0] // 2, p[1]), (q[0] // 2, q[1])
+                fine = time_separation(g, sources=[p]).value(p, q)
+                want = max(want, abs(fine - time_separation(coarse, sources=[cp]).value(cp, cq)))
+        assert want > 0
+        assert dp_refinement_error(g, pairs) == want
+        assert dp_refinement_error(g, [((1, 0), (9, 2))]) == 0.0
 
 
 class TestPersistence:
