@@ -625,7 +625,8 @@ def null_distance_guarantees(grid: ConeGrid, result: NullDistanceResult) -> Guar
                 if bad:
                     rep.notes.append(
                         f"upper bound missed by {-wu:.3g} at source {src}; "
-                        "refine the grid (error shrinks with 1/n_t)"
+                        "refine the fiber (the grid error follows the fiber spacing; "
+                        "refining n_t alone does not shrink it)"
                     )
             rep.record("definiteness", 0.0, None if definite[s] else src)
             wa = float(anti[s])

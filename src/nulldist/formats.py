@@ -3,7 +3,8 @@
 CSV: comma-separated, UTF-8, LF line endings, mandatory header row; floats
 serialized with 17 significant digits so they round-trip exactly. Matrices
 are written in long form (row_id, col_id, value); each distinct value of a
-row is formatted once, and the bytes equal per-entry `.17g` formatting.
+block of rows is formatted once, and the bytes equal per-entry `.17g`
+formatting.
 JSON reports are written with sorted keys; +inf is encoded as the string
 "inf".
 """
@@ -26,6 +27,7 @@ from .metric_core import FiniteLengthSpace, intrinsic_metric
 from .warping import Interval, WarpingFunction
 
 PathLike = Union[str, Path]
+_WRITE_CAP = 1 << 16  # matrix entries per row block of the long-form writer
 
 
 def fmt(x: float) -> str:
@@ -182,24 +184,33 @@ def write_long_matrix_csv(
 ) -> None:
     """Matrix as long-form triples (row_id, col_id, value).
 
-    Each distinct value of a row is formatted once: values are keyed by
+    Rows go in blocks of at most _WRITE_CAP entries (at least one row).
+    Each distinct value of a block is formatted once: values are keyed by
     their bit pattern, so -0.0 and 0.0 (and NaN payloads) stay apart, and
-    the bytes equal fmt(v) on every entry.
+    the bytes equal fmt(v) on every entry. Each row's lines are one join of
+    its (row id, ",col_id,", value line) parts.
     """
     rows = np.asarray(rows)
+    n_c = rows.shape[1]
     if col_ids is None:
-        col_ids = list(range(rows.shape[1]))
+        col_ids = range(n_c)
+    block = max(1, _WRITE_CAP // max(n_c, 1))  # rows per block
+    parts = [""] * (3 * n_c)
+    parts[1::3] = [f",{cid}," for cid in col_ids]
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("row_id,col_id,value\n")
-        tails = [f",{cid}," for cid in col_ids]
-        for r, rid in enumerate(row_ids):
-            row = np.ascontiguousarray(rows[r], dtype=float)
-            bits, inverse = np.unique(row.view(np.int64), return_inverse=True)
+        for lo in range(0, len(row_ids), block):
+            ids = row_ids[lo : lo + block]
+            blk = np.ascontiguousarray(rows[lo : lo + len(ids)], dtype=float)
+            bits, inverse = np.unique(blk.view(np.int64), return_inverse=True)
             # format(v, ".17g") is fmt(v) on a Python float
-            strs = [f"{v:.17g}\n" for v in bits.view(float).tolist()]
-            fh.write("".join(
-                [f"{rid}{tail}{strs[i]}" for tail, i in zip(tails, inverse.tolist())]
-            ))
+            strs = np.array([f"{v:.17g}\n" for v in bits.view(float).tolist()], dtype=object)
+            # the inverse's shape for 2-D input differs between numpy versions
+            vals = strs.take(inverse.reshape(-1)).reshape(len(ids), n_c).tolist()
+            for rid, row in zip(ids, vals):
+                parts[0::3] = [f"{rid}"] * n_c
+                parts[2::3] = row
+                fh.write("".join(parts))
 
 
 def read_long_matrix_csv(path: PathLike) -> tuple[list, list, np.ndarray]:

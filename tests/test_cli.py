@@ -11,6 +11,7 @@ from nulldist import FiniteLengthSpace, path_space
 from nulldist import cli
 from nulldist.cli import main
 from nulldist.formats import (
+    _WRITE_CAP,
     load_cone_json,
     load_distance_matrix_csv,
     load_edge_list_csv,
@@ -51,34 +52,66 @@ def reference_long_matrix_bytes(mat, row_ids, col_ids=None) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
+_NAN_PAYLOADS = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(float)
+
+
+def _signed_zero_nan_rows(n_c):
+    """Four rows, each holding one of 0.0, -0.0 and two NaN payloads among
+    repeated values; the rest of the row recurs in every row."""
+    mat = np.tile(np.arange(n_c) % 5 * 0.25, (4, 1))
+    mat[:, -1] = [0.0, -0.0, *_NAN_PAYLOADS]
+    return mat
+
+
 def _writer_oracle_cases():
+    """Matrices and row ids, each byte-checked against the per-entry oracle.
+    The `blocks_*` cases span several row blocks of the writer."""
     rng = np.random.default_rng(8)
-    nan_payload = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64)
-    return {
+    mats = {
         "signed_zeros": np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 1.0]]),
         "nan_inf_subnormal": np.array(
             [[math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308],
-             [*nan_payload.view(float), math.nan, 0.0, 5e-324, math.inf]]
+             [*_NAN_PAYLOADS, math.nan, 0.0, 5e-324, math.inf]]
         ),
         "repeated": rng.integers(0, 5, (40, 60)) * 0.1,
         "all_distinct": rng.uniform(-1e3, 1e3, (30, 50)),
         "random_bits": rng.integers(-(2**63), 2**63 - 1, (12, 40), dtype=np.int64).view(float),
         "transposed_view": (rng.integers(0, 3, (50, 30)) / 3.0).T,
         "int_matrix": np.array([[0, -3, 7, 2**60 + 1], [7, 7, -(2**53) - 1, 0]]),
+        "zero_rows": np.zeros((0, 5)),
+        "zero_cols": np.zeros((3, 0)),
+        # all four rows in one row block
+        "signed_zeros_nan_one_block": _signed_zero_nan_rows(7),
+        # one row per block: every signed zero and payload in its own block
+        "blocks_signed_zeros_nan": _signed_zero_nan_rows(_WRITE_CAP // 2 + 1),
+        # 13 rows per block, 4 blocks; the values recur in every block
+        "blocks_wide_repeated": rng.integers(0, 7, (40, 5000)) * 0.1,
     }
+    cases = {name: (mat, [f"r{i}" for i in range(mat.shape[0])]) for name, mat in mats.items()}
+    cases["non_ascii_row_ids"] = (
+        rng.integers(0, 4, (5, 7)) * 0.25, ["α", "точка", "点:3", "Ω-1", "r"]
+    )
+    cases["blocks_int_row_ids"] = (
+        rng.integers(0, 9, (7, _WRITE_CAP // 3)) / 7.0, [0, 7, -3, 2**60, 12, 5, 1]
+    )
+    return cases
 
 
 class TestFormats:
     @pytest.mark.parametrize("case", sorted(_writer_oracle_cases()))
     @pytest.mark.parametrize("explicit_cols", [False, True])
     def test_long_matrix_matches_per_entry_formatting(self, case, explicit_cols, tmp_path):
-        mat = _writer_oracle_cases()[case]
-        row_ids = [f"r{i}" for i in range(mat.shape[0])]
+        mat, row_ids = _writer_oracle_cases()[case]
         col_ids = [f"{j}:{j % 3}" for j in range(mat.shape[1])] if explicit_cols else None
         write_long_matrix_csv(tmp_path / "m.csv", mat, row_ids, col_ids)
         assert (tmp_path / "m.csv").read_bytes() == reference_long_matrix_bytes(
             mat, row_ids, col_ids
         )
+
+    def test_block_cases_span_row_blocks(self):
+        for name, (mat, _) in _writer_oracle_cases().items():
+            rows_per_block = _WRITE_CAP // max(mat.shape[1], 1)
+            assert (mat.shape[0] > 2 * rows_per_block) == name.startswith("blocks_"), name
 
     def test_distance_matrix_roundtrip(self, tmp_path):
         space = path_space(5, 1.0)
@@ -582,7 +615,7 @@ class TestReadmeSamples:
         "nulldist", "timesep", "nullcurve",
         pytest.param("converge", marks=pytest.mark.xfail(
             strict=True, raises=AssertionError, reason="upper sandwich margin -0.037 at eps=0.01, n_t=40: "
-            "the continuum estimate has no grid term (ROADMAP item 3)")),
+            "the continuum estimate has no grid term (ROADMAP item 1)")),
         "curvature", "net", "validate",
     ])
     def test_scenario_exits_zero(self, command, tmp_path, monkeypatch):

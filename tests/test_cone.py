@@ -364,7 +364,8 @@ def reference_guarantees(grid, result):
             if bad:
                 rep.notes.append(
                     f"upper bound missed by {-wu:.3g} at source {src}; "
-                    "refine the grid (error shrinks with 1/n_t)"
+                    "refine the fiber (the grid error follows the fiber spacing; "
+                    "refining n_t alone does not shrink it)"
                 )
 
         off = row > 0
