@@ -29,11 +29,10 @@ from .cone import (
     time_separation,
 )
 from .convergence import WarpingSequence, null_convergence_check
-from .curvature import persistence_experiment, sample_timelike_triangles, triangle_comparison
+from .curvature import _sample_and_compare, persistence_experiment
 from .errors import InvalidInputError
 from .lpls import check_time_function, validate_pls
 from .metric_core import epsilon_net, gh_distance_exact, validate_metric, verify_net
-from .model_spaces import model_size_bound
 from .nullcurve import null_curve, verify_null_curve
 from .warping import Interval
 
@@ -272,24 +271,15 @@ def run_curvature(cfg, paths, out, seed):
     grid = ConeGrid(interval, fiber, warping, n_t)
     tol = float(_override(cfg, "tol_override", doc.get("tol", 0.05)))
     bound = float(doc.get("bound", 0.0))
-    size_bound = model_size_bound(bound)
-    if doc.get("side_cap") is not None:
-        size_bound = min(float(doc["side_cap"]), size_bound)
     sample_seed = int(_override(cfg, "seed_override", doc.get("seed", seed)))
-    tris, diag = sample_timelike_triangles(
-        grid, int(doc.get("n_triangles", 10)), sample_seed, size_bound
+    verdicts, diag = _sample_and_compare(
+        grid, bound, doc.get("direction", "lower"), int(doc.get("n_triangles", 10)),
+        int(doc.get("n_probe", 5)), tol, sample_seed, doc.get("side_cap"),
     )
-    rows = []
-    worst = None
-    cache: dict = {}
-    for idx, tri in enumerate(tris):
-        v = triangle_comparison(
-            grid, tri, bound, doc.get("direction", "lower"),
-            int(doc.get("n_probe", 5)), tol, cache,
-        )
-        rows.append((idx, v.bound, v.direction, int(v.passed), v.worst_witness["margin"]))
-        if worst is None or v.worst_witness["margin"] < worst.worst_witness["margin"]:
-            worst = v
+    rows = [(idx, v.bound, v.direction, int(v.passed), v.worst_witness["margin"])
+            for idx, v in enumerate(verdicts)]
+    # the worst verdict is the one of lowest raw margin
+    worst = min(verdicts, key=lambda v: v.worst_witness["margin"], default=None)
     formats.write_table_csv(
         out / "curvature.csv", ["triangle", "bound", "direction", "passed", "margin"], rows
     )

@@ -90,7 +90,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError, SizeBoundError
-from .metric_core import FiniteLengthSpace, read_back_path
+from .metric_core import FiniteLengthSpace, _monotone_runs, read_back_path
 from .reporting import GuaranteeReport
 from .warping import Interval, WarpingFunction
 
@@ -947,18 +947,8 @@ def minimizer_analysis(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -
         return np.where(grid.causal_row(i, j), _level_gaps(grid.t_levels, i), np.inf).ravel()
 
     path = [grid.point(v) for v in read_back_path(dist, weight_row, grid.node(*p), dst)]
-    runs = []
-    start = 0
-    for k in range(1, len(path)):
-        direction = np.sign(path[k][0] - path[k - 1][0])
-        if k > 1:
-            prev = np.sign(path[k - 1][0] - path[start][0]) or direction
-            if direction != prev and direction != 0:
-                runs.append((start, k - 1))
-                start = k - 1
-    runs.append((start, len(path) - 1))
     defects = []
-    for a, b in runs:
+    for a, b in _monotone_runs([int(np.sign(v[0] - u[0])) for u, v in zip(path, path[1:])]):
         ia, ja = path[a]
         ib, jb = path[b]
         gap = abs(grid.g_levels[ib] - grid.g_levels[ia])

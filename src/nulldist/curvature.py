@@ -390,6 +390,33 @@ def _adapted_n_t(interval: tuple[float, float], fiber: FiniteLengthSpace,
     return max(6, min(n_t, target))
 
 
+def _sample_and_compare(grid: ConeGrid, bound: float, direction: str, n_triangles: int,
+                        n_probe: int, tol: float, seed: int,
+                        side_cap: Optional[float]) -> tuple[list, dict]:
+    """Sample triangles under the model size bound (capped by `side_cap`) and
+    compare each through one probe-row cache; returns (verdicts, diag). A
+    triangle the model plane cannot realize is skipped and counted in
+    diag["inadmissible"], a key written only when it is nonzero."""
+    size_bound = model_size_bound(bound)
+    if side_cap is not None:
+        size_bound = min(float(side_cap), size_bound)
+    tris, diag = sample_timelike_triangles(grid, n_triangles, seed, size_bound)
+    verdicts = []
+    cache: dict = {}
+    for tri in tris:
+        try:
+            verdicts.append(triangle_comparison(grid, tri, bound, direction, n_probe, tol, cache))
+        except ModelConstraintError:
+            diag["inadmissible"] = diag.get("inadmissible", 0) + 1
+    return verdicts, diag
+
+
+def _margin_with_snap(v: CurvatureVerdict) -> float:
+    """The verdict's worst probe margin plus its snap slack (inf without one)."""
+    w = v.worst_witness or {}
+    return w.get("margin", math.inf) + w.get("snap_slack", 0.0)
+
+
 def persistence_experiment(
     mode: str,
     fibers: Sequence[FiniteLengthSpace],
@@ -413,97 +440,58 @@ def persistence_experiment(
     truncated interval, fiber test at k = -1 against cone comparisons at
     K = 0. mode "warped": concavity of each warping at its K', fiber tests at
     k = sup(K' f^2 - f'^2), limit cone comparison at K = K'.
+
+    `side_cap` caps the triangle sides of the warped mode's limit cone only.
+    Each cone verdict is the sampled one of lowest margin plus snap slack.
     """
     report = PersistenceReport(mode, [], [], _gh_precondition(fibers, fiber_limit))
     iv = Interval(*interval)
 
+    # quadruple tests (label, fiber, k), cone cases (label, fiber, warping, K, side cap)
     if mode == "warped":
         if warpings is None or warping_limit is None:
             raise InvalidInputError("warped mode needs the warping sequence and its limit")
         kps = list(k_primes) if k_primes is not None else [k_prime] * len(warpings)
+        quads = []
         for idx, (w, kp) in enumerate(zip(warpings, kps)):
             report.concavity.append((f"warping{idx}", concavity_check(w, kp)))
             k_n = compute_fiber_bound(w, kp)
             report.fiber_bounds.append((f"warping{idx}", k_n))
             if idx < len(fibers):
-                report.fiber_quadruples.append(
-                    (f"fiber{idx}", k_n, quadruple_curvature_check(fibers[idx], k_n, _QUAD_TOL))
-                )
+                quads.append((f"fiber{idx}", fibers[idx], k_n))
         report.concavity.append(("limit", concavity_check(warping_limit, k_prime)))
         k_lim = compute_fiber_bound(warping_limit, k_prime)
         report.fiber_bounds.append(("limit", k_lim))
-        report.fiber_quadruples.append(
-            ("limit", k_lim, quadruple_curvature_check(fiber_limit, k_lim, _QUAD_TOL))
-        )
-        grid = ConeGrid(
-            iv, fiber_limit, warping_limit, _adapted_n_t(interval, fiber_limit, warping_limit, n_t)
-        )
-        report.cone_n_t.append(("limit", grid.n_t))
-        report.cone_verdicts.append(
-            ("limit", _best_triangle_verdict(grid, k_prime, LOWER, n_triangles, n_probe, tol, seed, side_cap))
-        )
-        return report
-
-    # the two flat modes: fiber test at k against cone comparisons at K = 0
-    if mode == "product":
-        warp, k = WarpingFunction.constant(1.0, iv), 0.0
-    elif mode == "minkowski-cone":
-        if iv.a <= 0:
-            raise ParameterError("minkowski-cone mode needs a truncated interval with a > 0")
-        warp, k = WarpingFunction.affine(0.0, 1.0, iv), -1.0
-        report.notes.append(
-            "agreement of the two columns is the expected equivalence; "
-            "disagreement at coarse grids may be discretization error"
-        )
+        quads.append(("limit", fiber_limit, k_lim))
+        cones = [("limit", fiber_limit, warping_limit, k_prime, side_cap)]
     else:
-        raise ParameterError(f"unknown mode {mode!r}")
-    labels = [f"fiber{idx}" for idx in range(len(fibers))] + ["limit"]
-    for label, fib in zip(labels, list(fibers) + [fiber_limit]):
+        # the two flat modes: fiber test at k against cone comparisons at K = 0
+        if mode == "product":
+            warp, k = WarpingFunction.constant(1.0, iv), 0.0
+        elif mode == "minkowski-cone":
+            if iv.a <= 0:
+                raise ParameterError("minkowski-cone mode needs a truncated interval with a > 0")
+            warp, k = WarpingFunction.affine(0.0, 1.0, iv), -1.0
+            report.notes.append(
+                "agreement of the two columns is the expected equivalence; "
+                "disagreement at coarse grids may be discretization error"
+            )
+        else:
+            raise ParameterError(f"unknown mode {mode!r}")
+        labels = [f"fiber{idx}" for idx in range(len(fibers))] + ["limit"]
+        quads = [(label, fib, k) for label, fib in zip(labels, [*fibers, fiber_limit])]
+        cones = [(label, fib, warp, 0.0, None) for label, fib, _ in quads]
+
+    for label, fib, k in quads:
         report.fiber_quadruples.append((label, k, quadruple_curvature_check(fib, k, _QUAD_TOL)))
+    for label, fib, warp, bound, cap in cones:
         grid = ConeGrid(iv, fib, warp, _adapted_n_t(interval, fib, warp, n_t))
         report.cone_n_t.append((label, grid.n_t))
-        report.cone_verdicts.append(
-            (label, _best_triangle_verdict(grid, 0.0, LOWER, n_triangles, n_probe, tol, seed))
-        )
+        verdicts, diag = _sample_and_compare(grid, bound, LOWER, n_triangles, n_probe, tol, seed, cap)
+        if verdicts:
+            verdict = min(verdicts, key=_margin_with_snap)
+        else:
+            why = "all sampled triangles inadmissible" if diag["found"] else diag
+            verdict = CurvatureVerdict(bound, LOWER, False, tol, {"diagnostic": why})
+        report.cone_verdicts.append((label, verdict))
     return report
-
-
-def _margin_with_snap(v: CurvatureVerdict) -> float:
-    """The verdict's worst probe margin plus its snap slack (inf without one)."""
-    w = v.worst_witness or {}
-    return w.get("margin", math.inf) + w.get("snap_slack", 0.0)
-
-
-def _best_triangle_verdict(
-    grid: ConeGrid,
-    bound: float,
-    direction: str,
-    n_triangles: int,
-    n_probe: int,
-    tol: float,
-    seed: int,
-    side_cap: Optional[float] = None,
-) -> CurvatureVerdict:
-    """Sample triangles and return the verdict carrying the worst probe margin."""
-    size_bound = model_size_bound(bound)
-    if side_cap is not None:
-        size_bound = min(side_cap, size_bound)
-    tris, diag = sample_timelike_triangles(grid, n_triangles, seed, size_bound)
-    if not tris:
-        return CurvatureVerdict(bound, direction, False, tol, {"diagnostic": diag})
-    worst: Optional[CurvatureVerdict] = None
-    worst_key = math.inf
-    cache: dict = {}
-    for tri in tris:
-        try:
-            v = triangle_comparison(grid, tri, bound, direction, n_probe, tol, cache)
-        except ModelConstraintError:
-            continue
-        key = _margin_with_snap(v)
-        if worst is None or key < worst_key:
-            worst, worst_key = v, key
-    if worst is None:
-        return CurvatureVerdict(
-            bound, direction, False, tol, {"diagnostic": "all sampled triangles inadmissible"}
-        )
-    return worst

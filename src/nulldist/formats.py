@@ -194,6 +194,9 @@ def write_long_matrix_csv(
     n_c = rows.shape[1]
     if col_ids is None:
         col_ids = range(n_c)
+    if (len(row_ids), len(col_ids)) != rows.shape:
+        raise InvalidInputError(f"a {rows.shape[0]} x {n_c} matrix needs {rows.shape[0]} row ids and "
+                                f"{n_c} col ids, got {len(row_ids)} and {len(col_ids)}")
     block = max(1, _WRITE_CAP // max(n_c, 1))  # rows per block
     parts = [""] * (3 * n_c)
     parts[1::3] = [f",{cid}," for cid in col_ids]

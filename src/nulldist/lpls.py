@@ -16,10 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError
-from .metric_core import FiniteLengthSpace, floyd_warshall
+from .metric_core import FiniteLengthSpace, _monotone_runs, floyd_warshall
 from .reporting import ValidationReport, Verdict
 
 FUTURE, PAST, TRIVIAL = "future", "past", "trivial"
+_TAG_STEP = {FUTURE: 1, PAST: -1, TRIVIAL: 0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,18 +171,9 @@ def path_null_length(
     """Sum of |tau increments| over the maximal monotone runs of the path."""
     validate_path(space, path)
     tau = np.asarray(tau, dtype=float)
-    total = 0.0
-    run_start = path.vertices[0]
-    run_dir = None
-    for k, tag in enumerate(path.segment_tags):
-        if tag == TRIVIAL:
-            continue
-        if run_dir is not None and tag != run_dir:
-            total += abs(tau[path.vertices[k]] - tau[run_start])
-            run_start = path.vertices[k]
-        run_dir = tag
-    total += abs(tau[path.vertices[-1]] - tau[run_start])
-    return float(total)
+    v = path.vertices
+    runs = _monotone_runs([_TAG_STEP[tag] for tag in path.segment_tags])
+    return float(sum(abs(tau[v[b]] - tau[v[a]]) for a, b in runs))
 
 
 # ---------------------------------------------------------------------------

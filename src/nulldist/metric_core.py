@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -137,33 +137,12 @@ def validate_metric(space: FiniteLengthSpace) -> ValidationReport:
     return report
 
 
-def _components(adj: np.ndarray) -> list[list[int]]:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in np.nonzero(adj[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        comps.append(comp)
-    return comps
-
-
 def intrinsic_metric(
     n_points: int, edges: Iterable[tuple[int, int, float]]
 ) -> FiniteLengthSpace:
     """All-pairs shortest-path metric of a weighted undirected graph."""
     weights = np.full((n_points, n_points), np.inf)
     np.fill_diagonal(weights, 0.0)
-    touched = np.zeros((n_points, n_points), dtype=bool)
     for src, dst, w in edges:
         if not (0 <= src < n_points and 0 <= dst < n_points):
             raise InvalidInputError(f"edge ({src},{dst}) out of range")
@@ -174,13 +153,15 @@ def intrinsic_metric(
         w = float(w)
         if w < weights[src, dst]:
             weights[src, dst] = weights[dst, src] = w
-        touched[src, dst] = touched[dst, src] = True
 
-    comps = _components(touched)
-    if len(comps) > 1:
-        raise DisconnectedGraphError(comps)
-
-    return FiniteLengthSpace(tuple(range(n_points)), floyd_warshall(weights), "graph-induced")
+    dist = floyd_warshall(weights)
+    # each component is the finite entries of the row of its least vertex,
+    # the one vertex of the component that reaches no smaller vertex
+    reach = np.isfinite(dist)
+    roots = [s for s in range(n_points) if not reach[s, :s].any()]
+    if len(roots) > 1:
+        raise DisconnectedGraphError([np.nonzero(reach[s])[0].tolist() for s in roots])
+    return FiniteLengthSpace(tuple(range(n_points)), dist, "graph-induced")
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -221,6 +202,22 @@ def read_back_path(
     return path[::-1]
 
 
+def _monotone_runs(steps: Sequence[int]) -> list[tuple[int, int]]:
+    """The maximal monotone runs of a path, as (first, last) vertex indices,
+    from the directions in {-1, 0, 1} of its steps (step k goes from vertex
+    k to vertex k + 1). A 0 step continues the current run; a path without
+    steps is the one run (0, 0)."""
+    runs, start, run_dir = [], 0, 0
+    for k, step in enumerate(steps):
+        if step and step != run_dir:
+            if run_dir:
+                runs.append((start, k))
+                start = k
+            run_dir = step
+    runs.append((start, len(steps)))
+    return runs
+
+
 @dataclass(frozen=True)
 class EpsilonNet:
     center_indices: tuple
@@ -228,26 +225,31 @@ class EpsilonNet:
     covering_radius_achieved: float
 
 
+def _farthest_first(d: np.ndarray) -> Iterator[tuple[int, float]]:
+    """Greedy farthest-point order over the distance matrix d from index 0,
+    ties to the smallest index: each pick with the covering radius of the
+    picks so far. Endless; once every point is covered the picks repeat."""
+    pick = 0
+    min_dist = d[0].copy()
+    while True:
+        yield pick, float(min_dist.max())
+        pick = int(np.argmax(min_dist))
+        np.minimum(min_dist, d[pick], out=min_dist)
+
+
 def epsilon_net(space: FiniteLengthSpace, eps: float) -> EpsilonNet:
-    """Greedy farthest-point net with exhaustively verified covering radius.
+    """Greedy farthest-point net: the farthest-first picks up to covering radius `eps`.
 
     Deterministic: starts from index 0, ties broken by smallest index.
     Centers are pairwise more than `eps` apart by construction.
     """
     if not (eps > 0):
         raise ParameterError(f"eps must be positive, got {eps!r}")
-    d = space.dist
-    centers = [0]
-    min_dist = d[0].copy()
-    while True:
-        cov = float(min_dist.max())
+    centers = []
+    for pick, cov in _farthest_first(space.dist):
+        centers.append(pick)
         if cov <= eps:
-            break
-        far = int(np.argmax(min_dist))
-        centers.append(far)
-        np.minimum(min_dist, d[far], out=min_dist)
-    cov = float(np.max(np.min(d[:, centers], axis=1)))
-    return EpsilonNet(tuple(centers), float(eps), cov)
+            return EpsilonNet(tuple(centers), float(eps), cov)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +432,8 @@ def quadruple_curvature_check(
     index_map = np.arange(n)
     d = space.dist
     if n > QUADRUPLE_SAMPLE_CAP:
-        picks = [0]
-        min_dist = d[0].copy()
-        while len(picks) < QUADRUPLE_SAMPLE_CAP:
-            far = int(np.argmax(min_dist))
-            picks.append(far)
-            np.minimum(min_dist, d[far], out=min_dist)
-        index_map = np.array(sorted(set(picks)))
+        picks = itertools.islice(_farthest_first(d), QUADRUPLE_SAMPLE_CAP)
+        index_map = np.array(sorted({pick for pick, _ in picks}))
         d = d[np.ix_(index_map, index_map)]
         n = subsampled_to = int(index_map.size)
     if n < 4:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .cone import ConeGrid
 from .errors import InvalidInputError
+from .metric_core import _monotone_runs
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,12 @@ class PiecewiseNullCurve:
 
     def null_length(self) -> float:
         """Sum of |t increments| over maximal monotone runs."""
-        total, run_start, run_dir = 0.0, None, 0
-        for seg in self.segments:
-            if run_start is None:
-                run_start = seg.t_start
-            if run_dir and seg.direction != run_dir:
-                total += abs(seg.t_start - run_start)
-                run_start = seg.t_start
-            run_dir = seg.direction
-        if run_start is not None and self.segments:
-            total += abs(self.segments[-1].t_end - run_start)
-        return total
+        if not self.segments:
+            return 0.0
+        # vertex k of the curve is the start of segment k, the last its end
+        t = [seg.t_start for seg in self.segments] + [self.segments[-1].t_end]
+        runs = _monotone_runs([seg.direction for seg in self.segments])
+        return sum(abs(t[b] - t[a]) for a, b in runs)
 
     def total_variation(self) -> float:
         return sum(abs(seg.t_end - seg.t_start) for seg in self.segments)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from nulldist import FiniteLengthSpace, path_space
-from nulldist import cli
+from nulldist import cli, curvature
 from nulldist.cli import main
+from nulldist.errors import InvalidInputError, ModelConstraintError
 from nulldist.formats import (
     _WRITE_CAP,
     load_cone_json,
@@ -140,6 +141,19 @@ class TestFormats:
             b"a,0,inf\na,1,-0\na,2,0.33333333333333331\n"
             b"7,0,1e-300\n7,1,2\n7,2,-1.5\n"
         )
+
+    @pytest.mark.parametrize("row_ids, col_ids, counts", [
+        (["a", "b"], None, "got 2 and 2"),
+        (["a", "b", "c", "d"], None, "got 4 and 2"),
+        (["a", "b", "c"], ["x"], "got 3 and 1"),
+    ])
+    def test_long_matrix_ids_must_match_the_shape(self, row_ids, col_ids, counts, tmp_path):
+        # short row ids used to drop rows silently, long ones and wrong col
+        # ids failed inside numpy; nothing is written
+        with pytest.raises(InvalidInputError) as exc:
+            write_long_matrix_csv(tmp_path / "m.csv", np.zeros((3, 2)), row_ids, col_ids)
+        assert str(exc.value) == f"a 3 x 2 matrix needs 3 row ids and 2 col ids, {counts}"
+        assert not (tmp_path / "m.csv").exists()
 
     def test_report_booleans_stay_booleans(self, tmp_path):
         write_report_json(tmp_path / "r.json", {"ok": True, "bad": np.bool_(False), "n": 1})
@@ -377,6 +391,35 @@ class TestCurvature:
     def test_zero_probes_is_a_parameter_error(self, tmp_path):
         cfg = make_curvature_inputs(tmp_path, n_probe=0)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_inadmissible_triangle_is_skipped_and_counted(self, tmp_path, monkeypatch):
+        # a triangle the model plane cannot realize drops out of the table
+        # (the others keep their verdicts) and is counted in the report
+        cfg = make_curvature_inputs(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "all")]) == 0
+        realize = curvature.realize_timelike_triangle
+        calls = []
+
+        def refuse_the_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ModelConstraintError("refused")
+            return realize(*args)
+
+        monkeypatch.setattr(curvature, "realize_timelike_triangle", refuse_the_second)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "skip")]) == 0
+        rows = {}
+        for name in ("all", "skip"):
+            lines = (tmp_path / name / "curvature.csv").read_text().splitlines()[1:]
+            rows[name] = [line.split(",", 1)[1] for line in lines]
+        assert len(rows["all"]) == 5
+        assert rows["skip"] == rows["all"][:1] + rows["all"][2:]
+        sampling = {
+            name: json.loads((tmp_path / name / "report.json").read_text())["sampling"]
+            for name in ("all", "skip")
+        }
+        assert "inadmissible" not in sampling["all"]
+        assert sampling["skip"] == {**sampling["all"], "inadmissible": 1}
 
 
 def make_persist_inputs(tmp: Path, n_t: int, tol: float, n_limit: int = 21) -> Path:

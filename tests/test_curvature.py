@@ -18,7 +18,7 @@ from nulldist import (
     triangle_comparison,
     tripod_space,
 )
-from nulldist import cone
+from nulldist import cone, curvature
 from nulldist.cone import _dp_rows, _read_back, all_grid_points, time_separation
 from nulldist.curvature import _triangle_from_vertices, dp_refinement_error
 from nulldist.errors import ModelConstraintError, ParameterError
@@ -377,6 +377,30 @@ class TestPersistence:
         for row in rep.cross_tab():
             assert row["fiber_pass"]
             assert row["cone_pass"]
+
+    def test_all_triangles_inadmissible(self, monkeypatch):
+        # triangles the model plane cannot realize are skipped; when none is
+        # left the cone verdict fails and says so
+        def refuse(*args):
+            raise ModelConstraintError("refused")
+
+        monkeypatch.setattr(curvature, "realize_timelike_triangle", refuse)
+        rep = persistence_experiment(
+            "product",
+            [path_space(11, 1.0)],
+            path_space(21, 1.0),
+            interval=(0.0, 3.0),
+            n_t=60,
+            seed=11,
+            n_triangles=3,
+            n_probe=4,
+            tol=0.25,
+        )
+        assert [label for label, _ in rep.cone_verdicts] == ["fiber0", "limit"]
+        for _, verdict in rep.cone_verdicts:
+            assert not verdict.passed
+            assert verdict.worst_witness == {"diagnostic": "all sampled triangles inadmissible"}
+        assert [row["cone_pass"] for row in rep.cross_tab()] == [False, False]
 
     def test_minkowski_mode_needs_truncation(self):
         with pytest.raises(ParameterError):

@@ -29,6 +29,7 @@ from nulldist.errors import (
 from nulldist.metric_core import (
     QUADRUPLE_SAMPLE_CAP,
     QuadrupleVerdict,
+    _monotone_runs,
     all_correspondences,
     full_correspondence,
     identity_correspondence,
@@ -108,6 +109,24 @@ class TestIntrinsicMetric:
             intrinsic_metric(4, [(0, 1, 1.0), (2, 3, 1.0)])
         assert sorted(map(tuple, exc.value.components)) == [(0, 1), (2, 3)]
 
+    @pytest.mark.parametrize("n, edges, components", [
+        # isolated vertices are components of their own
+        (3, [], [[0], [1], [2]]),
+        (5, [(1, 3, 1.0)], [[0], [1, 3], [2], [4]]),
+        # three components listed by least vertex, although the edges name
+        # 6 before 1 and 5 before 2
+        (7, [(6, 4, 1.0), (5, 2, 0.5), (4, 1, 2.0), (0, 3, 1.0)], [[0, 3], [1, 4, 6], [2, 5]]),
+    ])
+    def test_disconnected_components_and_message(self, n, edges, components):
+        with pytest.raises(DisconnectedGraphError) as exc:
+            intrinsic_metric(n, edges)
+        assert exc.value.components == components
+        assert str(exc.value) == f"graph is disconnected; components: {components}"
+
+    def test_no_vertex_and_one_vertex_are_connected(self):
+        assert intrinsic_metric(0, []).n == 0
+        assert intrinsic_metric(1, []).dist.tolist() == [[0.0]]
+
     def test_bad_weight(self):
         with pytest.raises(InvalidInputError):
             intrinsic_metric(2, [(0, 1, -1.0)])
@@ -136,6 +155,19 @@ class TestEpsilonNet:
     def test_nonpositive_eps(self):
         with pytest.raises(ParameterError):
             epsilon_net(two_point(), 0.0)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4, 2.0])
+    def test_centers_are_the_leading_farthest_first_picks(self, eps):
+        # reference: pick the point farthest from the centers (smallest index
+        # on ties) until every point lies within eps of one
+        space = cloud_space(80, 5)
+        d = space.dist
+        centers = [0]
+        while np.max(np.min(d[:, centers], axis=1)) > eps:
+            centers.append(int(np.argmax(np.min(d[:, centers], axis=1))))
+        net = epsilon_net(space, eps)
+        assert net.center_indices == tuple(centers)
+        assert net.covering_radius_achieved == np.max(np.min(d[:, centers], axis=1))
 
     @given(st.integers(5, 40), st.floats(0.05, 0.9))
     @settings(max_examples=25, deadline=None)
@@ -338,6 +370,13 @@ class TestQuadruple:
                 got = quadruple_curvature_check(space, k, tol)
                 assert repr(got) == repr(per_leg_quadruples(space, k, tol)), (k, tol)
 
+    def test_tripod61_subsampled_verdict(self):
+        # the farthest-first subsample keeps 60 of the 61 points and still
+        # holds the hub and three leg ends: excess pi at the hub
+        v = quadruple_curvature_check(tripod_space(20, 1.0), 0.0)
+        assert (v.subsampled_to, v.worst_quadruple) == (60, (0, 1, 21, 41))
+        assert not v.passed and v.worst_excess == math.pi
+
     def test_infinite_distances_refused(self):
         for k in (-1.0, 0.0, 1.0, 9.0):
             with pytest.raises(InvalidInputError):
@@ -414,3 +453,19 @@ class TestQuadruple:
         verdict = quadruple_curvature_check(m, 9.0)
         assert not verdict.passed
         assert verdict.model_failure is not None
+
+
+class TestMonotoneRuns:
+    @pytest.mark.parametrize("steps, runs", [
+        ([], [(0, 0)]),
+        ([0, 0, 0], [(0, 3)]),
+        ([1, 1, 1], [(0, 3)]),
+        ([0, 1, -1], [(0, 2), (2, 3)]),
+        ([1, 0, 1, 0, -1, -1], [(0, 4), (4, 6)]),
+        ([1, -1, 0], [(0, 1), (1, 3)]),
+        ([-1, 1, -1, 1], [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        ([0, 0, -1, 0, 1, 0], [(0, 4), (4, 6)]),
+    ])
+    def test_runs(self, steps, runs):
+        # a 0 step continues the current run, wherever it stands
+        assert _monotone_runs(steps) == runs
