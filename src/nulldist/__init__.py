@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .cone import (
     ConeGrid,
-    fiber_metric_comparison,
     minimizer_analysis,
     null_distance,
     null_distance_guarantees,

@@ -18,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 
 from . import formats
 from .cone import (
@@ -137,20 +138,19 @@ def run_timesep(cfg, paths, out, seed):
         [f"{i}:{j}" for i, j in res.sources],
         _node_labels(grid),
     )
-    # reverse triangle inequality along sampled chains through computed sources
-    src_set = {s: k for k, s in enumerate(res.sources)}
+    # reverse triangle inequality rows[p] >= rows[p, q] + rows[q] along chains
+    # p < q through computed sources q, one reduction per q over every p
+    rows = res.rows
+    levels = np.array([i for i, _ in res.sources], dtype=int)
     worst = 0.0
-    for (p, kp) in src_set.items():
-        for (q, kq) in src_set.items():
-            if q[0] <= p[0]:
-                continue
-            via = res.rows[kp, grid.node(*q)]
-            if via <= 0:
-                continue
-            slack = res.rows[kp, :] - (via + res.rows[kq, :])
-            mask = res.rows[kq, :] > 0
-            if mask.any():
-                worst = min(worst, float(slack[mask].min()))
+    for kq, q in enumerate(res.sources):
+        ahead = rows[kq] > 0
+        via = rows[:, grid.node(*q)]
+        ps = np.flatnonzero((levels < q[0]) & (via > 0))
+        if ps.size and ahead.any():
+            slack = via[ps, None] + rows[kq, ahead]
+            np.subtract(rows[np.ix_(ps, ahead)], slack, out=slack)
+            worst = min(worst, float(slack.min()))
     formats.write_report_json(
         out / "report.json",
         {"reverse_triangle_worst_slack": worst, "coverage": _coverage(grid, res)},

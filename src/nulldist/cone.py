@@ -581,6 +581,13 @@ def _source_blocks(grid: ConeGrid, result: NullDistanceResult) -> Iterator[tuple
         yield result.sources[lo : lo + block], levels, fibers, rows, dists, gaps, causal
 
 
+def _grid_error(f_max: float, step: float) -> float:
+    """The grid tolerance (2 + f_max) * step on null distances of a cone with
+    warping bounded by f_max: fiber quantization enters at the local speed
+    of the warping. A heuristic, not a proved bound."""
+    return (2.0 + f_max) * step
+
+
 def null_distance_guarantees(grid: ConeGrid, result: NullDistanceResult) -> GuaranteeReport:
     """Check the structural inequalities on computed null-distance rows.
 
@@ -592,10 +599,13 @@ def null_distance_guarantees(grid: ConeGrid, result: NullDistanceResult) -> Guar
     Grid-tolerant claim (violations beyond the tolerance are reported with a
     refinement hint):
       * dhat(p, q) <= f_max * d(x_p, x_q) on non-causal pairs, within
-        (2 + f_max) * step (fiber quantization enters at the local speed of
-        the warping).
+        `_grid_error(f_max, step)`.
+
+    On sources that fill one slice t = t0, the lower and upper bounds
+    restricted to that slice compare its null distance with the fiber
+    metric: f_min * d <= dhat <= f_max * d + _grid_error(f_max, step).
     """
-    tol_fmax = (2.0 + grid.f_max) * grid.grid_step()
+    tol_fmax = _grid_error(grid.f_max, grid.grid_step())
     rep = GuaranteeReport()
     pi = result.weight_levels
     for srcs, levels, fibers, rows, dists, _, causal in _source_blocks(grid, result):
@@ -844,60 +854,6 @@ def null_distance_phi(
         c_constant=c_const,
         n_checked=result.rows.size,
         witness=witness,
-    )
-
-
-# ---------------------------------------------------------------------------
-# induced fiber metric
-
-
-@dataclass
-class FiberComparisonReport:
-    t_index: int
-    lower_ok: bool
-    upper_ok: bool
-    worst_lower_margin: float
-    worst_upper_margin: float
-    unit_equal_count: int
-    unit_max_deviation: float
-    n_pairs: int
-    note: str = ""
-
-
-def fiber_metric_comparison(grid: ConeGrid, t0: float) -> FiberComparisonReport:
-    """Compare the null distance restricted to the slice t = t0 with the fiber
-    metric: f_min * d <= dhat <= f_max * d + (2 + f_max) * step.
-
-    For unit warping the slice metric equals d up to at most one t-step: a
-    closed path must balance its up and down moves, so slice costs live on the
-    lattice of doubled t-steps and odd fiber gaps cannot be hit exactly.
-    """
-    if not grid.interval.contains(t0):
-        raise ParameterError(f"t0={t0!r} outside the interval")
-    i0 = int(np.argmin(np.abs(grid.t_levels - t0)))
-    tol = (2.0 + grid.f_max) * grid.grid_step()
-    sources = [(i0, j) for j in range(grid.m)]
-    res = null_distance(grid, sources=sources)
-    m = grid.m
-    slice_nodes = [grid.node(i0, j) for j in range(m)]
-    sub = res.rows[:, slice_nodes]
-    d = grid.fiber.dist
-    lower = sub - grid.f_min * d
-    upper = grid.f_max * d + tol - sub
-    is_unit = grid.f_min == 1.0 == grid.f_max
-    dev = np.abs(sub - d)
-    return FiberComparisonReport(
-        t_index=i0,
-        lower_ok=bool(lower.min() >= -1e-12),
-        upper_ok=bool(upper.min() >= -1e-12),
-        worst_lower_margin=float(lower.min()),
-        worst_upper_margin=float(upper.min()),
-        unit_equal_count=int(np.sum(dev <= 1e-12)) if is_unit else 0,
-        unit_max_deviation=float(dev.max()) if is_unit else float("nan"),
-        n_pairs=m * m,
-        note="unit warping: equality up to one t-step (parity of closed paths)"
-        if is_unit
-        else "",
     )
 
 

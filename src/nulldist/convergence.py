@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import ConeGrid, null_distance, stratified_sources
+from .cone import ConeGrid, _grid_error, null_distance, stratified_sources
 from .errors import InvalidInputError, ParameterError
 from .metric_core import (
     Correspondence,
@@ -320,7 +320,7 @@ def uniform_total_boundedness(
     if not (eps > 0):
         raise ParameterError("eps must be positive")
     iv = Interval(*interval)
-    slack = (2.0 + bound) * (iv.length / n_t) / max(1.0, bound)
+    slack = _grid_error(bound, iv.length / n_t) / max(1.0, bound)
     eff = eps - slack
     if eff <= 0:
         raise ParameterError(

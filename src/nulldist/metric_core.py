@@ -32,8 +32,9 @@ GH_SIZE_CAP = 25
 class FiniteLengthSpace:
     """A finite point set with an intrinsic (shortest-path style) metric.
 
-    `dist` is a symmetric nonnegative matrix; `provenance` records whether it
-    was supplied directly or induced from a weighted graph.
+    `dist` is a symmetric nonnegative matrix, +inf between components and
+    never NaN; `provenance` records whether it was supplied directly or
+    induced from a weighted graph.
     """
 
     point_ids: tuple
@@ -46,6 +47,8 @@ class FiniteLengthSpace:
             raise InvalidInputError(f"distance matrix must be square, got {d.shape}")
         if len(self.point_ids) != d.shape[0]:
             raise InvalidInputError("point_ids length does not match matrix size")
+        if np.isnan(d).any():
+            raise InvalidInputError(f"NaN distances at {np.argwhere(np.isnan(d))[:5].tolist()}")
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)

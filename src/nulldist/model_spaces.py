@@ -192,34 +192,20 @@ def l2k_time_separation(K: float, p, q) -> float:
     return embedded_time_separation(K, np.asarray(pe, float), np.asarray(qe, float))
 
 
-def _future_unit_timelike(K: float, base: np.ndarray, boost: float) -> np.ndarray:
-    """Future-directed unit timelike tangent at `base`, parametrized by rapidity."""
+def _cs_sn(K: float, s: float) -> tuple[float, float]:
+    """(cosh, sinh)(s/r) for K > 0 and (cos, sin)(s/r) for K < 0: the two
+    functions every timelike geodesic of the curved plane is built from."""
     r = 1.0 / math.sqrt(abs(K))
     if K > 0:
-        # base = (0, r, 0) frame; construct via the orthonormal frame at base
-        e_t = np.array([1.0, 0.0, 0.0])
-        e_x = np.array([0.0, -base[2] / r, base[1] / r])
-        # adjust e_t to be orthogonal to base under the form
-        g = np.diagonal(_form(K))
-        e_t = e_t - (np.sum(g * e_t * base) / (r * r)) * base
-        nt = math.sqrt(-np.sum(g * e_t * e_t))
-        e_t = e_t / nt
-        return math.cosh(boost) * e_t + math.sinh(boost) * e_x
-    g = np.diagonal(_form(K))
-    e_t = np.array([-base[1], base[0], 0.0]) / r
-    nt = math.sqrt(-np.sum(g * e_t * e_t))
-    e_t = e_t / nt
-    # spacelike direction orthogonal to base and e_t
-    e_x = np.array(
-        [
-            g[1] * (e_t[1] * base[2] - e_t[2] * base[1]),
-            -g[0] * (e_t[0] * base[2] - e_t[2] * base[0]),
-            e_t[0] * base[1] - e_t[1] * base[0],
-        ]
-    )
-    nx = math.sqrt(abs(np.sum(g * e_x * e_x)))
-    e_x = e_x / nx
-    return math.cosh(boost) * e_t + math.sinh(boost) * e_x
+        return math.cosh(s / r), math.sinh(s / r)
+    return math.cos(s / r), math.sin(s / r)
+
+
+def _future_unit_timelike(K: float, boost: float) -> np.ndarray:
+    """Future-directed unit timelike tangent at chart_point(K, 0, 0), by
+    rapidity, in the orthonormal frame (e_t, e_x) there."""
+    e_t, e_x = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)) if K > 0 else ((0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
+    return math.cosh(boost) * np.array(e_t) + math.sinh(boost) * np.array(e_x)
 
 
 def geodesic_point(K: float, base: np.ndarray, tangent: np.ndarray, s: float) -> np.ndarray:
@@ -227,9 +213,8 @@ def geodesic_point(K: float, base: np.ndarray, tangent: np.ndarray, s: float) ->
     if K == 0:
         return base + s * tangent
     r = 1.0 / math.sqrt(abs(K))
-    if K > 0:
-        return math.cosh(s / r) * base + r * math.sinh(s / r) * tangent
-    return math.cos(s / r) * base + r * math.sin(s / r) * tangent
+    cs, sn = _cs_sn(K, s)
+    return cs * base + r * sn * tangent
 
 
 @dataclass(frozen=True)
@@ -288,31 +273,21 @@ def realize_timelike_triangle(K: float, a: float, b: float, c: float) -> Compari
             y = np.array([ty, sy])
         return ComparisonTriangle(K, x, y, z, float(a), float(b), float(c))
 
-    r = 1.0 / math.sqrt(abs(K))
-    if K > 0:
-        x = np.array([0.0, r, 0.0])
-    else:
-        x = np.array([r, 0.0, 0.0])
-    v0 = _future_unit_timelike(K, x, 0.0)
-    z = geodesic_point(K, x, v0, c)
+    x = chart_point(K, 0.0, 0.0)
+    z = geodesic_point(K, x, _future_unit_timelike(K, 0.0), c)
     if a == 0:
         y = x.copy()
     elif b == 0:
         y = z.copy()
     else:
-        if K > 0:
-            num = math.cosh(a / r) * math.cosh(c / r) - math.cosh(b / r)
-            den = math.sinh(a / r) * math.sinh(c / r)
-        else:
-            num = math.cos(b / r) - math.cos(a / r) * math.cos(c / r)
-            den = math.sin(a / r) * math.sin(c / r)
-        arg = num / den
+        (cs_a, sn_a), (cs_b, _), (cs_c, sn_c) = (_cs_sn(K, s) for s in (a, b, c))
+        arg = math.copysign(1.0, K) * (cs_a * cs_c - cs_b) / (sn_a * sn_c)
         if arg < 1.0 - _CLAMP:
             raise ModelConstraintError(
                 f"sides ({a!r}, {b!r}, {c!r}) not realizable at K={K!r}"
             )
         phi = math.acosh(max(arg, 1.0))
-        y = geodesic_point(K, x, _future_unit_timelike(K, x, phi), a)
+        y = geodesic_point(K, x, _future_unit_timelike(K, phi), a)
     tri = ComparisonTriangle(K, x, y, z, float(a), float(b), float(c))
     _check_realization(tri)
     return tri
@@ -347,8 +322,6 @@ def point_on_side(tri: ComparisonTriangle, side: str, s: float) -> np.ndarray:
     if tri.K == 0:
         return past + (s / length) * (fut - past)
     r = 1.0 / math.sqrt(abs(tri.K))
-    if tri.K > 0:
-        tangent = (fut - math.cosh(length / r) * past) / (r * math.sinh(length / r))
-    else:
-        tangent = (fut - math.cos(length / r) * past) / (r * math.sin(length / r))
+    cs, sn = _cs_sn(tri.K, length)
+    tangent = (fut - cs * past) / (r * sn)
     return geodesic_point(tri.K, past, tangent, s)

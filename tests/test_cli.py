@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nulldist import FiniteLengthSpace, path_space
+from nulldist import FiniteLengthSpace, path_space, time_separation
 from nulldist import cli, curvature
 from nulldist.cli import main
 from nulldist.errors import InvalidInputError, ModelConstraintError
@@ -247,6 +247,17 @@ class TestCommands:
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
         assert rep["verified"] and rep["n_centers"] <= 5
 
+    def test_net_with_nan_distance_is_refused(self, tmp_path, capsys):
+        # a NaN distance made the farthest-point picks run forever
+        save_distance_matrix_csv(tmp_path / "m.csv", path_space(3, 1.0))
+        rows = (tmp_path / "m.csv").read_text().splitlines()
+        rows[1] = ",".join(rows[1].split(",")[:-1] + ["nan"])
+        write(tmp_path / "m.csv", "\n".join(rows) + "\n")
+        cfg = {"command": "net", "inputs": {"space": "m.csv"}, "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 2
+        assert "NaN distances at [[0, 2]]" in capsys.readouterr().err
+
     def test_nullcurve_run(self, tmp_path):
         make_cone_inputs(tmp_path, n_fiber=11, n_t=10)
         cfg = {
@@ -348,6 +359,78 @@ class TestCommands:
         }
         write(tmp_path / "cfg.json", json.dumps(cfg))
         assert main(["--config", str(tmp_path / "cfg.json")]) == 0
+
+
+def pairwise_worst_slack(grid, rows, sources):
+    """The `timesep` reverse-triangle check as a loop over source pairs p, q
+    with q on a later level: min of rows[p] - (rows[p, q] + rows[q]) where
+    rows[p, q] > 0 and rows[q] > 0, and 0 when no pair qualifies."""
+    worst = 0.0
+    for kp, p in enumerate(sources):
+        for kq, q in enumerate(sources):
+            via = rows[kp, grid.node(*q)]
+            ahead = rows[kq] > 0
+            if q[0] > p[0] and via > 0 and ahead.any():
+                worst = min(worst, float((rows[kp] - (via + rows[kq]))[ahead].min()))
+    return worst
+
+
+TIMESEP_WARPINGS = {
+    "constant": {"kind": "constant", "params": {"value": 1.0}},
+    "affine": {"kind": "affine", "params": {"intercept": 1.0, "slope": 1.0}},
+    "cosh": {"kind": "cosh", "params": {"amplitude": 1.0, "rate": 1.3}},
+    "exponential": {"kind": "exponential", "params": {"amplitude": 1.0, "rate": -0.8}},
+}
+
+
+class TestTimesepCheck:
+    def run(self, tmp_path, monkeypatch, warping, sources="all", noise="none"):
+        """Run `timesep` on planted rows: "scaled" multiplies each entry by
+        1 + U(-1e-3, 1e-3), "shifted" adds U(0, 1e-3), which makes the zeros
+        off the causal future positive too, and "level" adds it on the
+        source's own level only. Returns the exit status, the reported worst
+        slack, and the checked rows."""
+        seen = []
+
+        def noisy(grid, sources=None):
+            res = time_separation(grid, sources=sources)
+            u = np.random.default_rng(0).uniform(-1e-3, 1e-3, res.rows.shape)
+            if noise == "scaled":
+                res.rows *= 1.0 + u
+            elif noise == "shifted":
+                res.rows += np.abs(u)
+            elif noise == "level":
+                own = np.array([i for i, _ in res.sources])[:, None] == np.arange(grid.n_points) // grid.m
+                res.rows[own] += np.abs(u[own])
+            seen.append(res)
+            return res
+
+        monkeypatch.setattr(cli, "time_separation", noisy)
+        make_cone_inputs(tmp_path, n_fiber=9, n_t=8, warping=warping)
+        cfg = {
+            "command": "timesep",
+            "inputs": {"cone": "cone.json"},
+            "params": {"sources": sources},
+            "output_dir": str(tmp_path / "out"),
+        }
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        status = main(["--config", str(tmp_path / "cfg.json")])
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        return status, rep["reverse_triangle_worst_slack"], seen[0]
+
+    @pytest.mark.parametrize("noise", ["none", "scaled", "shifted", "level"])
+    @pytest.mark.parametrize("kind", sorted(TIMESEP_WARPINGS))
+    @pytest.mark.parametrize("sources", ["all", [[6, 2], [0, 4], [3, 3], [0, 4], [8, 8], [2, 5]]])
+    def test_worst_slack_matches_the_pairwise_loop(self, sources, kind, noise, tmp_path, monkeypatch):
+        status, worst, res = self.run(tmp_path, monkeypatch, TIMESEP_WARPINGS[kind], sources, noise)
+        assert worst == pairwise_worst_slack(res.grid, res.rows, res.sources)
+        assert status == (0 if worst >= -1e-9 else 1)
+        assert noise != "none" or status == 0
+
+    def test_planted_violation_exits_one(self, tmp_path, monkeypatch):
+        status, worst, res = self.run(tmp_path, monkeypatch, TIMESEP_WARPINGS["affine"], noise="scaled")
+        assert status == 1
+        assert worst < -1e-9
 
 
 def make_curvature_inputs(tmp: Path, **changes) -> Path:

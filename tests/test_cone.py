@@ -18,7 +18,6 @@ from nulldist import (
     Interval,
     WarpingFunction,
     circle_space,
-    fiber_metric_comparison,
     minimizer_analysis,
     null_distance,
     null_distance_guarantees,
@@ -1324,23 +1323,39 @@ class TestCheckParity:
         self.assert_same(g, sources)
 
 
-class TestFiberComparison:
+def slice_result(grid, i0):
+    """Null-distance rows from every point of the slice t = t_levels[i0]."""
+    return null_distance(grid, [(i0, j) for j in range(grid.m)])
+
+
+class TestSliceGuarantees:
+    """null_distance_guarantees over the sources of one slice: its lower and
+    upper bounds there compare the slice's null distance with the fiber
+    metric, f_min * d <= dhat <= f_max * d + (2 + f_max) * step."""
+
+    @pytest.mark.parametrize(
+        "warping, i0",
+        [
+            (WarpingFunction.constant(1.0, IV), 10),
+            (WarpingFunction.constant(2.0, IV), 0),
+            (WarpingFunction.affine(1.0, 2.0, IV), 20),
+        ],
+        ids=["unit", "constant-two", "affine"],
+    )
+    def test_slice_bounds(self, warping, i0):
+        g = small_grid(n_t=20, n_f=21, warping=warping)
+        rep = null_distance_guarantees(g, slice_result(g, i0))
+        assert rep.ok, rep.violations
+
     def test_unit_warping_equality_up_to_one_step(self):
+        # a closed path balances its up and down moves, so slice costs live
+        # on the lattice of doubled t-steps: odd fiber gaps miss by one step
         g = small_grid(n_t=20, n_f=21)
-        rep = fiber_metric_comparison(g, 0.5)
-        assert rep.lower_ok and rep.upper_ok
-        assert rep.unit_max_deviation <= 1.0 / g.n_t + 1e-12
-        assert rep.unit_equal_count > rep.n_pairs // 2
-
-    def test_constant_two_ratio(self):
-        g = small_grid(n_t=20, n_f=21, warping=WarpingFunction.constant(2.0, IV))
-        rep = fiber_metric_comparison(g, 0.0)
-        assert rep.lower_ok and rep.upper_ok
-
-    def test_affine_bounds(self):
-        g = small_grid(n_t=20, n_f=21, warping=WarpingFunction.affine(1.0, 2.0, IV))
-        rep = fiber_metric_comparison(g, 1.0)
-        assert rep.lower_ok and rep.upper_ok
+        i0 = 10
+        res = slice_result(g, i0)
+        dev = np.abs(res.rows[:, [g.node(i0, j) for j in range(g.m)]] - g.fiber.dist)
+        assert dev.max() <= 1.0 / g.n_t + 1e-12
+        assert np.sum(dev <= 1e-12) > g.m * g.m // 2
 
 
 class TestMinimizerAnalysis:

@@ -61,6 +61,14 @@ class TestValidateMetric:
         with pytest.raises(InvalidInputError):
             validate_metric(FiniteLengthSpace((0, 1), np.array([[0, np.nan], [np.nan, 0]])))
 
+    def test_nan_distance_is_refused(self):
+        d = path_space(4, 1.0).dist.copy()
+        d[1, 3] = np.nan
+        with pytest.raises(InvalidInputError, match=r"NaN distances at \[\[1, 3\]\]"):
+            FiniteLengthSpace(tuple(range(4)), d)
+        d[1, 3] = np.inf  # disconnected spaces keep +inf
+        assert FiniteLengthSpace(tuple(range(4)), d).dist[1, 3] == np.inf
+
     def test_non_square_raises(self):
         with pytest.raises(InvalidInputError):
             FiniteLengthSpace((0, 1), np.zeros((2, 3)))

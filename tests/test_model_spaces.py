@@ -141,7 +141,7 @@ class TestCurvedSeparation:
         if K == 0:
             return
         base = chart_point(K, 0.0, 0.0)
-        v = _future_unit_timelike(K, base, 0.45)
+        v = _future_unit_timelike(K, 0.45)
         p = geodesic_point(K, base, v, 0.4)
         q = geodesic_point(K, base, v, 1.1)
         s1 = embedded_time_separation(K, base, p)
@@ -162,7 +162,7 @@ class TestCurvedSeparation:
         # compare the proper time with the closed form
         K = 1.0
         base = chart_point(K, 0.0, 0.0)
-        v = _future_unit_timelike(K, base, 0.0)
+        v = _future_unit_timelike(K, 0.0)
 
         def deriv(state):
             x, dx = state
