@@ -117,7 +117,7 @@ class ConeGrid:
             raise InvalidInputError("fiber must be connected (finite distances)")
         self.t_levels = np.linspace(self.interval.a, self.interval.b, self.n_t + 1)
         self.g_levels = np.asarray(self.warping.recip_integral(self.t_levels), dtype=float)
-        # strict monotonicity of G is equivalent to positivity of f
+        # f is positive on its domain; G must also increase in floating point
         if np.any(np.diff(self.g_levels) <= 0):
             raise InvalidInputError("warping must be strictly positive on the interval")
         # warping at the level midpoints, for the time-separation step lengths
@@ -125,8 +125,6 @@ class ConeGrid:
             self.warping.value(0.5 * (self.t_levels[:-1] + self.t_levels[1:])), dtype=float
         )
         self.f_min, self.f_max = self.warping.extrema(self.interval)
-        if self.f_min <= 0:
-            raise InvalidInputError("warping must be strictly positive on the interval")
         # Exactly-null relations (d equal to the G-gap) must stay causal under
         # floating-point grid construction; the slack is far below one grid
         # quantum, so no genuinely timelike/spacelike pair can flip class.

@@ -54,8 +54,8 @@ def sup_norm(f: WarpingFunction, g: WarpingFunction) -> float:
     """max |f - g| on a shared 2001-point grid joined with the critical
     points of both warpings; exact when both are piecewise linear, since
     f - g is then linear between consecutive points. Exact as well when one
-    side is a constant c: |f - c| peaks where f does, at one of f's critical
-    points, so this is max(|f_max - c|, |f_min - c|) with extrema's values."""
+    side is affine of slope 0, a constant c: |f - c| peaks where f does, at
+    one of f's critical points, so this is max(|f_max - c|, |f_min - c|)."""
     if f.domain != g.domain:
         raise InvalidInputError("sup norm needs a shared domain")
     ts = np.concatenate(
@@ -306,7 +306,7 @@ def uniform_total_boundedness(
     interval: tuple[float, float],
     eps: float,
     bound: float,
-    n_t: int = 50,
+    n_t: int,
 ) -> NetCertificate:
     """Certify one eps*max(1,C) product net for every cone in the family.
 

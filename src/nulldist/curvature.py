@@ -215,7 +215,7 @@ def triangle_comparison(
     """
     if direction not in (LOWER, UPPER):
         raise ParameterError(f"direction must be '{LOWER}' or '{UPPER}'")
-    if tol < 0:
+    if not (tol >= 0):
         raise ParameterError("tol must be nonnegative")
     if n_probe < 1:
         raise ParameterError(f"n_probe must be at least 1, got {n_probe!r}")
@@ -307,7 +307,7 @@ def concavity_check(
     )
     detail = ""
     if warping.kind == "tabulated":
-        h = warping.tabulated_step() or 1.0
+        h = warping.tabulated_step()
         noise = 4.0 * np.finfo(float).eps * float(np.max(np.abs(warping.value(ts)))) / h**2
         scale = float(np.max(np.abs(vals))) or 1.0
         if noise > 0.1 * scale:

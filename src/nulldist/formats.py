@@ -134,10 +134,6 @@ def load_cone_json(path: PathLike):
 # discrete pre-length spaces
 
 
-def _encode_rho(rho: np.ndarray) -> list:
-    return [["inf" if math.isinf(v) else v for v in row] for row in rho.tolist()]
-
-
 def _decode_rho(rows: list) -> np.ndarray:
     return np.array(
         [[math.inf if v == "inf" else float(v) for v in row] for row in rows]
@@ -150,7 +146,7 @@ def save_pls_json(path: PathLike, space: DiscretePreLengthSpace, tau=None) -> No
         "dist": space.base.dist.tolist(),
         "causal": space.causal.astype(int).tolist(),
         "chrono": space.chrono.astype(int).tolist(),
-        "rho": _encode_rho(space.rho),
+        "rho": _jsonable(space.rho),
     }
     if tau is not None:
         doc["tau"] = list(map(float, tau))

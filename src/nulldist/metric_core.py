@@ -426,8 +426,8 @@ def quadruple_curvature_check(
     Spaces with a non-finite distance (points in different components) are
     refused: their comparison angles are undefined.
     """
-    if tol < 0:
-        raise ParameterError("tol must be nonnegative")
+    if not (tol >= 0 and math.isfinite(k)):
+        raise ParameterError(f"need a finite k and tol >= 0, got k={k!r}, tol={tol!r}")
     if not np.all(np.isfinite(space.dist)):
         raise InvalidInputError("quadruple test needs finite distances")
     n = space.n

@@ -34,7 +34,9 @@ _CLAMP = 1e-12
 
 def model_size_bound(K: float) -> float:
     """Side lengths of realizable triangles stay below this bound: pi/sqrt(|K|),
-    and +inf on the flat plane."""
+    and +inf on the flat plane. A non-finite K is refused."""
+    if not math.isfinite(K):
+        raise ParameterError(f"model curvature must be finite, got {K!r}")
     return math.inf if K == 0 else math.pi / math.sqrt(abs(K))
 
 
@@ -247,7 +249,7 @@ def realize_timelike_triangle(K: float, a: float, b: float, c: float) -> Compari
     all sides below pi/sqrt(|K|). Degenerate sides follow the convention
     a = 0 -> y' = x' (and b = 0 -> y' = z').
     """
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):
         raise ParameterError("side separations must be nonnegative")
     if not (c > 0):
         raise ParameterError("the long side c must be positive")

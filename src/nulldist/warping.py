@@ -26,8 +26,8 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if not (self.a < self.b):
-            raise ParameterError(f"need a < b, got [{self.a!r}, {self.b!r}]")
+        if not (-math.inf < self.a < self.b < math.inf):
+            raise ParameterError(f"need finite a < b, got [{self.a!r}, {self.b!r}]")
 
     @property
     def length(self) -> float:
@@ -36,46 +36,47 @@ class Interval:
     def grid(self, n_segments: int) -> np.ndarray:
         return np.linspace(self.a, self.b, n_segments + 1)
 
-    def contains(self, t: float) -> bool:
-        return self.a - 1e-12 <= t <= self.b + 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class WarpingFunction:
-    """Positive continuous function on an interval, one of the fixed kinds."""
+    """Positive continuous function on an interval, of one of four kinds:
+    affine (a constant is the affine kind of slope 0), exponential, cosh or
+    tabulated."""
 
     kind: str
     params: dict
     domain: Interval
 
+    def __post_init__(self):
+        # every constructor ends here
+        if self.kind not in ("affine", "exponential", "cosh", "tabulated"):
+            raise InvalidInputError(f"unknown warping kind {self.kind!r}")
+        if not np.all(np.isfinite(np.hstack(list(self.params.values())))):
+            raise ParameterError(f"{self.kind} warping parameters must be finite")
+        if not (self.extrema()[0] > 0):
+            raise ParameterError(f"warping not positive on {self.domain}")
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(c: float, domain: Interval) -> "WarpingFunction":
-        if not (c > 0):
-            raise ParameterError("constant warping must be positive")
-        return WarpingFunction("constant", {"value": float(c)}, domain)
+        """The affine kind with slope 0."""
+        return WarpingFunction.affine(c, 0.0, domain)
 
     @staticmethod
     def affine(intercept: float, slope: float, domain: Interval) -> "WarpingFunction":
-        w = WarpingFunction(
+        return WarpingFunction(
             "affine", {"intercept": float(intercept), "slope": float(slope)}, domain
         )
-        w._require_positive()
-        return w
 
     @staticmethod
     def exponential(amplitude: float, rate: float, domain: Interval) -> "WarpingFunction":
-        if not (amplitude > 0):
-            raise ParameterError("exponential amplitude must be positive")
         return WarpingFunction(
             "exponential", {"amplitude": float(amplitude), "rate": float(rate)}, domain
         )
 
     @staticmethod
     def cosh_type(amplitude: float, rate: float, domain: Interval) -> "WarpingFunction":
-        if not (amplitude > 0):
-            raise ParameterError("cosh amplitude must be positive")
         return WarpingFunction(
             "cosh", {"amplitude": float(amplitude), "rate": float(rate)}, domain
         )
@@ -88,6 +89,7 @@ class WarpingFunction:
             raise InvalidInputError("need matching 1-d sample arrays with >= 2 samples")
         if np.any(np.diff(ts) <= 0):
             raise InvalidInputError("sample abscissae must be strictly increasing")
+        # every knot, not only those in the domain: G integrates across them
         if np.any(values <= 0):
             raise InvalidInputError("tabulated warping must be strictly positive")
         dom = domain or Interval(float(ts[0]), float(ts[-1]))
@@ -97,27 +99,19 @@ class WarpingFunction:
             "tabulated", {"ts": tuple(ts.tolist()), "values": tuple(values.tolist())}, dom
         )
 
-    def _require_positive(self) -> None:
-        if self.extrema()[0] <= 0:
-            raise ParameterError(f"warping not positive on {self.domain}")
-
     # -- evaluation --------------------------------------------------------
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         p = self.params
-        if self.kind == "constant":
-            out = np.full_like(t, p["value"])
-        elif self.kind == "affine":
+        if self.kind == "affine":
             out = p["intercept"] + p["slope"] * t
         elif self.kind == "exponential":
             out = p["amplitude"] * np.exp(p["rate"] * t)
         elif self.kind == "cosh":
             out = p["amplitude"] * np.cosh(p["rate"] * t)
-        elif self.kind == "tabulated":
-            out = np.interp(t, p["ts"], p["values"])
         else:
-            raise InvalidInputError(f"unknown warping kind {self.kind!r}")
+            out = np.interp(t, p["ts"], p["values"])
         return out if out.ndim else float(out)
 
     def recip_integral(self, t):
@@ -125,9 +119,7 @@ class WarpingFunction:
         t = np.asarray(t, dtype=float)
         a = self.domain.a
         p = self.params
-        if self.kind == "constant":
-            out = (t - a) / p["value"]
-        elif self.kind == "affine":
+        if self.kind == "affine":
             c, m = p["intercept"], p["slope"]
             # a subnormal slope (or rate, below) leaves f constant in floating
             # point, and its product with t - a would keep only a few bits
@@ -148,10 +140,8 @@ class WarpingFunction:
                 out = (t - a) / amp
             else:
                 out = (np.arctan(np.sinh(r * t)) - math.atan(math.sinh(r * a))) / (amp * r)
-        elif self.kind == "tabulated":
-            out = self._tabulated_recip_integral(t)
         else:
-            raise InvalidInputError(f"unknown warping kind {self.kind!r}")
+            out = self._tabulated_recip_integral(t)
         return out if out.ndim else float(out)
 
     def _tabulated_recip_integral(self, t: np.ndarray) -> np.ndarray:
@@ -172,16 +162,12 @@ class WarpingFunction:
         cum = np.concatenate(
             [[0.0], np.cumsum(seg_int(np.arange(ts.size - 1), ts[:-1], ts[1:]))]
         )
-        tq = np.atleast_1d(t)
+        # the last query is domain.a: subtracting it makes G(domain.a) = 0
+        # even if a falls inside a segment
+        tq = np.append(np.ravel(t), self.domain.a)
         idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, ts.size - 2)
-        partial = seg_int(idx, ts[idx], tq)
-        # shift so that G(domain.a) = 0 even if a falls inside a segment
-        ia = min(max(int(np.searchsorted(ts, self.domain.a, side="right") - 1), 0), ts.size - 2)
-        base_a = cum[ia] + float(
-            seg_int(np.array([ia]), np.array([ts[ia]]), np.array([self.domain.a]))[0]
-        )
-        out = cum[idx] + partial - base_a
-        return out.reshape(np.shape(t))
+        out = cum[idx] + seg_int(idx, ts[idx], tq)
+        return (out[:-1] - out[-1]).reshape(np.shape(t))
 
     def recip_integral_inverse(self, g: float) -> float:
         """Solve G(r) = g for r in the domain by bisection (G is increasing).
@@ -215,38 +201,31 @@ class WarpingFunction:
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
         p = self.params
-        if self.kind == "constant":
-            out = np.zeros_like(t)
-        elif self.kind == "affine":
+        if self.kind == "affine":
             out = np.full_like(t, p["slope"])
         elif self.kind == "exponential":
             out = p["rate"] * p["amplitude"] * np.exp(p["rate"] * t)
         elif self.kind == "cosh":
             out = p["rate"] * p["amplitude"] * np.sinh(p["rate"] * t)
-        elif self.kind == "tabulated":
-            out = self._difference_quotient(t, order=1)
         else:
-            raise InvalidInputError(f"unknown warping kind {self.kind!r}")
+            out = self._difference_quotient(t, order=1)
         return out if out.ndim else float(out)
 
     def second_derivative(self, t):
         t = np.asarray(t, dtype=float)
         p = self.params
-        if self.kind in ("constant", "affine"):
+        if self.kind == "affine":
             out = np.zeros_like(t)
         elif self.kind == "exponential":
             out = p["rate"] ** 2 * p["amplitude"] * np.exp(p["rate"] * t)
         elif self.kind == "cosh":
             out = p["rate"] ** 2 * p["amplitude"] * np.cosh(p["rate"] * t)
-        elif self.kind == "tabulated":
-            out = self._difference_quotient(t, order=2)
         else:
-            raise InvalidInputError(f"unknown warping kind {self.kind!r}")
+            out = self._difference_quotient(t, order=2)
         return out if out.ndim else float(out)
 
     def _difference_quotient(self, t: np.ndarray, order: int) -> np.ndarray:
-        ts = np.asarray(self.params["ts"])
-        h = float(np.min(np.diff(ts)))
+        h = self.tabulated_step()
         lo = np.maximum(np.atleast_1d(t) - h, self.domain.a)
         hi = np.minimum(np.atleast_1d(t) + h, self.domain.b)
         span = hi - lo

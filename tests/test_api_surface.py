@@ -20,7 +20,6 @@ PINNED = {
     ("cone", "null_distance_phi", "sources"),
     ("convergence", "null_convergence_check", "max_entries"),
     ("convergence", "null_convergence_check", "seed"),
-    ("convergence", "uniform_total_boundedness", "n_t"),
     ("curvature", "sample_timelike_triangles", "size_bound"),
     ("curvature", "sample_timelike_triangles", "max_attempts"),
     ("curvature", "triangle_comparison", "rho_cache"),

@@ -349,6 +349,16 @@ class TestCommands:
         assert "6561 points refused" in capsys.readouterr().err
         assert not (tmp_path / "out" / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize("command", ["nulldist", "timesep"])
+    def test_nan_warping_parameter_exits_two(self, command, tmp_path, capsys):
+        nan_warping = {"kind": "affine", "params": {"intercept": math.nan, "slope": 0.0}}
+        make_cone_inputs(tmp_path, warping=nan_warping)
+        assert "NaN" in (tmp_path / "cone.json").read_text()
+        cfg = {"command": command, "inputs": {"cone": "cone.json"}, "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_timesep_run(self, tmp_path):
         make_cone_inputs(tmp_path, n_fiber=21, n_t=8)
         cfg = {
@@ -470,6 +480,14 @@ class TestCurvature:
         cfg = make_curvature_inputs(tmp_path, bound=-1.0, seed=1)
         status = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
         assert status in (0, 1), capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes, extra", [
+        pytest.param({"bound": math.nan}, [], id="bound"),
+        pytest.param({}, ["--tol", "nan"], id="tol"),
+    ])
+    def test_nan_bound_or_tol_exits_two(self, changes, extra, tmp_path):
+        cfg = make_curvature_inputs(tmp_path, **changes)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
 
     def test_zero_probes_is_a_parameter_error(self, tmp_path):
         cfg = make_curvature_inputs(tmp_path, n_probe=0)
@@ -681,6 +699,28 @@ class TestPreLengthIO:
         save_pls_json(tmp_path / "pls.json", space)
         back, _ = load_pls_json(tmp_path / "pls.json")
         assert math.isinf(back.rho[0, 1])
+
+    def test_pls_bytes_are_pinned(self, tmp_path):
+        # "inf" stands for an infinite separation; other floats, signed
+        # zeros included, are written as json writes them
+        from nulldist import DiscretePreLengthSpace, FiniteLengthSpace
+        from nulldist.formats import save_pls_json
+
+        base = FiniteLengthSpace((0, 1, 2), np.array([[0.0, 1.0, 2.5], [1.0, 0.0, 1.5], [2.5, 1.5, 0.0]]))
+        causal = np.triu(np.ones((3, 3), dtype=bool))
+        chrono = np.triu(np.ones((3, 3), dtype=bool), 1)
+        rho = np.array([[0.0, 0.1 + 0.2, math.inf], [0.0, -0.0, math.inf], [0.0, 0.0, 0.0]])
+        save_pls_json(tmp_path / "pls.json", DiscretePreLengthSpace(base, causal, chrono, rho), [0.0, 1.0, 2.0])
+        doc = {
+            "causal": [[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+            "chrono": [[0, 1, 1], [0, 0, 1], [0, 0, 0]],
+            "dist": [[0.0, 1.0, 2.5], [1.0, 0.0, 1.5], [2.5, 1.5, 0.0]],
+            "points": [0, 1, 2],
+            "rho": [[0.0, 0.30000000000000004, "inf"], [0.0, -0.0, "inf"], [0.0, 0.0, 0.0]],
+            "tau": [0.0, 1.0, 2.0],
+        }
+        expected = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        assert (tmp_path / "pls.json").read_bytes() == expected.encode("utf-8")
 
 
 class TestConvergeConeRef:

@@ -231,6 +231,12 @@ class TestFlatComparison:
         with pytest.raises(ParameterError):
             triangle_comparison(g, tris[0], 0.0, "sideways", 3, tol=0.05)
 
+    def test_nan_tol_is_refused(self):
+        g = flat_grid(n_t=20, n_f=21)
+        tris, _ = sample_timelike_triangles(g, 1, seed=5)
+        with pytest.raises(ParameterError):
+            triangle_comparison(g, tris[0], 0.0, "lower", 3, tol=math.nan)
+
 
 class TestTripod:
     def test_explicit_branching_triangle(self):

@@ -390,6 +390,11 @@ class TestQuadruple:
             with pytest.raises(InvalidInputError):
                 quadruple_curvature_check(two_component_space(), k)
 
+    @pytest.mark.parametrize("k, tol", [(0.0, math.nan), (math.nan, 1e-9)])
+    def test_nan_k_or_tol_refused(self, k, tol):
+        with pytest.raises(ParameterError):
+            quadruple_curvature_check(path_space(5, 1.0), k, tol)
+
     def test_nan_distance_refused(self):
         d = path_space(5, 1.0).dist.copy()
         d[1, 3] = d[3, 1] = np.nan

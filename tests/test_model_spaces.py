@@ -217,6 +217,14 @@ class TestRealizeTriangle:
         with pytest.raises(ModelConstraintError):
             realize_timelike_triangle(1.0, 1.0, 1.0, 3.5)
 
+    @pytest.mark.parametrize("K, a, b", [
+        (math.nan, 0.3, 0.4), (math.inf, 0.3, 0.4), (-math.inf, 0.3, 0.4),
+        (0.0, math.nan, 0.4), (0.0, 0.3, math.nan),
+    ])
+    def test_non_finite_input_is_refused(self, K, a, b):
+        with pytest.raises(ParameterError):
+            realize_timelike_triangle(K, a, b, 1.0)
+
     @pytest.mark.parametrize("K", [0.0, 0.6, -0.6])
     def test_remeasured_sides(self, K):
         a, b, c = 0.5, 0.7, 1.5

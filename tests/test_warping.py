@@ -5,6 +5,7 @@ import pytest
 
 from nulldist import ConeGrid, Interval, WarpingFunction, path_space
 from nulldist.errors import InvalidInputError, ParameterError
+from nulldist.formats import warping_from_dict
 
 
 IV = Interval(0.0, 1.0)
@@ -35,6 +36,60 @@ class TestConstructors:
     def test_tabulated_positive(self):
         with pytest.raises(InvalidInputError):
             WarpingFunction.tabulated([0.0, 1.0], [1.0, -0.1])
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0)])
+    def test_interval_ends_are_finite(self, a, b):
+        with pytest.raises(ParameterError):
+            Interval(a, b)
+
+
+# each maker builds one kind with x in one parameter slot, the rest valid
+NON_FINITE_MAKERS = {
+    "constant": [lambda x: WarpingFunction.constant(x, IV)],
+    "affine": [lambda x: WarpingFunction.affine(x, 0.5, IV),
+               lambda x: WarpingFunction.affine(1.0, x, IV)],
+    "exponential": [lambda x: WarpingFunction.exponential(x, 0.5, IV),
+                    lambda x: WarpingFunction.exponential(1.0, x, IV)],
+    "cosh": [lambda x: WarpingFunction.cosh_type(x, 0.5, IV),
+             lambda x: WarpingFunction.cosh_type(1.0, x, IV)],
+    "tabulated": [lambda x: WarpingFunction.tabulated([0.0, 0.5, 1.0], [1.0, x, 1.0]),
+                  lambda x: WarpingFunction.tabulated([0.0, x, 1.0], [1.0, 1.0, 1.0], IV)],
+    "direct": [
+        lambda x: WarpingFunction("affine", {"intercept": x, "slope": 0.0}, IV),
+        lambda x: WarpingFunction("exponential", {"amplitude": 1.0, "rate": x}, IV),
+        lambda x: WarpingFunction("cosh", {"amplitude": x, "rate": 1.0}, IV),
+        lambda x: WarpingFunction("tabulated", {"ts": (0.0, 1.0), "values": (1.0, x)}, IV),
+    ],
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("path", sorted(NON_FINITE_MAKERS))
+    def test_non_finite_parameters_are_refused(self, path):
+        for make in NON_FINITE_MAKERS[path]:
+            for x in (math.nan, math.inf, -math.inf):
+                with pytest.raises((ParameterError, InvalidInputError)):
+                    make(x)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("constant", {"value": 1.0}),
+        ("spline", {"ts": (0.0, 1.0), "values": (1.0, 1.0)}),
+    ])
+    def test_unknown_kind_is_refused_at_construction(self, kind, params):
+        with pytest.raises(InvalidInputError):
+            WarpingFunction(kind, params, IV)
+
+    def test_direct_construction_checks_positivity(self):
+        with pytest.raises(ParameterError):
+            WarpingFunction("cosh", {"amplitude": -1.0, "rate": 1.0}, IV)
+
+    def test_constant_is_affine_with_slope_zero(self):
+        w = WarpingFunction.constant(1.5, IV)
+        assert (w.kind, w.params) == ("affine", {"intercept": 1.5, "slope": 0.0})
+
+    def test_json_constant_loads_as_affine(self):
+        w = warping_from_dict({"kind": "constant", "params": {"value": 1.5}}, IV)
+        assert (w.kind, w.params) == ("affine", {"intercept": 1.5, "slope": 0.0})
 
 
 class TestRecipIntegral:
