@@ -203,7 +203,7 @@ def run_converge(cfg, paths, out, seed):
     schedule = doc.get("eps_schedule")
     if schedule is not None:
         for m, want in zip(rep.members, schedule):
-            if abs(m.eps - float(want)) > 1e-9:
+            if not abs(m.eps - float(want)) <= 1e-9:
                 m.diagnostic = (m.diagnostic + "; " if m.diagnostic else "") + (
                     f"declared eps {want!r} differs from measured {m.eps!r}"
                 )

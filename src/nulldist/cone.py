@@ -135,8 +135,7 @@ class ConeGrid:
         )
         self.causal_slack = 32.0 * np.finfo(float).eps * scale
         self._cover: Optional[tuple[list[np.ndarray], list[np.ndarray]]] = None
-        self._moves: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
-        self._weights: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._moves: Optional[tuple[np.ndarray, ...]] = None
 
     # -- indexing ----------------------------------------------------------
 
@@ -317,18 +316,19 @@ class ConeGrid:
             index.append(idx)
         return index
 
-    def _move_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The fiber moves of every level step as (nbrs, du, depth, dist).
-        Column a of the int32 (deg, m) nbrs lists the points c causal to a
-        across the widest step, d(c, a) <= G-gap + slack, nearest first with
-        ties to the smallest index, padded with a at an infinite distance; du
-        indexes each entry's distance in dist, the ascending distinct move
-        distances and inf. A step's moves lead every column, so depth[k], the
-        rows holding step k's moves, counts the rows whose least distance
-        passes step k's test."""
+    def _move_index(self) -> tuple[np.ndarray, ...]:
+        """The fiber moves of every level step as (nbrs, du, depth, dist,
+        table). Column a of the int32 (deg, m) nbrs lists the points c causal
+        to a across the widest step, d(c, a) <= G-gap + slack, nearest first
+        with ties to the smallest index, padded with a at an infinite
+        distance; du indexes each entry's distance in dist, the ascending
+        distinct move distances and inf. Entry (r, a) has length
+        table[k, du[r, a]] on step k: row k is `_level_step_weights`, finite
+        on a prefix, the step's moves. depth[k] counts the rows whose least du
+        lies in that prefix, the rows that hold step k's moves."""
         if self._moves is None:
-            thr = np.diff(self.g_levels) + self.causal_slack
-            a, src = np.nonzero(self.fiber.dist.T <= thr.max())  # a ascending
+            widest = np.diff(self.g_levels).max() + self.causal_slack
+            a, src = np.nonzero(self.fiber.dist.T <= widest)  # a ascending
             d = self.fiber.dist[src, a]
             order = np.lexsort((d, a))  # stable: equal distances keep src ascending
             counts = np.bincount(a, minlength=self.m)
@@ -337,24 +337,11 @@ class ConeGrid:
             nbrs = np.repeat(np.arange(self.m, dtype=np.int32)[None], counts.max(), axis=0)
             du = np.full(nbrs.shape, dist.size - 1, dtype=np.int32)
             nbrs[rank, a], du[rank, a] = src[order], inv[order]
-            # dist ascends, so a row's least distance is that of its least du
-            depth = np.searchsorted(dist[du.min(axis=1)], thr, side="right")
-            self._moves = (nbrs, du, depth, dist)
+            table = _level_step_weights(self, np.arange(self.n_t)[:, None], dist)
+            # a row's least du ascends with the row
+            depth = np.searchsorted(du.min(axis=1), np.isfinite(table).sum(axis=1))
+            self._moves = (nbrs, du, depth, dist, table)
         return self._moves
-
-    def _step_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Step lengths of the fiber moves as (table, rows): entry (r, a) of
-        the move index has length table[rows[i], du[r, a]] on the step
-        i -> i+1 (-inf on the padding). A row is `_level_step_weights` over
-        the index's distances, once per distinct (G-gap, dt, f_mid) step,
-        since the formula reads nothing else of the level."""
-        if self._weights is None:
-            dist = self._move_index()[3]
-            steps = np.stack([np.diff(self.g_levels), np.diff(self.t_levels), self.f_mid], axis=1)
-            _, first, rows = np.unique(steps, axis=0, return_index=True, return_inverse=True)
-            table = np.stack([_level_step_weights(self, i, dist) for i in first.tolist()])
-            self._weights = (table, rows)
-        return self._weights
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +517,13 @@ def _close_bands(grid: ConeGrid, val: np.ndarray, pi: np.ndarray) -> None:
     """Close each band k, k+1 of val, in ascending order, by shortest paths
     over its edges of cost pi[k+1] - pi[k] (module docstring): a round
     relaxes every edge into level k, then every edge into level k + 1. The
-    band's graph is the move index's first depth[k] rows, the entries of
-    distances beyond the step's first n_dist[k] padded with their column's
+    band's graph is the move index's first depth[k] rows, the entries past
+    the finite prefix of the step's table row padded with their column's
     point. The gathers run in blocks of band points, each under _GATHER_CAP
     entries unless one point's neighbours over all columns exceed it."""
     m, b = grid.m, val.shape[2]
-    moves, du, depth, dist = grid._move_index()
-    n_dist = np.searchsorted(dist, np.diff(grid.g_levels) + grid.causal_slack, side="right")
+    moves, du, depth, _, table = grid._move_index()
+    n_dist = np.isfinite(table).sum(axis=1)
     for k, deg in enumerate(depth.tolist()):
         if deg == 1:  # self edges only: the passes close the band
             continue
@@ -651,10 +638,11 @@ class TimeSeparationResult(_SourceRows):
     """Time-separation rows, zero where no positive separation is found."""
 
 
-def _level_step_weights(grid: ConeGrid, i: int, dist: np.ndarray) -> np.ndarray:
+def _level_step_weights(grid: ConeGrid, i, dist: np.ndarray) -> np.ndarray:
     """Lengths of fiber moves over distances `dist` on the step level i -> i+1:
     sqrt(dt^2 - f(mid)^2 d^2) on strict moves, zero on exactly-null moves and
-    -inf on moves that are not causal."""
+    -inf on moves that are not causal. A column of levels i broadcasts to one
+    row per level."""
     gap = grid.g_levels[i + 1] - grid.g_levels[i]
     dt = grid.t_levels[i + 1] - grid.t_levels[i]
     fd = grid.f_mid[i] * dist
@@ -663,35 +651,33 @@ def _level_step_weights(grid: ConeGrid, i: int, dist: np.ndarray) -> np.ndarray:
     return np.where(dist <= gap + grid.causal_slack, w, -np.inf)
 
 
-def _dp_levels(
-    grid: ConeGrid, sources: Sequence[tuple[int, int]], top: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Longest single-step path values from `sources`, level by level up to
-    `top`: yields (i, cols, val) with val (m, len(cols)) the values on level
-    i from the sources `cols` (indices into `sources`) at or below level i,
-    -inf where no causal chain arrives. A source's column enters with 0 at
-    its own point on its own level and is not stepped before.
+def _dp_rows(grid: ConeGrid, sources: Sequence[tuple[int, int]], top: int) -> np.ndarray:
+    """Longest single-step path values from `sources` up to level `top` as
+    raw (len(sources), n_points) rows: -inf where no causal chain arrives,
+    on every point below a source's own level and on every level above
+    `top`. A source enters with 0 at its own point on its own level.
 
     A level step gathers the move index's first depth[i] rows, which hold
     the step's moves, in column blocks of bounded gather size, adds their
-    step lengths from the grid's step table (-inf off the step's moves) and
-    takes the maximum down each column.
+    step lengths from the step table (-inf off the step's moves) and takes
+    the maximum down each column.
     """
-    nbrs, du, depth, _ = grid._move_index()
-    table, rows = grid._step_weights()
+    m = grid.m
+    nbrs, du, depth, _, table = grid._move_index()
     levels = np.array([i for i, _ in sources], dtype=int)
     order = np.argsort(levels, kind="stable")
     levels = levels[order]
     fibers = np.array([sources[s][1] for s in order], dtype=int)
     first = int(levels.min(initial=top + 1))
     counts = np.searchsorted(levels, np.arange(first, top + 1), side="right").tolist()
-    val = np.empty((grid.m, 0))
+    rows = np.full((len(sources), grid.n_points), -np.inf)
+    val = np.empty((m, 0))
     for i, k in enumerate(counts, first):
         n = val.shape[1]
-        nxt = np.empty((grid.m, k))
+        nxt = np.empty((m, k))
         if n:
             d = depth[i - 1]
-            w = table[rows[i - 1]].take(du[:d])[..., None]
+            w = table[i - 1].take(du[:d])[..., None]
             block = max(1, _GATHER_CAP // w.size)
             for lo in range(0, n, block):
                 cand = val[:, lo : lo + block].take(nbrs[:d], axis=0)
@@ -701,17 +687,7 @@ def _dp_levels(
             nxt[:, n:] = -np.inf
             nxt[fibers[n:k], np.arange(n, k)] = 0.0
         val = nxt
-        yield i, order[:k], val
-
-
-def _dp_rows(grid: ConeGrid, sources: Sequence[tuple[int, int]], top: int) -> np.ndarray:
-    """The values of `_dp_levels` up to level `top` as raw (len(sources),
-    n_points) rows: -inf where no causal chain arrives, on every point below
-    a source's own level and on every level above `top`."""
-    m = grid.m
-    rows = np.full((len(sources), grid.n_points), -np.inf)
-    for i, cols, val in _dp_levels(grid, sources, top):
-        rows[cols, i * m : (i + 1) * m] = val.T
+        rows[order[:k], i * m : (i + 1) * m] = val.T
     return rows
 
 
@@ -750,14 +726,13 @@ def _read_back(
     total = row[i1 * m + j1]
     if not math.isfinite(total):
         return 0.0, [], np.empty(0)
-    nbrs, du, _, _ = grid._move_index()
-    table, rows = grid._step_weights()
+    nbrs, du, _, _, table = grid._move_index()
     path = [(i1, j1)]
     steps = []
     cur = j1
     for i in range(i1 - 1, i0 - 1, -1):
         prev = nbrs[:, cur]
-        w = table[rows[i]].take(du[:, cur])
+        w = table[i].take(du[:, cur])
         cand = row[i * m + prev] + w
         hit = np.flatnonzero(np.isfinite(cand) & (np.abs(cand - row[(i + 1) * m + cur]) <= 1e-12))
         if hit.size == 0:

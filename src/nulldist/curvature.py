@@ -399,7 +399,10 @@ def _sample_and_compare(grid: ConeGrid, bound: float, direction: str, n_triangle
     diag["inadmissible"], a key written only when it is nonzero."""
     size_bound = model_size_bound(bound)
     if side_cap is not None:
-        size_bound = min(float(side_cap), size_bound)
+        side_cap = float(side_cap)
+        if math.isnan(side_cap):
+            raise ParameterError("side_cap must not be NaN")
+        size_bound = min(side_cap, size_bound)
     tris, diag = sample_timelike_triangles(grid, n_triangles, seed, size_bound)
     verdicts = []
     cache: dict = {}

@@ -107,8 +107,6 @@ def validate_metric(space: FiniteLengthSpace) -> ValidationReport:
     """Check the finite-metric axioms to within METRIC_TOL, listing every
     violation with witnesses."""
     d = np.asarray(space.dist, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise InvalidInputError(f"distance matrix must be square, got {d.shape}")
     if not np.all(np.isfinite(d)):
         bad = np.argwhere(~np.isfinite(d))
         raise InvalidInputError(f"non-finite entries at {bad[:5].tolist()}")

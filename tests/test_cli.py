@@ -298,6 +298,29 @@ class TestCommands:
         report = (tmp_path / "out" / "report.json").read_text()
         assert '"monotone_ok": true' in report
 
+    def test_nan_eps_schedule_is_reported(self, tmp_path):
+        # a declared eps of NaN matches no measured eps (0.1 for member 0)
+        save_distance_matrix_csv(tmp_path / "fiber.csv", path_space(11, 1.0))
+        scenario = {
+            "interval": [0.0, 1.0],
+            "fiber": "fiber.csv",
+            "limit": {"kind": "constant", "params": {"value": 1.0}},
+            "family": [
+                {"kind": "constant", "params": {"value": 1.1}},
+                {"kind": "constant", "params": {"value": 1.02}},
+            ],
+            "lower_bound": 0.9,
+            "n_t": 20,
+            "eps_schedule": [math.nan, 0.02],
+        }
+        write(tmp_path / "seq.json", json.dumps(scenario))
+        cfg = {"command": "converge", "inputs": {"scenario": "seq.json"}}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) in (0, 1)
+        members = json.loads((tmp_path / "out" / "report.json").read_text())["members"]
+        assert members[0]["diagnostic"].startswith("declared eps nan differs from measured 0.1")
+        assert members[1]["diagnostic"] == ""
+
     @pytest.mark.parametrize(
         "command, sources, n_sources, sweeps",
         [
@@ -489,6 +512,11 @@ class TestCurvature:
         cfg = make_curvature_inputs(tmp_path, **changes)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
 
+    def test_nan_side_cap_exits_two(self, tmp_path, capsys):
+        cfg = make_curvature_inputs(tmp_path, side_cap=math.nan)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "side_cap must not be NaN" in capsys.readouterr().err
+
     def test_zero_probes_is_a_parameter_error(self, tmp_path):
         cfg = make_curvature_inputs(tmp_path, n_probe=0)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -544,6 +572,28 @@ def make_persist_inputs(tmp: Path, n_t: int, tol: float, n_limit: int = 21) -> P
 
 
 class TestPersist:
+    def test_warped_nan_side_cap_exits_two(self, tmp_path, capsys):
+        # the warped mode caps the limit cone's triangle sides
+        save_distance_matrix_csv(tmp_path / "lim.csv", path_space(11, 1.0))
+        cosh = {"kind": "cosh", "params": {"amplitude": 1.0, "rate": 1.0}}
+        experiment = {
+            "mode": "warped",
+            "fibers": [],
+            "limit": "lim.csv",
+            "interval": [0.0, 1.0],
+            "n_t": 10,
+            "warpings": [],
+            "warping_limit": cosh,
+            "k_prime": 1.0,
+            "n_triangles": 2,
+            "side_cap": math.nan,
+        }
+        write(tmp_path / "persist.json", json.dumps(experiment))
+        cfg = {"command": "persist", "inputs": {"experiment": "persist.json"}}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+        assert "side_cap must not be NaN" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_limit, extra, n_ts, kept", [
         (21, [], [6, 12], None),
         (21, ["--n-t", "8"], [6, 8], None),

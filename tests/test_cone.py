@@ -556,7 +556,7 @@ class TestBandClosure:
         # wide down to self edges only
         g = ConeGrid(IV, fiber, WarpingFunction.affine(0.1, 1.0, IV), 40)
         m, graphs, split = g.m, set(), False
-        nbrs, du, depth, dist = g._move_index()
+        nbrs, du, depth, dist, _ = g._move_index()
         assert nbrs.dtype == du.dtype == np.int32 and nbrs.shape == du.shape
         own = np.arange(m)
         for k in range(g.n_t):
@@ -1030,7 +1030,7 @@ class TestTimeSeparation:
         g = ConeGrid(IV, fiber, warping, n_t)
         rng = np.random.default_rng(8)
         srcs = [(int(rng.integers(0, n_t // 2)), int(rng.integers(0, g.m))) for _ in range(n_src)]
-        _, _, depth, _ = g._move_index()
+        depth = g._move_index()[2]
         if g.m > 100:
             assert _GATHER_CAP // (int(depth.max()) * g.m) < n_src
         raw = _dp_rows(g, srcs, g.n_t)
@@ -1039,10 +1039,18 @@ class TestTimeSeparation:
             assert raw[s].tobytes() == _dp_rows(g, [p], g.n_t)[0].tobytes()
             assert res.rows[s].tobytes() == time_separation(g, sources=[p]).rows[0].tobytes()
 
-    # several moves per point; the circle has exactly-null moves and the
-    # warped steps have moves that are causal only across the widest step
+    # several moves per point; the circle has exactly-null moves, the warped
+    # steps have moves that are causal only across the widest step, and the
+    # random line and plane cloud have all their distances distinct
     @pytest.mark.parametrize(
-        "fiber", [path_space(41, 0.5), circle_space(24, 0.5), tripod_space(8, 0.1)]
+        "fiber",
+        [
+            path_space(41, 0.5),
+            circle_space(24, 0.5),
+            tripod_space(8, 0.1),
+            IRREGULAR,
+            plane_cloud(25, 6),
+        ],
     )
     @pytest.mark.parametrize(
         "warping",
@@ -1057,23 +1065,28 @@ class TestTimeSeparation:
     )
     def test_step_table_equals_the_level_formula(self, fiber, warping):
         g = ConeGrid(IV, fiber, warping, 24)
-        nbrs, du, _, dist = g._move_index()
-        table, rows = g._step_weights()
+        nbrs, du, depth, dist, table = g._move_index()
         # every index entry at its own fiber distance, the padding at inf
         real = du < dist.size - 1
         d = np.where(real, g.fiber.dist[nbrs, np.arange(g.m)], np.inf)
         assert np.array_equal(dist[du], d)
+        least = dist[du.min(axis=1)]
         for i in range(g.n_t):
             expected = _level_step_weights(g, i, d)
-            assert np.array_equal(table[rows[i]].take(du), expected)  # bitwise
+            assert np.array_equal(table[i].take(du), expected)  # bitwise
             assert np.all(expected[~real] == -np.inf)
-        steps = set(zip(np.diff(g.g_levels), np.diff(g.t_levels), g.f_mid))
-        assert rows.shape == (g.n_t,) and du.shape == nbrs.shape
-        assert table.shape == (len(steps), len(set(d[real].tolist())) + 1)
+            # the row's finite prefix and depth, against the threshold search
+            thr = g.g_levels[i + 1] - g.g_levels[i] + g.causal_slack
+            n_dist = np.searchsorted(dist, thr, side="right")
+            assert np.isfinite(table[i]).sum() == n_dist
+            assert np.all(np.isfinite(table[i, :n_dist]))
+            assert depth[i] == np.searchsorted(least, thr, side="right")
+        assert du.shape == nbrs.shape
+        assert table.shape == (g.n_t, len(set(d[real].tolist())) + 1)
 
     def test_grid_caches_no_level_by_move_array(self):
-        # the step table holds one row per distinct level step and one column
-        # per distinct move distance, not one entry per level and move, and
+        # the step table holds one row per level step and one column per
+        # distinct move distance, not one entry per level and move, and
         # the DP, its backtrack, the accumulations and the band closure read
         # one move index: no copy of it per level step or per band
         g = ConeGrid(IV, path_space(41, 1.0), WarpingFunction.cosh_type(1.0, 1.3, IV), 40)
@@ -1086,11 +1099,10 @@ class TestTimeSeparation:
         n_moves = np.count_nonzero(du < dist.size - 1)
         floats = [x.size for x in cached_arrays(g) if x.dtype.kind == "f"]
         assert max(floats) < g.n_t * n_moves
-        table, rows = g._weights
-        assert table.shape[0] == len(set(zip(np.diff(g.g_levels), np.diff(g.t_levels), g.f_mid)))
-        # the level arrays, the sweeps' cover index, the move index and the
-        # step table: nothing else
-        held = [g.t_levels, g.g_levels, g.f_mid, *g._moves, *g._weights, *g._cover[0], *g._cover[1]]
+        assert g._moves[4].shape[0] == g.n_t
+        # the level arrays, the sweeps' cover index and the move index with
+        # its step table: nothing else
+        held = [g.t_levels, g.g_levels, g.f_mid, *g._moves, *g._cover[0], *g._cover[1]]
         assert sorted(map(id, cached_arrays(g))) == sorted(map(id, held))
 
     @pytest.mark.parametrize(
@@ -1107,15 +1119,14 @@ class TestTimeSeparation:
         # all of that step's moves and few others, where the widest step's
         # move list read 14-27 % -inf weights on these grids
         g = ConeGrid(IV, path_space(201, 1.0), warping, 40)
-        nbrs, du, depth, dist = g._move_index()
-        table, rows = g._step_weights()
+        nbrs, du, depth, dist, table = g._move_index()
         d = np.where(du < dist.size - 1, g.fiber.dist[nbrs, np.arange(g.m)], np.inf)
         read = no_move = 0
         for k in range(g.n_t):
             thr = g.g_levels[k + 1] - g.g_levels[k] + g.causal_slack
             assert depth[k] == (g.fiber.dist <= thr).sum(axis=0).max()
             assert not np.any(d[depth[k] :] <= thr)
-            w = table[rows[k]].take(du[: depth[k]])
+            w = table[k].take(du[: depth[k]])
             read += w.size
             no_move += np.count_nonzero(w == -np.inf)
         assert len(set(depth.tolist())) > 1

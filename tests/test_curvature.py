@@ -119,7 +119,7 @@ class TestAccumulate:
         # the wide grid has self-moves only, each column its move and its
         # padding at an infinite distance
         g = ConeGrid(IV01, path_space(n_f, spacing), WarpingFunction.constant(1.0, IV01), n_t)
-        nbrs, _, depth, _ = g._move_index()
+        nbrs, _, depth, _, _ = g._move_index()
         for p in all_grid_points(g):
             row = _dp_rows(g, [p], g.n_t)[0]
             for node in np.flatnonzero(np.isfinite(row)).tolist():
@@ -155,13 +155,15 @@ class TestDpRuns:
     @pytest.fixture
     def spy(self, monkeypatch):
         calls = []
-        inner = cone._dp_levels
+        inner = cone._dp_rows
 
         def spied(grid, sources, top):
             calls.append([tuple(s) for s in sources])
             return inner(grid, sources, top)
 
-        monkeypatch.setattr(cone, "_dp_levels", spied)
+        # curvature imports the name, so both namespaces are patched
+        monkeypatch.setattr(cone, "_dp_rows", spied)
+        monkeypatch.setattr(curvature, "_dp_rows", spied)
         return calls
 
     def test_sampler_runs_one_per_distinct_source(self, spy):
@@ -407,6 +409,26 @@ class TestPersistence:
             assert not verdict.passed
             assert verdict.worst_witness == {"diagnostic": "all sampled triangles inadmissible"}
         assert [row["cone_pass"] for row in rep.cross_tab()] == [False, False]
+
+    def test_nan_side_cap_is_refused(self):
+        # min(nan, bound) is nan, and no side would be filtered against it
+        cosh = WarpingFunction.cosh_type(1.0, 1.0, Interval(0.0, 1.0))
+        with pytest.raises(ParameterError, match="side_cap"):
+            persistence_experiment(
+                "warped",
+                [],
+                path_space(11, 1.0),
+                interval=(0.0, 1.0),
+                n_t=10,
+                seed=3,
+                n_triangles=2,
+                n_probe=3,
+                tol=0.1,
+                side_cap=math.nan,
+                warpings=[],
+                warping_limit=cosh,
+                k_prime=1.0,
+            )
 
     def test_minkowski_mode_needs_truncation(self):
         with pytest.raises(ParameterError):
