@@ -57,7 +57,6 @@ from .metric_core import (
 )
 from .model_spaces import (
     ComparisonTriangle,
-    comparison_angle,
     l2k_time_separation,
     point_on_side,
     realize_timelike_triangle,

@@ -196,11 +196,15 @@ def run_converge(cfg, paths, out, seed):
     limit = formats.warping_from_dict(doc["limit"], interval)
     members = tuple(formats.warping_from_dict(m, interval) for m in doc["family"])
     seq = WarpingSequence(members, limit, float(doc["lower_bound"]))
+    schedule = doc.get("eps_schedule")
+    if schedule is not None and len(schedule) != len(members):
+        raise InvalidInputError(
+            f"eps_schedule has {len(schedule)} entries for a family of {len(members)}"
+        )
     n_t = int(_override(cfg, "n_t_override", default_n_t))
     rep = null_convergence_check(
         seq, fiber, n_t, max_entries=int(doc.get("sample_pairs", 1_000_000)), seed=seed
     )
-    schedule = doc.get("eps_schedule")
     if schedule is not None:
         for m, want in zip(rep.members, schedule):
             if not abs(m.eps - float(want)) <= 1e-9:

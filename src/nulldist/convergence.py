@@ -223,52 +223,36 @@ def epsilon_isometry(
     mat_f = null_distance(grid_f).full_matrix()
     mat_fn = null_distance(grid_fn).full_matrix()
     c0 = grid_f.node(*p0)
-    ball_f = np.nonzero(mat_f[c0] <= r + 1e-12)[0]
-    ball_fn = np.nonzero(mat_fn[c0] <= r + 1e-12)[0]
-    inner_fn = np.nonzero(mat_fn[c0] <= (1.0 - eps) * r + 1e-12)[0]
-    outer_fn = set(np.nonzero(mat_fn[c0] <= (1.0 + eps) * r + 1e-12)[0].tolist())
+    in_f = mat_f[c0] <= r + 1e-12
+    inner = mat_fn[c0] <= (1.0 - eps) * r + 1e-12
+    outer = mat_fn[c0] <= (1.0 + eps) * r + 1e-12
+    ball_f = np.flatnonzero(in_f)
+    ball_fn = np.flatnonzero(mat_fn[c0] <= r + 1e-12)
 
-    ball_f_set = set(ball_f.tolist())
-    if not set(inner_fn.tolist()) <= ball_f_set:
+    def failed(why: str) -> EpsilonIsometryResult:
         return EpsilonIsometryResult(
-            False, eps, math.nan, math.nan, math.nan, ball_f.size, ball_fn.size,
-            failure="inclusion D_fn_(1-eps)r !<= D_f_r",
+            False, eps, math.nan, math.nan, math.nan, ball_f.size, ball_fn.size, failure=why
         )
-    if not ball_f_set <= outer_fn:
-        return EpsilonIsometryResult(
-            False, eps, math.nan, math.nan, math.nan, ball_f.size, ball_fn.size,
-            failure="inclusion D_f_r !<= D_fn_(1+eps)r",
-        )
-    dev = float(np.max(np.abs(mat_f[np.ix_(ball_f, ball_f)] - mat_fn[np.ix_(ball_f, ball_f)])))
+
+    if not in_f[inner].all():
+        return failed("inclusion D_fn_(1-eps)r !<= D_f_r")
+    if not outer[in_f].all():
+        return failed("inclusion D_f_r !<= D_fn_(1+eps)r")
+    sub_f = mat_f[np.ix_(ball_f, ball_f)]
+    dev = float(np.max(np.abs(sub_f - mat_fn[np.ix_(ball_f, ball_f)])))
     if dev > eps + 1e-12:
-        return EpsilonIsometryResult(
-            False, eps, math.nan, math.nan, math.nan, ball_f.size, ball_fn.size,
-            failure=f"pointwise deviation {dev!r} exceeds eps",
-        )
+        return failed(f"pointwise deviation {dev!r} exceeds eps")
 
-    inner_set = set(inner_fn.tolist())
-    ball_fn_set = ball_fn
-    image = np.empty(ball_f.size, dtype=np.int64)
-    for idx, p in enumerate(ball_f):
-        if int(p) in inner_set:
-            image[idx] = p
-            continue
-        cand = ball_fn_set[np.argmin(mat_fn[p, ball_fn_set])]
-        if mat_fn[p, cand] > eps + 1e-12:
-            return EpsilonIsometryResult(
-                False, eps, math.nan, math.nan, math.nan, ball_f.size, ball_fn.size,
-                failure=f"no reassignment within eps for node {int(p)}",
-            )
-        image[idx] = cand
+    # the inner ball maps to itself, every other point of D_f_r to its
+    # nearest point of D_fn_r (the first one on ties)
+    nearest = ball_fn[np.argmin(mat_fn[np.ix_(ball_f, ball_fn)], axis=1)]
+    far = ~inner[ball_f] & (mat_fn[ball_f, nearest] > eps + 1e-12)
+    if far.any():
+        return failed(f"no reassignment within eps for node {int(ball_f[far.argmax()])}")
+    image = np.where(inner[ball_f], ball_f, nearest)
 
     net_defect = float(np.max(np.min(mat_fn[np.ix_(ball_fn, image)], axis=1)))
-    dis = float(
-        np.max(
-            np.abs(
-                mat_f[np.ix_(ball_f, ball_f)] - mat_fn[np.ix_(image, image)]
-            )
-        )
-    )
+    dis = float(np.max(np.abs(sub_f - mat_fn[np.ix_(image, image)])))
     passed = net_defect <= eps + 1e-12 and dis <= 3.0 * eps + 1e-12
     return EpsilonIsometryResult(
         passed,

@@ -276,14 +276,6 @@ class Correspondence:
         return left == set(range(n_a)) and right == set(range(n_b))
 
 
-def identity_correspondence(n: int) -> Correspondence:
-    return Correspondence(tuple((i, i) for i in range(n)))
-
-
-def full_correspondence(n_a: int, n_b: int) -> Correspondence:
-    return Correspondence(tuple(itertools.product(range(n_a), range(n_b))))
-
-
 def all_correspondences(n_a: int, n_b: int) -> Iterator[Correspondence]:
     """Every correspondence between index sets (exhaustive; tiny inputs only)."""
     if n_a * n_b > 12:
@@ -328,58 +320,31 @@ def gh_distance_exact(a: FiniteLengthSpace, b: FiniteLengthSpace) -> GHResult:
         )
     da, db = a.dist, b.dist
     best = [math.inf, None]
+    pairs: list[tuple[int, int]] = []
 
-    def pair_stretch(pairs: list[tuple[int, int]], new: tuple[int, int]) -> float:
-        i, j = new
-        worst = 0.0
-        for i2, j2 in pairs:
-            worst = max(worst, abs(da[i, i2] - db[j, j2]))
-        return worst
-
-    def assign_rows(pairs: list[tuple[int, int]], rows: list[int], cur: float):
-        # rows of A still uncovered each pick one column of B
-        if cur >= best[0]:
-            return
-        if not rows:
-            if cur < best[0]:
-                best[0] = cur
-                best[1] = tuple(pairs)
-            return
-        r, rest = rows[0], rows[1:]
-        cands = sorted(range(b.n), key=lambda j: pair_stretch(pairs, (r, j)))
-        for j in cands:
-            inc = pair_stretch(pairs, (r, j))
-            nxt = max(cur, inc)
+    def search(cur):
+        # the next slot is column len(pairs) of B while one is left, then the
+        # first row of A that no pair covers; its candidate pairs are tried
+        # in order of the stretch they add, ties in index order
+        if len(pairs) < b.n:
+            cands = [(i, len(pairs)) for i in range(a.n)]
+        else:
+            rows = set(range(a.n)).difference(i for i, _ in pairs)
+            if not rows:
+                best[:] = cur, tuple(pairs)
+                return
+            cands = [(min(rows), j) for j in range(b.n)]
+        incs = [max([0.0] + [abs(da[i, i2] - db[j, j2]) for i2, j2 in pairs]) for i, j in cands]
+        for k in sorted(range(len(cands)), key=incs.__getitem__):
+            nxt = max(cur, incs[k])
             if nxt >= best[0]:
-                # candidates are sorted by incremental stretch: no later column helps
+                # candidates are sorted by their stretch: no later one helps
                 break
-            pairs.append((r, j))
-            assign_rows(pairs, rest, nxt)
+            pairs.append(cands[k])
+            search(nxt)
             pairs.pop()
 
-    def assign_cols(col: int, pairs: list[tuple[int, int]], covered: set[int], cur: float):
-        if cur >= best[0]:
-            return
-        if col == b.n:
-            rows_left = [i for i in range(a.n) if i not in covered]
-            assign_rows(pairs, rows_left, cur)
-            return
-        cands = sorted(range(a.n), key=lambda i: pair_stretch(pairs, (i, col)))
-        for i in cands:
-            inc = pair_stretch(pairs, (i, col))
-            nxt = max(cur, inc)
-            if nxt >= best[0]:
-                break
-            pairs.append((i, col))
-            newly = i not in covered
-            if newly:
-                covered.add(i)
-            assign_cols(col + 1, pairs, covered, nxt)
-            pairs.pop()
-            if newly:
-                covered.discard(i)
-
-    assign_cols(0, [], set(), 0.0)
+    search(0.0)
     return GHResult(0.5 * best[0], Correspondence(best[1]))
 
 

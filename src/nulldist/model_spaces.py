@@ -90,11 +90,6 @@ def comparison_angle_many(
     return _safe_arccos(np.where(straight, -1.0, np.where(folded, 1.0, x)))
 
 
-def comparison_angle(k: float, a: float, b: float, c: float) -> float:
-    """Angle at the vertex between sides b and c of the model triangle (a opposite)."""
-    return float(comparison_angle_many(k, np.array([a]), np.array([b]), np.array([c]))[0])
-
-
 # ---------------------------------------------------------------------------
 # Lorentzian model planes
 

@@ -321,6 +321,20 @@ class TestCommands:
         assert members[0]["diagnostic"].startswith("declared eps nan differs from measured 0.1")
         assert members[1]["diagnostic"] == ""
 
+    @pytest.mark.parametrize("schedule", [[0.1], [0.1, 0.01, 0.5, 7.0]])
+    def test_eps_schedule_of_wrong_length_is_refused(self, schedule, tmp_path, monkeypatch, capsys):
+        # the README sequence has two members
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_inputs.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--dir", str(tmp_path)])
+        runpy.run_path(str(script), run_name="__main__")
+        seq = json.loads((tmp_path / "sequence.json").read_text())
+        write(tmp_path / "sequence.json", json.dumps(dict(seq, eps_schedule=schedule)))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["--config", "scenario_converge.json"]) == 2
+        err = capsys.readouterr().err
+        assert f"eps_schedule has {len(schedule)} entries for a family of 2" in err
+
     @pytest.mark.parametrize(
         "command, sources, n_sources, sweeps",
         [

@@ -230,6 +230,56 @@ class TestEpsilonIsometry:
         assert not res.passed
         assert "inclusion" in res.failure or "deviation" in res.failure
 
+    @pytest.mark.parametrize("hangs_f, hangs_fn, gap, eps, expected", [
+        # a leaf near the centre for f_n only: in the inner ball, not in D_f_r
+        ((5.0,), (0.3,), None, 0.1,
+         "EpsilonIsometryResult(passed=False, eps=0.1, gh_bound=nan, "
+         "max_distortion=nan, net_defect=nan, ball_size=201, target_ball_size=219, "
+         "failure='inclusion D_fn_(1-eps)r !<= D_f_r')"),
+        # the same leaf the other way round: in D_f_r, beyond the outer ball
+        ((0.3,), (5.0,), None, 0.1,
+         "EpsilonIsometryResult(passed=False, eps=0.1, gh_bound=nan, "
+         "max_distortion=nan, net_defect=nan, ball_size=219, target_ball_size=201, "
+         "failure='inclusion D_f_r !<= D_fn_(1+eps)r')"),
+        # two leaves at the same height, 0.4 apart through the hub for f and
+        # 0.05 apart for f_n: the balls agree, their distance does not
+        ((0.2, 0.2), (0.2, 0.2), 0.05, 0.1,
+         "EpsilonIsometryResult(passed=False, eps=0.1, gh_bound=nan, "
+         "max_distortion=nan, net_defect=nan, ball_size=243, target_ball_size=243, "
+         "failure='pointwise deviation 0.40000000000000013 exceeds eps')"),
+        # a leaf in D_f_r and just beyond D_fn_r, with no point of D_fn_r near it
+        ((0.49,), (0.52,), None, 0.2,
+         "EpsilonIsometryResult(passed=False, eps=0.2, gh_bound=nan, "
+         "max_distortion=nan, net_defect=nan, ball_size=203, target_ball_size=201, "
+         "failure='no reassignment within eps for node 11')"),
+        # a leaf in D_fn_r only, in the annulus above the inner ball and far
+        # from every image point
+        ((5.0,), (0.49,), None, 0.05,
+         "EpsilonIsometryResult(passed=False, eps=0.05, gh_bound=nan, "
+         "max_distortion=3.3306690738754696e-16, net_defect=0.5, ball_size=201, "
+         "target_ball_size=203, failure='distortion or net property failed')"),
+    ])
+    def test_every_outcome_is_pinned(self, hangs_f, hangs_fn, gap, eps, expected):
+        # repr pins the whole result, NaN fields and ball sizes included
+        res = epsilon_isometry(
+            leaf_cone(hangs_f), leaf_cone(hangs_fn, gap), r=0.5, p0=(10, 5), eps=eps
+        )
+        assert repr(res) == expected
+
+
+def leaf_cone(hangs, gap=None):
+    """Cone over [0, 1] (20 steps, unit warping) over an 11-point path of
+    spacing 0.1 with leaves hanging from its middle point at the distances
+    `hangs`; `gap`, if given, is the distance between the first two leaves."""
+    xs = np.append(0.1 * np.arange(11), [0.5] * len(hangs))
+    h = np.append(np.zeros(11), hangs)
+    dist = np.abs(xs[:, None] - xs) + (h[:, None] + h)
+    np.fill_diagonal(dist, 0.0)
+    if gap is not None:
+        dist[11, 12] = dist[12, 11] = gap
+    fiber = FiniteLengthSpace(tuple(range(dist.shape[0])), dist)
+    return ConeGrid(IV, fiber, WarpingFunction.constant(1.0, IV), 20)
+
 
 class TestTotalBoundedness:
     def test_family_one_two_three(self):

@@ -31,8 +31,6 @@ from nulldist.metric_core import (
     QuadrupleVerdict,
     _monotone_runs,
     all_correspondences,
-    full_correspondence,
-    identity_correspondence,
     verify_net,
 )
 from nulldist.model_spaces import comparison_angle_many
@@ -193,7 +191,7 @@ class TestEpsilonNet:
 class TestDistortion:
     def test_identity_zero(self):
         a = path_space(4, 1.0)
-        assert distortion(identity_correspondence(4), a, a) == 0.0
+        assert distortion(Correspondence(tuple((i, i) for i in range(4))), a, a) == 0.0
 
     def test_two_point_pairing(self):
         a, b = two_point(1.0), two_point(1.2)
@@ -202,7 +200,8 @@ class TestDistortion:
 
     def test_full_correspondence(self):
         a, b = two_point(1.0), two_point(1.2)
-        assert distortion(full_correspondence(2, 2), a, b) == pytest.approx(1.2)
+        full = Correspondence(tuple(itertools.product(range(2), range(2))))
+        assert distortion(full, a, b) == pytest.approx(1.2)
 
     def test_invalid_correspondence(self):
         a = two_point()
@@ -260,6 +259,48 @@ class TestGHExact:
     def test_size_bound(self):
         with pytest.raises(SizeBoundError):
             gh_distance_exact(path_space(6, 1.0), path_space(6, 1.0))
+
+    # distance and witness of the branch and bound, recorded once: its search
+    # order picks one witness among the optimal correspondences, and these
+    # pin that choice on point clouds, tied quarter-step distances and lines
+    @pytest.mark.parametrize("kind, seed, n_a, n_b, distance, pairs", [
+        ("cloud", 1, 3, 4, 0.14786125655496124, ((0, 0), (0, 3), (1, 1), (2, 2))),
+        ("cloud", 2, 5, 5, 0.18006397998563395,
+         ((0, 2), (1, 3), (2, 0), (3, 1), (3, 4), (4, 0))),
+        ("cloud", 3, 2, 5, 0.2790401266232059, ((0, 0), (0, 2), (0, 4), (1, 1), (1, 3))),
+        ("cloud", 4, 6, 4, 0.18453927652803118,
+         ((0, 2), (1, 0), (1, 3), (2, 1), (3, 3), (4, 2), (5, 2))),
+        ("quarter", 5, 4, 4, 0.125, ((0, 0), (1, 1), (2, 3), (3, 2))),
+        ("quarter", 6, 5, 3, 0.25, ((0, 2), (1, 0), (2, 0), (3, 1), (4, 1))),
+        ("quarter", 7, 3, 5, 0.25, ((0, 0), (0, 2), (0, 4), (1, 3), (2, 1))),
+        ("quarter", 8, 5, 5, 0.25, ((0, 0), (1, 1), (1, 4), (2, 0), (3, 2), (4, 3))),
+        ("line", 0, 3, 5, 1.0, ((0, 0), (1, 1), (2, 2), (2, 3), (2, 4))),
+        ("line", 0, 5, 4, 0.5, ((0, 0), (1, 1), (2, 2), (3, 3), (4, 3))),
+        ("line", 0, 2, 6, 2.0, ((0, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5))),
+        ("line", 0, 1, 4, 1.5, ((0, 0), (0, 1), (0, 2), (0, 3))),
+    ])
+    def test_pinned_distance_and_witness(self, kind, seed, n_a, n_b, distance, pairs):
+        res = gh_distance_exact(gh_instance(kind, seed, n_a), gh_instance(kind, seed + 100, n_b))
+        assert res.distance == distance
+        assert res.witness.pairs == pairs
+
+
+def gh_instance(kind, seed, n):
+    """A seeded n-point space: a planar point cloud, a graph metric whose
+    edges are 1-3 quarter steps (many tied distances) or the integer line."""
+    rng = np.random.default_rng(seed)
+    if kind == "cloud":
+        pts = rng.uniform(0.0, 1.0, (n, 2))
+        return FiniteLengthSpace(tuple(range(n)), np.linalg.norm(pts[:, None] - pts[None], axis=2))
+    if kind == "quarter":
+        edges = [(k, k + 1, 0.25 * rng.integers(1, 4)) for k in range(n - 1)]
+        edges += [
+            (int(i), int(j), 0.25 * rng.integers(1, 4))
+            for i, j in rng.integers(0, n, (n, 2))
+            if i != j
+        ]
+        return intrinsic_metric(n, edges)
+    return path_space(n, n - 1.0)
 
 
 def per_leg_quadruples(space, k, tol):

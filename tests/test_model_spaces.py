@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nulldist import (
-    comparison_angle,
     l2k_time_separation,
     point_on_side,
     realize_timelike_triangle,
@@ -33,22 +32,22 @@ HYPERBOLIC_EQUILATERAL_ANGLE = 0.9187978721780272
 
 class TestComparisonAngle:
     def test_flat_equilateral(self):
-        assert comparison_angle(0.0, 1, 1, 1) == pytest.approx(math.pi / 3, abs=1e-15)
+        assert comparison_angle_many(0.0, [1], [1], [1])[0] == pytest.approx(math.pi / 3, abs=1e-15)
 
     def test_flat_collinear(self):
-        assert comparison_angle(0.0, 2, 1, 1) == pytest.approx(math.pi, abs=1e-15)
+        assert comparison_angle_many(0.0, [2], [1], [1])[0] == pytest.approx(math.pi, abs=1e-15)
 
     @pytest.mark.parametrize("k", [0.0, 1.0, -1.0])
     def test_rounded_degenerate_triangles_are_exact(self, k):
         # 0.1 + 0.2 != 0.3 in floating point: sides that add up only to
         # within an ulp still give the straight and the folded angle exactly,
         # while a genuinely thin triangle keeps its angle below pi
-        assert comparison_angle(k, 0.3, 0.1, 0.2) == math.pi
-        assert comparison_angle(k, 0.1, 0.3, 0.2) == 0.0
-        assert comparison_angle(k, 0.3 - 1e-9, 0.1, 0.2) < math.pi - 1e-5
+        assert comparison_angle_many(k, [0.3], [0.1], [0.2])[0] == math.pi
+        assert comparison_angle_many(k, [0.1], [0.3], [0.2])[0] == 0.0
+        assert comparison_angle_many(k, [0.3 - 1e-9], [0.1], [0.2])[0] < math.pi - 1e-5
 
     def test_hyperbolic_equilateral_frozen(self):
-        got = comparison_angle(-1.0, 1, 1, 1)
+        got = comparison_angle_many(-1.0, [1], [1], [1])[0]
         assert got == pytest.approx(HYPERBOLIC_EQUILATERAL_ANGLE, abs=1e-12)
         assert got < math.pi / 3
 
@@ -71,23 +70,24 @@ class TestComparisonAngle:
                 lo = mid
             else:
                 hi = mid
-        assert comparison_angle(-1.0, a, b, c) == pytest.approx(0.5 * (lo + hi), abs=1e-10)
+        got = comparison_angle_many(-1.0, [a], [b], [c])[0]
+        assert got == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
     def test_spherical_equilateral_smaller_than_pi(self):
-        ang = comparison_angle(1.0, 1, 1, 1)
+        ang = comparison_angle_many(1.0, [1], [1], [1])[0]
         assert math.pi / 3 < ang < math.pi
 
     def test_degenerate_side_error(self):
         with pytest.raises(UndefinedAngleError):
-            comparison_angle(0.0, 1.0, 0.0, 1.0)
+            comparison_angle_many(0.0, [1.0], [0.0], [1.0])
 
     def test_triangle_inequality_enforced(self):
         with pytest.raises(ModelConstraintError):
-            comparison_angle(0.0, 3.0, 1.0, 1.0)
+            comparison_angle_many(0.0, [3.0], [1.0], [1.0])
 
     def test_sphere_size_restriction(self):
         with pytest.raises(ModelConstraintError):
-            comparison_angle(4.0, 1.2, 1.2, 1.2)
+            comparison_angle_many(4.0, [1.2], [1.2], [1.2])
 
     @pytest.mark.parametrize("k", [-0.25, -1.0, -4.0])
     def test_hyperbolic_matches_the_cosh_form(self, k):
@@ -112,13 +112,14 @@ class TestComparisonAngle:
         with pytest.raises(ModelConstraintError):
             _safe_arccos(np.array([0.5, np.nan]))
         with pytest.raises(ModelConstraintError):
-            comparison_angle(-1.0, math.nan, 1.0, 1.0)
+            comparison_angle_many(-1.0, [math.nan], [1.0], [1.0])
 
     def test_continuity_at_zero(self):
         for sides in [(1.0, 1.0, 1.0), (0.5, 0.7, 1.0), (1.3, 0.8, 0.9)]:
-            base = comparison_angle(0.0, *sides)
+            base = comparison_angle_many(0.0, *np.reshape(sides, (3, 1)))[0]
             for k in (1e-6, -1e-6):
-                assert comparison_angle(k, *sides) == pytest.approx(base, abs=1e-6)
+                got = comparison_angle_many(k, *np.reshape(sides, (3, 1)))[0]
+                assert got == pytest.approx(base, abs=1e-6)
 
 
 class TestMinkowskiSeparation:
