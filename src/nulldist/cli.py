@@ -120,7 +120,7 @@ def run_nulldist(cfg, paths, out, seed):
             "notes": rep.notes,
             "coverage": _coverage(grid, res),
             "sweeps": list(res.sweeps),
-            "table_bytes": sum(t.nbytes for t in grid._level_tables()[:2]),
+            "table_bytes": grid._table_bytes(),
             "cover_index_bytes": sum(i.nbytes for c in grid._cover_index() for i in c),
         },
     )

@@ -58,6 +58,15 @@ counts pass pairs begun, the count of the rule that stops only at a whole
 pass pair that changes nothing: passes // 2 when the last two passes both
 changed nothing, (passes + 2) // 2 otherwise.
 
+Sources are swept in batches of _BATCH columns, and one level loop serves
+as many whole batches side by side as fit under _CHUNK_CAP values, at least
+one. Each batch keeps its own stop rule and count: the quiet-pass test is
+reduced to one flag per batch, and a batch that stops leaves the chunk, the
+others going on without its columns. Every step acts on each column alone
+(gathers along the levels, minima over gathered rows, elementwise sums),
+and a band-closure round that leaves a column unchanged leaves it unchanged
+in every later round, so each batch ends bitwise as it would alone.
+
 A pass pair finds one turn of a path, so a minimizer that zigzags between
 two adjacent levels, as minimizers of a nonlinear time function phi do where
 phi' f is smallest, would cost one pass pair per turn. A band closure moves
@@ -97,6 +106,7 @@ from .warping import Interval, WarpingFunction
 DEFAULT_N_T = 200
 _TABLE_CAP = 3e8  # levels x fiber pairs: cover-index pair-class work and int32 flat indices
 _GATHER_CAP = 1 << 16  # entries per block: time-separation columns, band points, checked rows
+_CHUNK_CAP = 1 << 18  # null-distance values swept side by side: whole batches, at least one
 _BATCH = 64  # sources per null-distance sweep batch
 CHRONOLOGICAL, CAUSAL, NONE = "chronological", "causal", "none"
 
@@ -204,13 +214,18 @@ class ConeGrid:
         rev = self._last_causal_levels(-self.g_levels[::-1], dist)
         return up, rev, inv.reshape(self.m, self.m).astype(np.int32)
 
+    def _table_bytes(self) -> int:
+        """The bytes of the two sweep tables of `_level_tables`, without
+        building them."""
+        n_dist = np.unique(self.fiber.dist).size
+        return 2 * self.n_levels * n_dist * _table_dtype(self.n_levels).itemsize
+
     def _last_causal_levels(self, g: np.ndarray, dist: np.ndarray) -> np.ndarray:
         # causal_row's expression |G_i - G_k| + slack only falls as i rises
         # towards k, so the causal levels i <= k form a prefix and one search
         # down from k finds its end; entries run from -1 to g.size - 1 and
         # fall as the distance grows
-        dtype = np.int16 if g.size < 32768 else np.int32
-        table = np.empty((g.size, dist.size), dtype=dtype)
+        table = np.empty((g.size, dist.size), dtype=_table_dtype(g.size))
         for k in range(g.size):
             gap = np.abs(g - g[k]) + self.causal_slack
             table[k] = k - np.searchsorted(gap[k::-1], dist, side="left")
@@ -344,6 +359,12 @@ class ConeGrid:
         return self._moves
 
 
+def _table_dtype(n_levels: int) -> np.dtype:
+    """The integer type of a sweep table over n_levels levels: its entries
+    run from -1 to n_levels - 1."""
+    return np.dtype(np.int16 if n_levels < 32768 else np.int32)
+
+
 # ---------------------------------------------------------------------------
 # null distance
 
@@ -369,7 +390,9 @@ class NullDistanceResult(_SourceRows):
     weight_levels: np.ndarray  # node weights per t-level used for |.|-edge costs
     # pass pairs begun by each batch of _BATCH sources, the passes ending
     # with the first that certified the fixed point: passes // 2 after two
-    # quiet passes in a row, (passes + 2) // 2 after one
+    # quiet passes in a row, (passes + 2) // 2 after one. Batches swept side
+    # by side each stop on their own rule, so the counts are those of each
+    # batch swept alone
     sweeps: tuple[int, ...]
 
     def full_matrix(self) -> np.ndarray:
@@ -441,54 +464,41 @@ def null_distance(
         raise InvalidInputError("weight_levels must be strictly increasing")
 
     rows = np.empty((len(sources), grid.n_points))
+    chunk = _BATCH * max(1, _CHUNK_CAP // (grid.n_points * _BATCH))
     sweeps = []
-    for lo in range(0, len(sources), _BATCH):
-        chunk = sources[lo : lo + _BATCH]
-        rows[lo : lo + len(chunk)], n = _sweep_rows(grid, chunk, pi)
-        sweeps.append(n)
+    for lo in range(0, len(sources), chunk):
+        sweeps += _sweep_rows(grid, sources[lo : lo + chunk], pi, rows[lo : lo + chunk])
     return NullDistanceResult(grid, tuple(sources), rows, pi, tuple(sweeps))
 
 
 def _sweep_rows(
-    grid: ConeGrid, sources: Sequence[tuple[int, int]], pi: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Null-distance rows of a batch of sources, and the pass pairs begun
+    grid: ConeGrid, sources: Sequence[tuple[int, int]], pi: np.ndarray, out: np.ndarray
+) -> list[int]:
+    """Null-distance rows of a chunk of sources into `out`, swept side by
+    side in batches of _BATCH columns, and the pass pairs each batch began
     (see NullDistanceResult.sweeps)."""
     c_up, c_rev = grid._cover_index()
     n_lv, m, b = grid.n_levels, grid.m, len(sources)
 
-    val = np.empty((n_lv, m, b))
-    for s, (i0, j0) in enumerate(sources):
-        val[:, :, s] = np.where(grid.causal_row(i0, j0), _level_gaps(pi, i0), np.inf)
-        val[i0, j0, s] = 0.0
-
     # running per-fiber minima of val - pi, level k in rows k*m:(k+1)*m; the
-    # last m rows stay +inf for the cover index's padding
-    prefix = np.empty(((n_lv + 1) * m, b))
-    prefix[n_lv * m :] = np.inf
+    # last m rows stay +inf for the cover index's padding; a view of one
+    # buffer, narrowed with val as batches stop
+    buf = np.empty((n_lv + 1) * m * b)
+    # the start values, the weight gap on the points causal to the source,
+    # written in blocks of sources whose causal masks hold _GATHER_CAP entries
+    val = np.full((n_lv, m, b), np.inf)
+    src = np.array(sources, dtype=int).reshape(-1, 2)
+    block = max(1, _GATHER_CAP // grid.n_points)
+    for lo in range(0, b, block):
+        levels, fibers = src[lo : lo + block].T
+        causal = grid.causal_row(levels, fibers).transpose(1, 2, 0)
+        np.copyto(val[:, :, lo : lo + block], _level_gaps(pi, levels).transpose(1, 2, 0), where=causal)
+    val[src[:, 0], src[:, 1], np.arange(b)] = 0.0
     # Gauss-Seidel passes reassociate sums, so late iterations can keep
     # shaving single ulps; improvements below this threshold do not count
     # as progress (they are still applied). Scales exactly with the weights,
     # keeping rescaled time functions bitwise proportional.
     eps_stop = 1e3 * np.finfo(float).eps * float(pi[-1] - pi[0])
-
-    def ascend(val: np.ndarray, pi: np.ndarray, index: list[np.ndarray]) -> bool:
-        """Relax every future-directed edge in one ascending pass, through
-        the cover pairs of each level. Gathered row (w, a) is the prefix
-        minimum of the w-th cover pair of (k, a); with w leading, the
-        minimum over w runs over contiguous blocks."""
-        changed = False
-        for k, idx in enumerate(index):
-            cand = prefix.take(idx.ravel(), axis=0).reshape(idx.shape[0], m, b).min(axis=0) + pi[k]
-            if np.any(cand < val[k] - eps_stop):
-                changed = True
-            np.minimum(val[k], cand, out=val[k])
-            row = val[k] - pi[k]
-            if k == 0:
-                prefix[:m] = row
-            else:
-                np.minimum(prefix[(k - 1) * m : k * m], row, out=prefix[k * m : (k + 1) * m])
-        return changed
 
     # Past-directed edges are future-directed on the time-reversed grid, so
     # the passes alternate between the two, and a pass that changes nothing
@@ -502,15 +512,68 @@ def _sweep_rows(
     # quiet passes in a row end pair p // 2; a single quiet pass reads
     # (p + 2) // 2, the pair an ascending pass begins, or the pair after the
     # one a descending pass ends, since that pair still changed something.
-    passes = ((val, pi, c_up), (val[::-1], -pi[::-1], c_rev))
-    quiet = 0  # passes in a row that changed nothing
+    # Each batch keeps its own count and stops on its own (module
+    # docstring); its columns then go to `out` and the others close ranks.
+    batches = np.arange(0, b, _BATCH)  # out row of each live batch
+    quiet = np.zeros(batches.size, dtype=int)  # passes in a row that changed nothing
+    sweeps = [0] * batches.size
     for p in range(1, 8 * (n_lv + 2) + 1):
         if p == 5:
             _close_bands(grid, val, pi)
-        quiet = 0 if ascend(*passes[(p - 1) % 2]) else quiet + 1
-        if quiet and p not in (1, 5):
-            return val.reshape(n_lv * m, b).T, p // 2 if quiet == 2 else (p + 2) // 2
+        offsets = np.arange(0, val.shape[2], _BATCH)
+        prefix = buf[: (n_lv + 1) * m * val.shape[2]].reshape(-1, val.shape[2])
+        prefix[n_lv * m :] = np.inf
+        if p % 2:
+            changed = _ascend(val, prefix, pi, c_up, eps_stop, offsets)
+        else:
+            changed = _ascend(val[::-1], prefix, -pi[::-1], c_rev, eps_stop, offsets)
+        quiet = np.where(changed, 0, quiet + 1)
+        if p in (1, 5) or not quiet.any():
+            continue
+        stop = quiet > 0
+        for s, o, q in zip(batches[stop], offsets[stop], quiet[stop]):
+            width = min(_BATCH, b - s)
+            out[s : s + width] = val[:, :, o : o + width].reshape(n_lv * m, width).T
+            sweeps[s // _BATCH] = p // 2 if q == 2 else (p + 2) // 2
+        if stop.all():
+            return sweeps
+        keep = np.repeat(~stop, _BATCH)[: val.shape[2]]
+        val, batches, quiet = val[:, :, keep], batches[~stop], quiet[~stop]
     raise RuntimeError("null-distance sweeps did not stabilize")
+
+
+def _ascend(
+    val: np.ndarray,
+    prefix: np.ndarray,
+    pi: np.ndarray,
+    index: list[np.ndarray],
+    eps_stop: float,
+    offsets: np.ndarray,
+) -> np.ndarray:
+    """Relax every future-directed edge in one ascending pass, through the
+    cover pairs of each level, and tell per batch of columns (starting at
+    `offsets`) whether a value dropped by more than eps_stop. Gathered row
+    (w, a) is the prefix minimum of the w-th cover pair of (k, a); with w
+    leading, the minimum over w runs over contiguous blocks."""
+    m, b = val.shape[1:]
+    changed = np.zeros(offsets.size, dtype=bool)
+    every = False  # every batch has changed: the test is settled for this pass
+    for k, idx in enumerate(index):
+        cand = prefix.take(idx.ravel(), axis=0).reshape(idx.shape[0], m, b).min(axis=0) + pi[k]
+        if not every:
+            drop = cand < val[k] - eps_stop
+            if offsets.size == 1:
+                every = changed[0] = np.any(drop)
+            else:
+                changed |= np.logical_or.reduceat(drop.any(axis=0), offsets)
+                every = changed.all()
+        np.minimum(val[k], cand, out=val[k])
+        row = val[k] - pi[k]
+        if k == 0:
+            prefix[:m] = row
+        else:
+            np.minimum(prefix[(k - 1) * m : k * m], row, out=prefix[k * m : (k + 1) * m])
+    return changed
 
 
 def _close_bands(grid: ConeGrid, val: np.ndarray, pi: np.ndarray) -> None:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import ConeGrid, _grid_error, null_distance, stratified_sources
+from .cone import _GATHER_CAP, ConeGrid, _grid_error, null_distance, stratified_sources
 from .errors import InvalidInputError, ParameterError
 from .metric_core import (
     Correspondence,
@@ -90,6 +90,25 @@ class ConvergenceReport:
         )
 
 
+def _sandwich_margins(
+    d_f: np.ndarray, d_j: np.ndarray, eps: float, f_min: float
+) -> tuple[float, float, float]:
+    """sup |d_j - d_f| and the lower and upper margins of the two-sided
+    estimate of `null_convergence_check`, in blocks of rows under
+    _GATHER_CAP entries: the extrema are exact, so the blocks change no bit
+    and no temporary is full size."""
+    block = max(1, _GATHER_CAP // d_f.shape[1])
+    dev, low, up = [], [], []
+    for lo in range(0, len(d_f), block):
+        f, fj = d_f[lo : lo + block], d_j[lo : lo + block]
+        lower = f - eps * (1.0 + 3.0 / f_min * f)
+        upper = f + eps * (1.0 + 8.0 * eps / f_min + 8.0 / f_min * f)
+        dev.append(np.max(np.abs(fj - f)))
+        low.append(np.min(fj - lower))
+        up.append(np.min(upper - fj))
+    return float(np.max(dev)), float(np.min(low)), float(np.min(up))
+
+
 def null_convergence_check(
     seq: WarpingSequence,
     fiber: FiniteLengthSpace,
@@ -124,21 +143,10 @@ def null_convergence_check(
             )
             continue
         grid_j = ConeGrid(Interval(*interval), fiber, f_j, n_t)
-        rows_j = null_distance(grid_j, sources=sources)
-        d_f = base.rows
-        d_j = rows_j.rows
-        lower = d_f - eps * (1.0 + 3.0 / f_min * d_f)
-        upper = d_f + eps * (1.0 + 8.0 * eps / f_min + 8.0 / f_min * d_f)
-        members.append(
-            MemberCheck(
-                j,
-                eps,
-                float(np.max(np.abs(d_j - d_f))),
-                float(np.min(d_j - lower)),
-                float(np.min(upper - d_j)),
-                d_f.size,
-            )
-        )
+        d_j = null_distance(grid_j, sources=sources).rows
+        margins = _sandwich_margins(base.rows, d_j, eps, f_min)
+        members.append(MemberCheck(j, eps, *margins, base.rows.size))
+        del d_j  # not alive beside the next member's rows
 
     active = [m for m in members if not m.excluded]
     by_eps = sorted(active, key=lambda m: -m.eps)

@@ -311,13 +311,18 @@ def gh_distance_exact(a: FiniteLengthSpace, b: FiniteLengthSpace) -> GHResult:
     Branch and bound over minimal correspondences: every column of B picks a
     row of A, then rows of A left uncovered pick a column each. Some optimal
     correspondence has this shape because distortion is monotone under adding
-    pairs. Refuses instances with |A|*|B| > 25.
+    pairs. Refuses instances with |A|*|B| > 25, and spaces with an infinite
+    distance (more than one component), whose stretches the search cannot
+    rank.
     """
     if a.n * b.n > GH_SIZE_CAP:
         raise SizeBoundError(
             f"exhaustive search refused: {a.n}*{b.n} > {GH_SIZE_CAP}; "
             "use distortion() with a supplied correspondence for an upper bound"
         )
+    for name, space in (("A", a), ("B", b)):
+        if not np.all(np.isfinite(space.dist)):
+            raise InvalidInputError(f"exact GH distance needs finite distances; {name} has an infinite one")
     da, db = a.dist, b.dist
     best = [math.inf, None]
     pairs: list[tuple[int, int]] = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import runpy
@@ -234,6 +235,17 @@ class TestCommands:
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
         assert rep["gh_distance"] == pytest.approx(0.1)
 
+    def test_gh_with_infinite_distance_is_refused(self, tmp_path, capsys):
+        # a two-component space against a connected one ended in a TypeError
+        # traceback (exit 1)
+        split = FiniteLengthSpace((0, 1), np.array([[0.0, math.inf], [math.inf, 0.0]]))
+        save_distance_matrix_csv(tmp_path / "a.csv", split)
+        save_distance_matrix_csv(tmp_path / "b.csv", path_space(2, 1.0))
+        cfg = {"command": "gh", "inputs": {"a": "a.csv", "b": "b.csv"}, "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 2
+        assert "finite distances" in capsys.readouterr().err
+
     def test_net_run(self, tmp_path):
         save_distance_matrix_csv(tmp_path / "m.csv", path_space(101, 1.0))
         cfg = {
@@ -369,6 +381,29 @@ class TestCommands:
         # both int32 cover indices over 9 fiber points: one padding row on
         # level 0, the pairs (a, a) and (a, a +- 1) on each of the 8 above
         assert rep.get("cover_index_bytes") == (None if sweeps is None else 2 * (1 + 8 * 3) * 9 * 4)
+
+    def test_nulldist_builds_the_sweep_tables_once(self, tmp_path, monkeypatch):
+        # the report's table_bytes used to build both sweep tables again; the
+        # report is pinned by its sha256 from before that change (exit 1:
+        # the affine cone's upper bound misses on the 13-point fiber)
+        make_cone_inputs(tmp_path, n_fiber=13, n_t=20,
+                         warping={"kind": "affine", "params": {"intercept": 0.5, "slope": 1.0}})
+        calls = []
+        build = cli.ConeGrid._level_tables
+        monkeypatch.setattr(cli.ConeGrid, "_level_tables", lambda g: calls.append(g) or build(g))
+        cfg = {
+            "command": "nulldist",
+            "inputs": {"cone": "cone.json"},
+            "params": {"sources": "all"},
+            "output_dir": str(tmp_path / "out"),
+        }
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 1
+        assert len(calls) == 1
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        want = "c6a9bec56a3973a98d5321e977bab2a8b401cc30e5ea42862c1a599423cc1507"
+        assert hashlib.sha256(report).hexdigest() == want
+        assert json.loads(report)["table_bytes"] == sum(t.nbytes for t in build(calls[0])[:2])
 
     @pytest.mark.parametrize("command", ["nulldist", "timesep"])
     def test_all_sources_keep_the_full_matrix_bound(self, command, tmp_path, capsys):

@@ -31,6 +31,7 @@ from nulldist import (
 )
 from nulldist.cone import (
     _BATCH,
+    _CHUNK_CAP,
     _GATHER_CAP,
     CAUSAL,
     CHRONOLOGICAL,
@@ -747,6 +748,81 @@ class TestStopRule:
         want, sweeps = pair_rule_rows(g, all_grid_points(g), g.t_levels)
         assert np.array_equal(res.rows, want)
         assert res.sweeps == sweeps == (1,)
+
+
+class TestSideBySideBatches:
+    """One level loop sweeps whole batches side by side, each batch with its
+    own stop rule; the rows and counts are those of each batch alone."""
+
+    @pytest.mark.parametrize(
+        "warping",
+        [WarpingFunction.affine(0.5, 1.0, IV), WarpingFunction.cosh_type(0.5, 1.2, IV)],
+        ids=["affine", "cosh"],
+    )
+    def test_rows_and_sweeps_equal_each_batch_alone(self, warping):
+        # 651 points on a non-dyadic grid: a chunk holds 6 batches, so the
+        # 11 batches take two chunks and the last holds 11 sources; t + t^2/2
+        # runs the band closure and the batches stop at different passes
+        g = ConeGrid(IV, path_space(21, 1.0), warping, 30)
+        pi = g.t_levels + 0.5 * g.t_levels**2
+        sources = all_grid_points(g)
+        chunk = _BATCH * (_CHUNK_CAP // (g.n_points * _BATCH))
+        assert _BATCH < chunk < len(sources) and len(sources) % _BATCH
+        res = null_distance(g, sources, weight_levels=pi)
+        alone = [null_distance(g, sources[lo : lo + _BATCH], weight_levels=pi) for lo in range(0, len(sources), _BATCH)]
+        assert np.array_equal(res.rows, np.vstack([a.rows for a in alone]))
+        assert res.sweeps == tuple(n for a in alone for n in a.sweeps)
+        assert max(res.sweeps[: chunk // _BATCH]) >= 3
+        assert len(set(res.sweeps[: chunk // _BATCH])) > 1
+        # a one-source call, and the same source as a batch of one beside
+        # a full batch in a chunk
+        n = chunk + _BATCH + 1
+        one = null_distance(g, [sources[n - 1]], weight_levels=pi)
+        beside = null_distance(g, sources[:n], weight_levels=pi)
+        assert np.array_equal(beside.rows[-1], one.rows[0])
+        assert beside.sweeps[-1:] == one.sweeps
+        assert np.array_equal(beside.rows[:-1], res.rows[: n - 1])
+
+    def test_chunk_working_set_stays_under_the_cap(self):
+        # 1681 points, all of them sources: a chunk holds two batches, where
+        # one chunk of every source would hold 11 times the cap. The values
+        # and the prefix minima take up to two caps of floats (1.84 here),
+        # the copy made when some batches stop one more; the rows are the
+        # result
+        g = small_grid(n_t=40, n_f=41)
+        g._cover_index()
+        assert _CHUNK_CAP // (g.n_points * _BATCH) == 2
+        tracemalloc.start()
+        try:
+            res = null_distance(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n_points**2 > 10 * _CHUNK_CAP
+        assert peak - res.rows.nbytes < 4 * _CHUNK_CAP * 8
+        assert res.rows.shape == (g.n_points, g.n_points) and set(res.sweeps) == {2}
+
+    def test_start_values_add_no_chunk_sized_transient(self):
+        # 40401 points: a chunk is one batch, here of 16 sources. The rows,
+        # the values and the prefix minima take one chunk x n_points floats
+        # each; start values built for the whole chunk at once would add a
+        # fourth, where the blocks of _GATHER_CAP entries add a few percent.
+        # The fiber spacing equals the level step, so a level gathers three
+        # cover pairs per point
+        g = ConeGrid(IV, path_space(201, 1.0), WarpingFunction.constant(1.0, IV), 200)
+        assert g.n_points >= 40000 and _CHUNK_CAP // (g.n_points * _BATCH) == 0
+        g._cover_index()
+        rng = np.random.default_rng(9)
+        sources = [(int(rng.integers(0, g.n_levels)), int(rng.integers(0, g.m))) for _ in range(16)]
+        tracemalloc.start()
+        try:
+            res = null_distance(g, sources)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * res.rows.nbytes
+        for s in (0, 15):
+            assert np.array_equal(res.rows[s], null_distance(g, [sources[s]]).rows[0])
 
 
 def uncovered_pairs(table):

@@ -15,6 +15,8 @@ from nulldist import (
     uniform_total_boundedness,
 )
 from conftest import dense_lift_distortion, lifted_product_space
+from nulldist.cone import null_distance, stratified_sources
+from nulldist.convergence import PAIR_BUDGET
 from nulldist.errors import InvalidInputError
 from nulldist.metric_core import (
     FiniteLengthSpace,
@@ -120,6 +122,28 @@ class TestSandwich:
         assert rep.all_sandwich_ok
         devs = [m.sup_deviation for m in rep.members]
         assert devs[1] < devs[0]
+
+    def test_margins_equal_the_full_array_formulas(self):
+        # 861 sources in blocks of 76 rows; min and max are exact, so the
+        # blocks must agree bit for bit with the whole-array expressions
+        limit = WarpingFunction.affine(1.0, 0.5, IV)
+        family = tuple(WarpingFunction.affine(1.0 + e, 0.5 - e, IV) for e in (0.1, 0.03))
+        seq = WarpingSequence(family, limit, 0.9)
+        fiber = path_space(21, 1.0)
+        rep = null_convergence_check(seq, fiber, 40)
+        grid_lim = ConeGrid(IV, fiber, limit, 40)
+        sources = stratified_sources(grid_lim, PAIR_BUDGET, 0)
+        d_f = null_distance(grid_lim, sources).rows
+        assert d_f.shape == (861, 861)
+        f_min = grid_lim.f_min
+        for m, f_j in zip(rep.members, family):
+            d_j = null_distance(ConeGrid(IV, fiber, f_j, 40), sources).rows
+            lower = d_f - m.eps * (1.0 + 3.0 / f_min * d_f)
+            upper = d_f + m.eps * (1.0 + 8.0 * m.eps / f_min + 8.0 / f_min * d_f)
+            assert m.sup_deviation == float(np.max(np.abs(d_j - d_f))) > 0
+            assert m.lower_margin == float(np.min(d_j - lower))
+            assert m.upper_margin == float(np.min(upper - d_j))
+            assert m.n_pairs == d_f.size
 
     def test_exclusion_diagnostic(self):
         seq = WarpingSequence(

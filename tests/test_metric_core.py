@@ -260,6 +260,15 @@ class TestGHExact:
         with pytest.raises(SizeBoundError):
             gh_distance_exact(path_space(6, 1.0), path_space(6, 1.0))
 
+    def test_infinite_distance_is_refused(self):
+        # two components: the search found no correspondence against a
+        # connected space and raised TypeError, and two such spaces gave
+        # 0.0 through inf - inf
+        split = FiniteLengthSpace((0, 1), np.array([[0.0, math.inf], [math.inf, 0.0]]))
+        for a, b in [(split, two_point(1.0)), (two_point(1.0), split), (split, split)]:
+            with pytest.raises(InvalidInputError, match="finite distances"):
+                gh_distance_exact(a, b)
+
     # distance and witness of the branch and bound, recorded once: its search
     # order picks one witness among the optimal correspondences, and these
     # pin that choice on point clouds, tied quarter-step distances and lines
