@@ -121,10 +121,6 @@ def sample_timelike_triangles(
 
     def admit(x: tuple, y: tuple, z: tuple) -> None:
         nonlocal filtered
-        if rho_row(x)[grid.node(*y)] <= 0 or rho_row(y)[grid.node(*z)] <= 0:
-            return
-        if rho_row(x)[grid.node(*z)] <= 0:
-            return
         tri = _triangle(grid, x, y, z, rho_row)
         if tri is None:
             return
@@ -217,8 +213,10 @@ def triangle_comparison(
         raise ParameterError(f"direction must be '{LOWER}' or '{UPPER}'")
     if not (tol >= 0):
         raise ParameterError("tol must be nonnegative")
-    if n_probe < 1:
-        raise ParameterError(f"n_probe must be at least 1, got {n_probe!r}")
+    if not 1 <= n_probe <= len(_PROBE_SCHEME):
+        raise ParameterError(
+            f"n_probe must be between 1 and {len(_PROBE_SCHEME)}, got {n_probe!r}"
+        )
     model = realize_timelike_triangle(bound, tri.a, tri.b, tri.c)
     cache = rho_cache if rho_cache is not None else {}
     probes = []
@@ -264,30 +262,6 @@ def triangle_comparison(
         worst,
         n_done,
     )
-
-
-def dp_refinement_error(
-    grid: ConeGrid, pairs: Sequence[tuple[tuple, tuple]]
-) -> float:
-    """Measured time-separation change when the t-grid is halved; a proxy for
-    the DP discretization error on the given pairs."""
-    if grid.n_t % 2 or grid.n_t < 2:
-        raise ParameterError("need an even t-resolution to halve")
-    coarse = ConeGrid(grid.interval, grid.fiber, grid.warping, grid.n_t // 2)
-    pairs = [(p, q) for p, q in pairs if p[0] % 2 == 0 and q[0] % 2 == 0]
-    if not pairs:
-        return 0.0
-
-    def half(v) -> tuple:
-        return (v[0] // 2, v[1])
-
-    # one DP run per grid over the sources of every pair
-    fine = time_separation(grid, sources=list(dict.fromkeys(tuple(p) for p, _ in pairs)))
-    rough = time_separation(coarse, sources=list(dict.fromkeys(half(p) for p, _ in pairs)))
-    worst = 0.0
-    for p, q in pairs:
-        worst = max(worst, abs(fine.value(p, q) - rough.value(half(p), half(q))))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +429,10 @@ def persistence_experiment(
         if warpings is None or warping_limit is None:
             raise InvalidInputError("warped mode needs the warping sequence and its limit")
         kps = list(k_primes) if k_primes is not None else [k_prime] * len(warpings)
+        if len(kps) != len(warpings):
+            raise InvalidInputError(
+                f"k_primes has {len(kps)} entries for {len(warpings)} warpings"
+            )
         quads = []
         for idx, (w, kp) in enumerate(zip(warpings, kps)):
             report.concavity.append((f"warping{idx}", concavity_check(w, kp)))

@@ -8,7 +8,6 @@ chronological pairs. Time functions are plain per-point value arrays.
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -384,11 +383,22 @@ def rho_length_and_time_separation(
         i, j = map(int, np.argwhere(causal & causal.T)[0])
         raise InvalidInputError(f"causal cycle between {i} and {j}")
     n = space.n
+    # Kahn layers: each round takes the points of in-degree 0 left, in index
+    # order, and removes their edges
+    indeg = causal.sum(axis=0)
+    left = np.ones(n, dtype=bool)
+    order: list[int] = []
+    while (layer := np.flatnonzero(left & (indeg == 0))).size:
+        left[layer] = False
+        indeg -= causal[layer].sum(axis=0)
+        order.extend(layer.tolist())
+    if left.any():
+        raise InvalidInputError("causal relation contains a cycle")
     # row s holds the longest chains from s; a column is final once its
     # node comes up in topological order, and only finite values propagate
     t_mat = np.full((n, n), -np.inf)
     np.fill_diagonal(t_mat, 0.0)
-    for v in _topo_order(causal):
+    for v in order:
         rows = np.nonzero(np.isfinite(t_mat[:, v]))[0]
         succ = np.nonzero(causal[v])[0]
         if rows.size and succ.size:
@@ -401,21 +411,3 @@ def rho_length_and_time_separation(
         mismatch = causal & (np.abs(t_mat - space.rho) > 1e-12)
         mismatch |= causal & np.isinf(space.rho) & (t_mat != space.rho)
     return t_mat, mismatch
-
-
-def _topo_order(strict_causal: np.ndarray) -> list[int]:
-    n = strict_causal.shape[0]
-    indeg = strict_causal.sum(axis=0).astype(int)
-    ready = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        v = heapq.heappop(ready)
-        out.append(v)
-        for u in np.nonzero(strict_causal[v])[0]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(ready, int(u))
-    if len(out) != n:
-        raise InvalidInputError("causal relation contains a cycle")
-    return out

@@ -21,7 +21,7 @@ from nulldist import (
     WarpingSequence,
 )
 from nulldist.cone import stratified_sources
-from nulldist.curvature import _triangle_from_vertices, dp_refinement_error
+from nulldist.curvature import _triangle_from_vertices
 from nulldist.lpls import DiscretePreLengthSpace
 from nulldist.metric_core import all_correspondences
 
@@ -294,10 +294,15 @@ def test_criterion_11_curvature(flat_cone):
         for direction in ("lower", "upper"):
             v = nd.triangle_comparison(flat_cone, tri, 0.0, direction, 5, tol, cache)
             margins.append(v.worst_witness["margin"])
-    # refinement sensitivity measured on even-level chronological pairs with
-    # genuine fiber movement (these survive the grid halving)
+    # the DP's error against the flat cone's exact sqrt(dt^2 - d^2), on
+    # chronological pairs with genuine fiber movement
     probe_pairs = [((0, 0), (30, 100)), ((0, 40), (40, 160)), ((10, 0), (50, 120))]
-    measured = dp_refinement_error(flat_cone, probe_pairs)
+    rows = nd.time_separation(flat_cone, sources=[p for p, _ in probe_pairs])
+    t, d = flat_cone.t_levels, flat_cone.fiber.dist
+    measured = max(
+        math.sqrt((t[q[0]] - t[p[0]]) ** 2 - d[p[1], q[1]] ** 2) - rows.value(p, q)
+        for p, q in probe_pairs
+    )
     flat_ok = len(tris) == 10 and min(margins) >= -tol and tol >= measured > 0
 
     trip = nd.tripod_space(50, 1.0)
@@ -322,7 +327,7 @@ def test_criterion_11_curvature(flat_cone):
     report(
         11,
         f"flat self-comparison margins within tol={tol} (worst {min(margins):.4f}, "
-        f"measured dp err {measured:.4f}); tripod lower-bound failure detected "
+        f"DP below sqrt(dt^2 - d^2) by {measured:.4f}); tripod lower-bound failure detected "
         f"(margin {v_exp.worst_witness['margin']:.3f}); cosh identities exact",
         ok,
     )

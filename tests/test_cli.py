@@ -570,6 +570,11 @@ class TestCurvature:
         cfg = make_curvature_inputs(tmp_path, n_probe=0)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    def test_more_probes_than_the_scheme_holds_exit_two(self, tmp_path, capsys):
+        cfg = make_curvature_inputs(tmp_path, n_probe=11)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "n_probe must be between 1 and 10, got 11" in capsys.readouterr().err
+
     def test_inadmissible_triangle_is_skipped_and_counted(self, tmp_path, monkeypatch):
         # a triangle the model plane cannot realize drops out of the table
         # (the others keep their verdicts) and is counted in the report
@@ -642,6 +647,27 @@ class TestPersist:
         write(tmp_path / "cfg.json", json.dumps(cfg))
         assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
         assert "side_cap must not be NaN" in capsys.readouterr().err
+
+    def test_warped_k_primes_of_the_wrong_length_exit_two(self, tmp_path, capsys):
+        save_distance_matrix_csv(tmp_path / "lim.csv", path_space(11, 1.0))
+        cosh = {"kind": "cosh", "params": {"amplitude": 1.0, "rate": 1.0}}
+        experiment = {
+            "mode": "warped",
+            "fibers": [],
+            "limit": "lim.csv",
+            "interval": [0.0, 1.0],
+            "n_t": 10,
+            "warpings": [cosh, cosh],
+            "warping_limit": cosh,
+            "k_primes": [1.0],
+            "k_prime": 1.0,
+            "n_triangles": 2,
+        }
+        write(tmp_path / "persist.json", json.dumps(experiment))
+        cfg = {"command": "persist", "inputs": {"experiment": "persist.json"}}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+        assert "k_primes has 1 entries for 2 warpings" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_limit, extra, n_ts, kept", [
         (21, [], [6, 12], None),

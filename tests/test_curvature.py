@@ -19,9 +19,9 @@ from nulldist import (
     tripod_space,
 )
 from nulldist import cone, curvature
-from nulldist.cone import _dp_rows, _read_back, all_grid_points, time_separation
-from nulldist.curvature import _triangle_from_vertices, dp_refinement_error
-from nulldist.errors import ModelConstraintError, ParameterError
+from nulldist.cone import _dp_rows, _read_back, all_grid_points
+from nulldist.curvature import _PROBE_SCHEME, _triangle_from_vertices
+from nulldist.errors import InvalidInputError, ModelConstraintError, ParameterError
 
 IV01 = Interval(0.0, 1.0)
 
@@ -239,6 +239,14 @@ class TestFlatComparison:
         with pytest.raises(ParameterError):
             triangle_comparison(g, tris[0], 0.0, "lower", 3, tol=math.nan)
 
+    def test_more_probes_than_the_scheme_holds_are_refused(self):
+        g = flat_grid(n_t=20, n_f=21)
+        tris, _ = sample_timelike_triangles(g, 1, seed=5)
+        n = len(_PROBE_SCHEME)
+        assert triangle_comparison(g, tris[0], 0.0, "lower", n, tol=0.05).n_probes == n
+        with pytest.raises(ParameterError, match=f"between 1 and {n}, got {n + 1}"):
+            triangle_comparison(g, tris[0], 0.0, "lower", n + 1, tol=0.05)
+
 
 class TestTripod:
     def test_explicit_branching_triangle(self):
@@ -300,30 +308,6 @@ class TestWarpingConditions:
             nearby = WarpingFunction.cosh_type(1.0 + delta, 1.0, IV01)
             got = compute_fiber_bound(nearby, 1.0 + delta)
             assert got == pytest.approx(want, abs=0.05 if delta > 1e-4 else 1e-3)
-
-
-class TestRefinementError:
-    def test_measured_error_positive_and_small(self):
-        g = flat_grid(n_t=40, n_f=101)
-        pairs = [((0, 0), (40, 60)), ((0, 20), (40, 80))]
-        err = dp_refinement_error(g, pairs)
-        assert 0 <= err <= 0.05
-
-    def test_equals_the_per_pair_runs(self):
-        # one DP per grid over all sources gives bitwise the per-pair rows
-        g = ConeGrid(IV01, circle_space(24, 1.0), WarpingFunction.cosh_type(1.0, 1.2, IV01), 20)
-        coarse = ConeGrid(IV01, g.fiber, g.warping, 10)
-        pairs = [((0, 0), (20, 6)), ((2, 5), (18, 9)), ((4, 3), (12, 3)), ((1, 0), (9, 2)),
-                 ((0, 0), (14, 20)), ((6, 11), (4, 11))]
-        want = 0.0
-        for p, q in pairs[:5]:
-            if p[0] % 2 == 0 and q[0] % 2 == 0:
-                cp, cq = (p[0] // 2, p[1]), (q[0] // 2, q[1])
-                fine = time_separation(g, sources=[p]).value(p, q)
-                want = max(want, abs(fine - time_separation(coarse, sources=[cp]).value(cp, cq)))
-        assert want > 0
-        assert dp_refinement_error(g, pairs) == want
-        assert dp_refinement_error(g, [((1, 0), (9, 2))]) == 0.0
 
 
 class TestPersistence:
@@ -427,6 +411,27 @@ class TestPersistence:
                 side_cap=math.nan,
                 warpings=[],
                 warping_limit=cosh,
+                k_prime=1.0,
+            )
+
+    def test_k_primes_of_the_wrong_length_are_refused(self):
+        # zipping them with the warpings would drop the second member
+        iv = Interval(0.0, 1.0)
+        cosh = WarpingFunction.cosh_type(1.0, 1.0, iv)
+        with pytest.raises(InvalidInputError, match="k_primes has 1 entries for 2 warpings"):
+            persistence_experiment(
+                "warped",
+                [],
+                path_space(11, 1.0),
+                interval=(0.0, 1.0),
+                n_t=10,
+                seed=3,
+                n_triangles=2,
+                n_probe=3,
+                tol=0.1,
+                warpings=[cosh, cosh],
+                warping_limit=cosh,
+                k_primes=[1.0],
                 k_prime=1.0,
             )
 

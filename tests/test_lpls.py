@@ -1,3 +1,4 @@
+import heapq
 import math
 import warnings
 
@@ -284,6 +285,55 @@ class TestConvexNeighborhood:
         assert res.certified
 
 
+def reference_longest_chains(space):
+    """(T, mismatch) of rho_length_and_time_separation by scalar loops over
+    a heap topological order of the strict relation."""
+    n = space.n
+    causal = space.causal & ~np.eye(n, dtype=bool)
+    indeg = causal.sum(axis=0).tolist()
+    ready = [v for v in range(n) if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for u in range(n):
+            if causal[v, u]:
+                indeg[u] -= 1
+                if indeg[u] == 0:
+                    heapq.heappush(ready, u)
+    t_mat = np.full((n, n), -np.inf)
+    np.fill_diagonal(t_mat, 0.0)
+    for v in order:
+        for s in range(n):
+            if math.isfinite(t_mat[s, v]):
+                for u in range(n):
+                    if causal[v, u]:
+                        t_mat[s, u] = max(t_mat[s, u], t_mat[s, v] + space.rho[v, u])
+    t_mat[~np.isfinite(t_mat)] = 0.0
+    np.fill_diagonal(t_mat, 0.0)
+    with np.errstate(invalid="ignore"):
+        mismatch = causal & (np.abs(t_mat - space.rho) > 1e-12)
+        mismatch |= causal & np.isinf(space.rho) & (t_mat != space.rho)
+    return t_mat, mismatch
+
+
+def random_dag_space(rng):
+    """A random DAG on 2-39 points in a shuffled order, not transitively
+    closed, with rho holding zeros and +inf entries on its edges."""
+    n = int(rng.integers(2, 40))
+    perm = rng.permutation(n)
+    causal = np.zeros((n, n), dtype=bool)
+    causal[np.ix_(perm, perm)] = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.7), 1)
+    np.fill_diagonal(causal, True)
+    rho = rng.uniform(0.0, 2.0, (n, n))
+    rho[rng.random((n, n)) < 0.25] = 0.0
+    rho[rng.random((n, n)) < 0.08] = np.inf
+    rho[~causal] = 0.0
+    base = FiniteLengthSpace(tuple(range(n)), np.ones((n, n)) - np.eye(n))
+    return DiscretePreLengthSpace(base, causal, rho > 0, rho)
+
+
 class TestRhoAndT:
     def test_chain_equality(self):
         s = chain_space([1.0, 1.0])
@@ -313,6 +363,24 @@ class TestRhoAndT:
         s = DiscretePreLengthSpace(base, causal, np.zeros((2, 2), bool), np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
             rho_length_and_time_separation(s)
+
+    def test_three_cycle_rejected(self):
+        # no 2-cycle, so the topological order is what finds it
+        causal = np.eye(3, dtype=bool)
+        causal[0, 1] = causal[1, 2] = causal[2, 0] = True
+        base = FiniteLengthSpace((0, 1, 2), np.ones((3, 3)) - np.eye(3))
+        s = DiscretePreLengthSpace(base, causal, np.zeros((3, 3), bool), np.zeros((3, 3)))
+        with pytest.raises(InvalidInputError, match="causal relation contains a cycle"):
+            rho_length_and_time_separation(s)
+
+    def test_equals_the_reference_loop_on_random_dags(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            space = random_dag_space(rng)
+            got = rho_length_and_time_separation(space)
+            want = reference_longest_chains(space)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
     def test_random_t_equals_rho(self):
         # valid instances have T = rho on causal pairs by the reverse triangle
