@@ -923,9 +923,7 @@ def minimizer_analysis(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -
     grid._check_point(*q)
     if p == q:
         return MinimizerAnalysis([], [], grid.grid_step(), "trivial pair")
-    rel = grid.causal_relation(p, q)
-    rel_back = grid.causal_relation(q, p)
-    if rel != NONE or rel_back != NONE:
+    if grid.causal_row(*p)[q]:
         return MinimizerAnalysis(
             [p, q], [], grid.grid_step(), "causal pair: the direct edge minimizes"
         )

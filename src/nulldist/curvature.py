@@ -191,6 +191,17 @@ def _snap(tri: TimelikeTriangle, side: str, frac: float) -> tuple[tuple, float, 
     return path[k], float(acc[k]), float(abs(acc[k] - target))
 
 
+def _check_comparison(direction: str, n_probe: int, tol: float) -> None:
+    if direction not in (LOWER, UPPER):
+        raise ParameterError(f"direction must be '{LOWER}' or '{UPPER}'")
+    if not (tol >= 0):
+        raise ParameterError("tol must be nonnegative")
+    if not 1 <= n_probe <= len(_PROBE_SCHEME):
+        raise ParameterError(
+            f"n_probe must be between 1 and {len(_PROBE_SCHEME)}, got {n_probe!r}"
+        )
+
+
 def triangle_comparison(
     grid: ConeGrid,
     tri: TimelikeTriangle,
@@ -209,14 +220,7 @@ def triangle_comparison(
     slack are reported. direction "lower" demands rho <= rho' on every probe
     pair, "upper" the reverse.
     """
-    if direction not in (LOWER, UPPER):
-        raise ParameterError(f"direction must be '{LOWER}' or '{UPPER}'")
-    if not (tol >= 0):
-        raise ParameterError("tol must be nonnegative")
-    if not 1 <= n_probe <= len(_PROBE_SCHEME):
-        raise ParameterError(
-            f"n_probe must be between 1 and {len(_PROBE_SCHEME)}, got {n_probe!r}"
-        )
+    _check_comparison(direction, n_probe, tol)
     model = realize_timelike_triangle(bound, tri.a, tri.b, tri.c)
     cache = rho_cache if rho_cache is not None else {}
     probes = []
@@ -370,7 +374,10 @@ def _sample_and_compare(grid: ConeGrid, bound: float, direction: str, n_triangle
     """Sample triangles under the model size bound (capped by `side_cap`) and
     compare each through one probe-row cache; returns (verdicts, diag). A
     triangle the model plane cannot realize is skipped and counted in
-    diag["inadmissible"], a key written only when it is nonzero."""
+    diag["inadmissible"], a key written only when it is nonzero. The comparison
+    parameters are checked before sampling, so their refusal does not depend
+    on whether a triangle is found."""
+    _check_comparison(direction, n_probe, tol)
     size_bound = model_size_bound(bound)
     if side_cap is not None:
         side_cap = float(side_cap)

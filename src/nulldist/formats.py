@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
+from .cone import ConeGrid
 from .errors import InvalidInputError
 from .lpls import DiscretePreLengthSpace
 from .metric_core import FiniteLengthSpace, intrinsic_metric
@@ -58,10 +59,7 @@ def load_distance_matrix_csv(path: PathLike) -> FiniteLengthSpace:
 
 
 def save_distance_matrix_csv(path: PathLike, space: FiniteLengthSpace) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(str(i) for i in space.point_ids) + "\n")
-        for row in space.dist:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    write_table_csv(path, [str(i) for i in space.point_ids], space.dist.tolist())
 
 
 def load_edge_list_csv(path: PathLike) -> FiniteLengthSpace:
@@ -116,10 +114,8 @@ def warping_from_dict(doc: dict, domain: Interval) -> WarpingFunction:
     raise InvalidInputError(f"unknown warping kind {kind!r}")
 
 
-def load_cone_json(path: PathLike):
+def load_cone_json(path: PathLike) -> ConeGrid:
     """Cone document: {interval: [a, b], n_t, fiber: <csv ref>, warping: {...}}."""
-    from .cone import ConeGrid  # deferred to keep module import light
-
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     a, b = doc["interval"]

@@ -121,6 +121,11 @@ class TestFormats:
         back = load_distance_matrix_csv(tmp_path / "m.csv")
         assert np.array_equal(back.dist, space.dist)
 
+    def test_distance_matrix_exact_text(self, tmp_path):
+        space = FiniteLengthSpace(("a", 7), np.array([[0.0, 0.1 + 0.2], [0.30000000000000004, -0.0]]))
+        save_distance_matrix_csv(tmp_path / "m.csv", space)
+        assert (tmp_path / "m.csv").read_bytes() == b"a,7\n0,0.30000000000000004\n0.30000000000000004,-0\n"
+
     def test_edge_list(self, tmp_path):
         write(tmp_path / "e.csv", "src,dst,weight\n0,1,1.0\n1,2,0.5\n")
         space = load_edge_list_csv(tmp_path / "e.csv")
@@ -566,6 +571,17 @@ class TestCurvature:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "side_cap must not be NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("changes, extra", [
+        # a side cap of 0.001 admits no triangle, so no comparison runs
+        pytest.param({"n_probe": 11, "side_cap": 0.001}, [], id="n_probe-no-triangle"),
+        pytest.param({"direction": "sideways", "side_cap": 0.001}, [], id="direction-no-triangle"),
+        pytest.param({"side_cap": 0.001}, ["--tol", "nan"], id="tol-no-triangle"),
+        pytest.param({"direction": "sideways"}, [], id="direction"),
+    ])
+    def test_bad_comparison_parameter_exits_two_before_sampling(self, changes, extra, tmp_path):
+        cfg = make_curvature_inputs(tmp_path, **changes)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
+
     def test_zero_probes_is_a_parameter_error(self, tmp_path):
         cfg = make_curvature_inputs(tmp_path, n_probe=0)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -811,6 +827,23 @@ class TestPreLengthIO:
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
         assert rep["pre_length"] == []
         assert rep["time_function"]["passed"]
+
+    def test_nan_tau_is_no_time_function(self, tmp_path):
+        from nulldist import DiscretePreLengthSpace
+        from nulldist.formats import save_pls_json
+
+        base = FiniteLengthSpace((0, 1, 2), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+        causal = np.triu(np.ones((3, 3), dtype=bool))
+        rho = np.triu(np.ones((3, 3)), 1)
+        rho[0, 2] = 2.0
+        space = DiscretePreLengthSpace(base, causal, rho > 0, rho)
+        save_pls_json(tmp_path / "pls.json", space, [0.0, math.nan, 1.0])
+        cfg = {"command": "validate", "inputs": {"pls": "pls.json"}, "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 1
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["pre_length"] == []
+        assert rep["time_function"] == {"passed": False, "witness": [0, 1]}
 
     def test_pls_infinite_rho_roundtrip(self, tmp_path):
         from nulldist import DiscretePreLengthSpace, FiniteLengthSpace

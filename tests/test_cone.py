@@ -153,6 +153,24 @@ class TestCausalRelation:
         assert np.array_equal(stack, want)
         assert g.causal_row(np.int64(3), np.int64(5)).shape == (g.n_levels, g.m)
 
+    @pytest.mark.parametrize(
+        "fiber, warping",
+        [
+            (path_space(17, 1.0), WarpingFunction.constant(1.0, IV)),
+            (circle_space(12, 2.0), WarpingFunction.cosh_type(0.5, 2.0, IV)),
+            (CLOUD, TABULATED),
+        ],
+        ids=["exactly-null-path", "cosh-circle", "tabulated-cloud"],
+    )
+    def test_causal_row_is_both_classifications(self, fiber, warping):
+        # minimizer_analysis reads "related in either direction" off the row
+        g = ConeGrid(IV, fiber, warping, 8)
+        rng = np.random.default_rng(5)
+        for p in zip(rng.integers(0, g.n_levels, 12).tolist(), rng.integers(0, g.m, 12).tolist()):
+            want = [[g.causal_relation(p, (k, l)) != NONE or g.causal_relation((k, l), p) != NONE
+                     for l in range(g.m)] for k in range(g.n_levels)]
+            assert np.array_equal(g.causal_row(*p), want)
+
 
 class TestThresholdTables:
     @staticmethod

@@ -94,6 +94,13 @@ class TestTimeFunction:
         s = DiscretePreLengthSpace(base, np.eye(2, dtype=bool), np.zeros((2, 2), bool), np.zeros((2, 2)))
         assert check_time_function(s, [5.0, -3.0]).passed
 
+    def test_nan_fails_with_witness(self):
+        # NaN compares false both ways, so it is strictly below nothing
+        s = chain_space([1.0, 1.0])
+        v = check_time_function(s, [0.0, math.nan, 1.0])
+        assert not v.passed and v.witness == (0, 1)
+        assert not check_time_function(s, [math.nan, 1.0, 2.0]).passed
+
 
 class TestNullLength:
     def test_constant_path_zero(self):
@@ -234,6 +241,13 @@ class TestAntiLipschitz:
         s = chain_space([1.0])
         assert check_anti_lipschitz(s, [0.0, 0.5], [0], np.zeros((1, 1))).passed
 
+    def test_nan_fails_with_witness(self):
+        s = chain_space([1.0])
+        v = check_anti_lipschitz(s, [0.0, math.nan], [0, 1], np.zeros((2, 2)))
+        assert not v.passed and v.witness == (0, 1)
+        # the diagonal is no causal pair: a NaN alone in the subset passes
+        assert check_anti_lipschitz(s, [0.0, math.nan], [1], np.zeros((1, 1))).passed
+
     def test_bad_metric_rejected(self):
         s = chain_space([1.0])
         with pytest.raises(InvalidInputError):
@@ -284,10 +298,88 @@ class TestConvexNeighborhood:
         res = causally_convex_neighborhood(s, tau, 0, [0, 1, 2], base.dist, eps=0.3)
         assert res.certified
 
+    def test_nan_tau_is_a_time_function_failure(self):
+        # tau+phi is NaN at 1 on the chain 0 <= 1 <= 2, whose ends are
+        # squeezed members: a certificate here would be wrong
+        s = chain_space([1.0, 1.0])
+        d_u = np.array([[0.0, 0.2], [0.2, 0.0]])
+        res = causally_convex_neighborhood(s, [0.0, math.nan, 0.2], 0, [0, 2], d_u, eps=0.5)
+        assert not res.certified
+        assert res.time_function_failure == ("tau+phi", (0, 1))
+        assert res.members == ()
+
+    @pytest.mark.parametrize("with_nan", [False, True], ids=["finite-tau", "nan-tau"])
+    def test_certified_sets_are_causally_convex(self, with_nan):
+        rng = np.random.default_rng(29 + with_nan)
+        certified = nonempty = 0
+        for _ in range(400):
+            space, tau = random_relation_space(rng, with_nan)
+            n = space.n
+            k = int(rng.integers(1, n + 1))
+            subset = [int(v) for v in rng.permutation(n)[:k]]
+            p = subset[int(rng.integers(k))]
+            gaps = np.abs(np.subtract.outer(tau[subset], tau[subset]))
+            d_u = np.nan_to_num(gaps, nan=0.0) * rng.uniform(0.0, 1.0)
+            try:
+                res = causally_convex_neighborhood(
+                    space, tau, p, subset, d_u, eps=10.0 ** rng.uniform(-2, 1)
+                )
+            except InvalidInputError:  # (U, d_U) is no anti-Lipschitz witness
+                continue
+            if res.certified:
+                certified += 1
+                nonempty += len(res.members) > 1
+                assert convexity_counterexample(space, res.members) is None
+        assert certified >= 40 and nonempty >= 5
+
+
+def random_relation_space(rng, with_nan):
+    """A random relation on 2-11 points (a closed DAG, an open one, or any
+    reflexive relation) and a tau that often increases along it; with_nan
+    puts NaN at up to two points and cuts some of them off the relation."""
+    n = int(rng.integers(2, 12))
+    kind = int(rng.integers(3))
+    depth = np.zeros(n)
+    if kind == 2:
+        causal = rng.random((n, n)) < rng.uniform(0.05, 0.5)
+    else:
+        perm = rng.permutation(n)
+        causal = np.zeros((n, n), dtype=bool)
+        causal[np.ix_(perm, perm)] = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.6), 1)
+        if kind == 0:
+            for k in range(n):
+                causal |= causal[:, [k]] & causal[[k], :]
+        depth[perm] = np.arange(n)
+    tau = depth * rng.uniform(0.5, 2.0) + rng.uniform(-0.3, 0.3, n)
+    if with_nan:
+        for v in rng.choice(n, size=min(n, int(rng.integers(1, 3))), replace=False):
+            tau[v] = math.nan
+            if rng.random() < 0.5:
+                causal[v, :] = causal[:, v] = False
+    np.fill_diagonal(causal, True)
+    base = FiniteLengthSpace(tuple(range(n)), np.ones((n, n)) - np.eye(n))
+    return DiscretePreLengthSpace(base, causal, np.zeros((n, n), bool), np.zeros((n, n))), tau
+
+
+def convexity_counterexample(space, members):
+    """A chain x <= y <= z with members x, z and a non-member y, or None:
+    the exhaustive check that causally_convex_neighborhood's proof replaces."""
+    member_set = set(members)
+    causal = space.causal
+    for x in members:
+        for z in members:
+            if not causal[x, z]:
+                continue
+            for y in np.nonzero(causal[x, :] & causal[:, z])[0]:
+                if int(y) not in member_set:
+                    return (x, int(y), z)
+    return None
+
 
 def reference_longest_chains(space):
     """(T, mismatch) of rho_length_and_time_separation by scalar loops over
-    a heap topological order of the strict relation."""
+    a heap topological order of the strict relation. Every reached value
+    propagates, +inf included; only unreached entries (-inf) become 0."""
     n = space.n
     causal = space.causal & ~np.eye(n, dtype=bool)
     indeg = causal.sum(axis=0).tolist()
@@ -306,11 +398,11 @@ def reference_longest_chains(space):
     np.fill_diagonal(t_mat, 0.0)
     for v in order:
         for s in range(n):
-            if math.isfinite(t_mat[s, v]):
+            if t_mat[s, v] > -math.inf:
                 for u in range(n):
                     if causal[v, u]:
                         t_mat[s, u] = max(t_mat[s, u], t_mat[s, v] + space.rho[v, u])
-    t_mat[~np.isfinite(t_mat)] = 0.0
+    t_mat[t_mat == -math.inf] = 0.0
     np.fill_diagonal(t_mat, 0.0)
     with np.errstate(invalid="ignore"):
         mismatch = causal & (np.abs(t_mat - space.rho) > 1e-12)
@@ -356,6 +448,20 @@ class TestRhoAndT:
         s = DiscretePreLengthSpace(base, np.eye(2, dtype=bool), np.zeros((2, 2), bool), np.zeros((2, 2)))
         t_mat, _ = rho_length_and_time_separation(s)
         assert t_mat[0, 1] == 0.0
+
+    def test_infinite_chain_is_infinite(self):
+        # 0 <= 1 <= 2 with rho[0, 1] = inf: the chain through 1 is infinitely
+        # long, so T[0, 2] = inf disagrees with rho[0, 2] = 1, the pair where
+        # the reverse triangle inequality fails
+        s = chain_space([1.0, 1.0])
+        rho = s.rho.copy()
+        rho[0, 1], rho[0, 2] = math.inf, 1.0
+        s2 = DiscretePreLengthSpace(s.base, s.causal, s.chrono, rho)
+        t_mat, mismatch = rho_length_and_time_separation(s2)
+        assert t_mat[0, 1] == t_mat[0, 2] == chain_rho_length(s2, [0, 1, 2]) == math.inf
+        assert t_mat[1, 2] == 1.0 and np.all(np.diag(t_mat) == 0.0)
+        assert np.argwhere(mismatch).tolist() == [[0, 2]]
+        assert [v.where for v in validate_pls(s2).violations] == [(0, 1, 2)]
 
     def test_cycle_rejected(self):
         causal = np.ones((2, 2), dtype=bool)
