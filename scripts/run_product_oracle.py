@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import nulldist as nd
-from nulldist.cone import stratified_sources
+from nulldist.cone import PAIR_BUDGET, stratified_sources
 
 
 def run(n_t: int, factor: float, budget: float, seed: int):
@@ -39,7 +39,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--resolutions", type=int, nargs="*", default=[50, 100, 200])
     ap.add_argument("--factor", type=float, default=1.0, help="constant warping value")
-    ap.add_argument("--budget", type=float, default=1e6, help="checked-pair budget")
+    ap.add_argument("--budget", type=float, default=PAIR_BUDGET, help="checked-pair budget")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=Path("out/product_oracle.csv"))
     args = ap.parse_args()

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import formats
 from .cone import (
+    PAIR_BUDGET,
     ConeGrid,
     all_grid_points,
     null_distance,
@@ -65,7 +66,7 @@ def _pick_sources(grid, params, seed):
         return [tuple(map(int, p)) for p in choice]
     if choice == "all":
         return None
-    return stratified_sources(grid, float(params.get("max_entries", 1e6)), seed)
+    return stratified_sources(grid, float(params.get("max_entries", PAIR_BUDGET)), seed)
 
 
 def _coverage(grid, res):
@@ -203,7 +204,7 @@ def run_converge(cfg, paths, out, seed):
         )
     n_t = int(_override(cfg, "n_t_override", default_n_t))
     rep = null_convergence_check(
-        seq, fiber, n_t, max_entries=int(doc.get("sample_pairs", 1_000_000)), seed=seed
+        seq, fiber, n_t, max_entries=int(doc.get("sample_pairs", PAIR_BUDGET)), seed=seed
     )
     if schedule is not None:
         for m, want in zip(rep.members, schedule):

@@ -103,9 +103,10 @@ from .metric_core import FiniteLengthSpace, _monotone_runs, read_back_path
 from .reporting import GuaranteeReport
 from .warping import Interval, WarpingFunction
 
-DEFAULT_N_T = 200
+DEFAULT_N_T = 200  # t-steps of a cone document that gives no n_t
+PAIR_BUDGET = 1_000_000  # checked entries a source sample stays under
 _TABLE_CAP = 3e8  # levels x fiber pairs: cover-index pair-class work and int32 flat indices
-_GATHER_CAP = 1 << 16  # entries per block: time-separation columns, band points, checked rows
+_GATHER_CAP = 1 << 16  # entries per block: time-separation columns, band points, checked rows, CSV rows
 _CHUNK_CAP = 1 << 18  # null-distance values swept side by side: whole batches, at least one
 _BATCH = 64  # sources per null-distance sweep batch
 CHRONOLOGICAL, CAUSAL, NONE = "chronological", "causal", "none"
@@ -116,7 +117,7 @@ class ConeGrid:
     interval: Interval
     fiber: FiniteLengthSpace
     warping: WarpingFunction
-    n_t: int = DEFAULT_N_T
+    n_t: int
 
     def __post_init__(self):
         if self.n_t < 1:
@@ -406,7 +407,7 @@ def all_grid_points(grid: ConeGrid) -> list[tuple[int, int]]:
 
 
 def stratified_sources(
-    grid: ConeGrid, max_entries: float = 1e6, seed: int = 0
+    grid: ConeGrid, max_entries: float = PAIR_BUDGET, seed: int = 0
 ) -> list[tuple[int, int]]:
     """Deterministic stratified source sample: all pairs from these rows stay
     below `max_entries` checked entries. Strata cover both endpoints and the

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import _GATHER_CAP, ConeGrid, _grid_error, null_distance, stratified_sources
+from .cone import PAIR_BUDGET, _GATHER_CAP, ConeGrid, _grid_error, null_distance, stratified_sources
 from .errors import InvalidInputError, ParameterError
 from .metric_core import (
     Correspondence,
@@ -25,9 +25,7 @@ from .metric_core import (
     distortion,
     epsilon_net,
 )
-from .warping import Interval, WarpingFunction
-
-PAIR_BUDGET = 1_000_000  # full pair coverage up to this many checked entries
+from .warping import SAMPLE_SEGMENTS, Interval, WarpingFunction
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,16 +49,15 @@ class WarpingSequence:
 
 
 def sup_norm(f: WarpingFunction, g: WarpingFunction) -> float:
-    """max |f - g| on a shared 2001-point grid joined with the critical
-    points of both warpings; exact when both are piecewise linear, since
-    f - g is then linear between consecutive points. Exact as well when one
-    side is affine of slope 0, a constant c: |f - c| peaks where f does, at
-    one of f's critical points, so this is max(|f_max - c|, |f_min - c|)."""
+    """max |f - g| on a shared grid of SAMPLE_SEGMENTS segments joined with
+    the critical points of both warpings; exact when both are piecewise
+    linear, since f - g is then linear between consecutive points. Exact as
+    well when one side is affine of slope 0, a constant c: |f - c| peaks
+    where f does, at one of f's critical points, so this is
+    max(|f_max - c|, |f_min - c|)."""
     if f.domain != g.domain:
         raise InvalidInputError("sup norm needs a shared domain")
-    ts = np.concatenate(
-        [f.domain.grid(2000), f.critical_points(), g.critical_points()]
-    )
+    ts = np.concatenate([f.domain.grid(SAMPLE_SEGMENTS), f.critical_points(), g.critical_points()])
     return float(np.max(np.abs(np.asarray(f.value(ts)) - np.asarray(g.value(ts)))))
 
 

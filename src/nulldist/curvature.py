@@ -31,7 +31,7 @@ from .model_spaces import (
     realize_timelike_triangle,
 )
 from .reporting import Verdict
-from .warping import Interval, WarpingFunction
+from .warping import SAMPLE_SEGMENTS, Interval, WarpingFunction
 
 LOWER, UPPER = "lower", "upper"
 _QUAD_TOL = 1e-6  # angle-sum tolerance of the fiber quadruple tests in persistence_experiment
@@ -97,19 +97,19 @@ def sample_timelike_triangles(
     grid: ConeGrid,
     count: int,
     seed: int,
-    size_bound: Optional[float] = None,
-    max_attempts: Optional[int] = None,
+    size_bound: float = math.inf,
 ) -> tuple[list, dict]:
     """Seeded sample of chronologically ordered vertex triples with positive
     time separations and attached maximizing paths.
 
-    Triples whose sides exceed `size_bound` are filtered and counted. Returns
-    (triangles, diagnostics)."""
+    Triples with a side of at least `size_bound` are filtered and counted.
+    The extremal seed triples come first, then up to max(200, 60 * count)
+    random attempts. Returns (triangles, diagnostics)."""
     rng = np.random.default_rng(seed)
     triangles: list[TimelikeTriangle] = []
     filtered = 0
     attempts = 0
-    cap = max_attempts if max_attempts is not None else max(200, 60 * count)
+    cap = max(200, 60 * count)
     row_cache: dict[tuple, np.ndarray] = {}
 
     def rho_row(p: tuple) -> np.ndarray:
@@ -124,7 +124,7 @@ def sample_timelike_triangles(
         tri = _triangle(grid, x, y, z, rho_row)
         if tri is None:
             return
-        if size_bound is not None and max(tri.a, tri.b, tri.c) >= size_bound:
+        if max(tri.a, tri.b, tri.c) >= size_bound:
             filtered += 1
             return
         triangles.append(tri)
@@ -236,7 +236,6 @@ def triangle_comparison(
 
     worst = None
     worst_adjusted = math.inf
-    n_done = 0
     for p, q, side_a, s_a, side_b, s_b, slack in probes:
         p_model = point_on_side(model, side_a, min(s_a, model.side_length(side_a)))
         q_model = point_on_side(model, side_b, min(s_b, model.side_length(side_b)))
@@ -247,7 +246,6 @@ def triangle_comparison(
             rho_cone = float(cache[q][grid.node(*p)])
             rho_model = l2k_time_separation(bound, q_model, p_model)
         margin = (rho_model - rho_cone) if direction == LOWER else (rho_cone - rho_model)
-        n_done += 1
         if margin + slack < worst_adjusted:
             worst_adjusted = margin + slack
             worst = {
@@ -264,7 +262,7 @@ def triangle_comparison(
         bool(worst_adjusted >= -tol),
         tol,
         worst,
-        n_done,
+        n_probe,
     )
 
 
@@ -272,14 +270,10 @@ def triangle_comparison(
 # warping-function conditions
 
 
-def concavity_check(
-    warping: WarpingFunction, k_prime: float, mode: str = "concave"
-) -> Verdict:
-    """Evaluate f'' - K'f on an oversampled grid: concave mode passes when it
-    stays below 1e-9 everywhere, convex mode when it stays above -1e-9."""
-    if mode not in ("concave", "convex"):
-        raise ParameterError("mode must be 'concave' or 'convex'")
-    ts = warping.domain.grid(2000)
+def concavity_check(warping: WarpingFunction, k_prime: float) -> Verdict:
+    """Evaluate f'' - K'f on an oversampled grid: passes when it stays below
+    1e-9 everywhere."""
+    ts = warping.domain.grid(SAMPLE_SEGMENTS)
     vals = np.asarray(warping.second_derivative(ts)) - k_prime * np.asarray(
         warping.value(ts)
     )
@@ -293,16 +287,13 @@ def concavity_check(
                 f"tabulated grid too coarse: second differences carry noise "
                 f"~{noise:.2e} against signal {scale:.2e}"
             )
-    if mode == "concave":
-        worst = float(vals.max())
-        return Verdict(worst <= 1e-9, witness=worst, detail=detail)
-    worst = float(vals.min())
-    return Verdict(worst >= -1e-9, witness=worst, detail=detail)
+    worst = float(vals.max())
+    return Verdict(worst <= 1e-9, witness=worst, detail=detail)
 
 
 def compute_fiber_bound(warping: WarpingFunction, k_prime: float) -> float:
     """sup over the domain of K' f^2 - (f')^2, the induced fiber curvature bound."""
-    ts = warping.domain.grid(2000)
+    ts = warping.domain.grid(SAMPLE_SEGMENTS)
     f = np.asarray(warping.value(ts), dtype=float)
     df = np.asarray(warping.derivative(ts), dtype=float)
     return float(np.max(k_prime * f * f - df * df))
@@ -396,9 +387,9 @@ def _sample_and_compare(grid: ConeGrid, bound: float, direction: str, n_triangle
 
 
 def _margin_with_snap(v: CurvatureVerdict) -> float:
-    """The verdict's worst probe margin plus its snap slack (inf without one)."""
-    w = v.worst_witness or {}
-    return w.get("margin", math.inf) + w.get("snap_slack", 0.0)
+    """The verdict's worst probe margin plus its snap slack: every verdict
+    of `_sample_and_compare` has both, since it checks n_probe >= 1."""
+    return v.worst_witness["margin"] + v.worst_witness["snap_slack"]
 
 
 def persistence_experiment(

@@ -5,8 +5,9 @@ serialized with 17 significant digits so they round-trip exactly. Matrices
 are written in long form (row_id, col_id, value); each distinct value of a
 block of rows is formatted once, and the bytes equal per-entry `.17g`
 formatting.
-JSON reports are written with sorted keys; +inf is encoded as the string
-"inf".
+JSON documents (reports, manifests, pre-length spaces) are written by one
+writer with sorted keys; non-finite floats become the strings "inf", "-inf"
+and "nan".
 """
 
 from __future__ import annotations
@@ -16,19 +17,18 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import __version__
-from .cone import ConeGrid
+from .cone import _GATHER_CAP, DEFAULT_N_T, ConeGrid
 from .errors import InvalidInputError
 from .lpls import DiscretePreLengthSpace
 from .metric_core import FiniteLengthSpace, intrinsic_metric
 from .warping import Interval, WarpingFunction
 
 PathLike = Union[str, Path]
-_WRITE_CAP = 1 << 16  # matrix entries per row block of the long-form writer
 
 
 def fmt(x: float) -> str:
@@ -123,44 +123,37 @@ def load_cone_json(path: PathLike) -> ConeGrid:
     fiber_ref = doc["fiber"]
     fiber = load_space(path.parent / fiber_ref)
     warping = warping_from_dict(doc["warping"], interval)
-    return ConeGrid(interval, fiber, warping, int(doc.get("n_t", 200)))
+    return ConeGrid(interval, fiber, warping, int(doc.get("n_t", DEFAULT_N_T)))
 
 
 # ---------------------------------------------------------------------------
 # discrete pre-length spaces
 
 
-def _decode_rho(rows: list) -> np.ndarray:
-    return np.array(
-        [[math.inf if v == "inf" else float(v) for v in row] for row in rows]
-    )
-
-
 def save_pls_json(path: PathLike, space: DiscretePreLengthSpace, tau=None) -> None:
     doc = {
         "points": list(space.base.point_ids),
-        "dist": space.base.dist.tolist(),
-        "causal": space.causal.astype(int).tolist(),
-        "chrono": space.chrono.astype(int).tolist(),
-        "rho": _jsonable(space.rho),
+        "dist": space.base.dist,
+        "causal": space.causal.astype(int),
+        "chrono": space.chrono.astype(int),
+        "rho": space.rho,
     }
     if tau is not None:
         doc["tau"] = list(map(float, tau))
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_report_json(path, doc)
 
 
 def load_pls_json(path: PathLike):
+    # the constructors read the matrices as numpy arrays, and numpy parses
+    # the "inf" and "nan" strings of write_report_json as floats
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    base = FiniteLengthSpace(tuple(doc["points"]), np.array(doc["dist"]))
-    space = DiscretePreLengthSpace(
-        base,
-        np.array(doc["causal"], dtype=bool),
-        np.array(doc["chrono"], dtype=bool),
-        _decode_rho(doc["rho"]),
-    )
-    tau = np.array(doc["tau"], dtype=float) if "tau" in doc else None
+    base = FiniteLengthSpace(tuple(doc["points"]), doc["dist"])
+    space = DiscretePreLengthSpace(base, doc["causal"], doc["chrono"], doc["rho"])
+    if "tau" not in doc:
+        return space, None
+    tau = np.array(doc["tau"], dtype=float)
+    if tau.shape != (base.n,):
+        raise InvalidInputError(f"{path}: tau has {tau.size} entries for {base.n} points")
     return space, tau
 
 
@@ -172,11 +165,11 @@ def write_long_matrix_csv(
     path: PathLike,
     rows: np.ndarray,
     row_ids: Sequence,
-    col_ids: Optional[Sequence] = None,
+    col_ids: Sequence,
 ) -> None:
     """Matrix as long-form triples (row_id, col_id, value).
 
-    Rows go in blocks of at most _WRITE_CAP entries (at least one row).
+    Rows go in blocks of at most _GATHER_CAP entries (at least one row).
     Each distinct value of a block is formatted once: values are keyed by
     their bit pattern, so -0.0 and 0.0 (and NaN payloads) stay apart, and
     the bytes equal fmt(v) on every entry. Each row's lines are one join of
@@ -184,12 +177,10 @@ def write_long_matrix_csv(
     """
     rows = np.asarray(rows)
     n_c = rows.shape[1]
-    if col_ids is None:
-        col_ids = range(n_c)
     if (len(row_ids), len(col_ids)) != rows.shape:
         raise InvalidInputError(f"a {rows.shape[0]} x {n_c} matrix needs {rows.shape[0]} row ids and "
                                 f"{n_c} col ids, got {len(row_ids)} and {len(col_ids)}")
-    block = max(1, _WRITE_CAP // max(n_c, 1))  # rows per block
+    block = max(1, _GATHER_CAP // max(n_c, 1))  # rows per block
     parts = [""] * (3 * n_c)
     parts[1::3] = [f",{cid}," for cid in col_ids]
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
@@ -278,10 +269,8 @@ def write_manifest(
         "inputs": {
             name: {"path": str(p), "sha256": sha256_file(p)} for name, p in inputs.items()
         },
-        "params": _jsonable(params),
+        "params": params,
         "seed": int(seed),
         "version": __version__,
     }
-    Path(path).write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_report_json(path, manifest)

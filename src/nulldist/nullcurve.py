@@ -151,9 +151,8 @@ def null_curve(grid: ConeGrid, p: tuple[int, int], q: tuple[int, int]) -> Piecew
         head_up = g_hi - g_cur
         head_dn = g_cur - g_lo
         go_up = head_up >= head_dn
+        # head >= (G(b) - G(a)) / 2 > 0: ConeGrid refuses a G that does not strictly increase
         head = head_up if go_up else head_dn
-        if head <= 0:
-            raise InvalidInputError("degenerate interval: no room for a zigzag")
         s1 = min(remaining, 2.0 * head)
         half = 0.5 * s1
         direction = 1 if go_up else -1

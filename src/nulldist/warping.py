@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidInputError, ParameterError
 
 _TINY = np.finfo(float).tiny  # smallest normal float
+SAMPLE_SEGMENTS = 2000  # segments of the domain grid that sup norms and curvature checks sample
 
 
 @dataclass(frozen=True)

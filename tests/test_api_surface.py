@@ -2,7 +2,9 @@
 name the package exports.
 
 Read from the sources with `ast`, without importing the package. An option
-that no caller sets is a constant; a new one needs a deliberate edit of
+is a parameter that some caller outside the tests varies: library, CLI,
+script or benchmark code. A parameter that only tests set is a constant, and
+a default that no caller reads goes. A new option needs a deliberate edit of
 PINNED below. A new export, or one that no code uses any more, needs a
 deliberate edit of EXPORTS.
 """
@@ -23,16 +25,13 @@ PINNED = {
     ("convergence", "null_convergence_check", "max_entries"),
     ("convergence", "null_convergence_check", "seed"),
     ("curvature", "sample_timelike_triangles", "size_bound"),
-    ("curvature", "sample_timelike_triangles", "max_attempts"),
     ("curvature", "triangle_comparison", "rho_cache"),
-    ("curvature", "concavity_check", "mode"),
     ("curvature", "persistence_experiment", "side_cap"),
     ("curvature", "persistence_experiment", "warpings"),
     ("curvature", "persistence_experiment", "warping_limit"),
     ("curvature", "persistence_experiment", "k_primes"),
     ("curvature", "persistence_experiment", "k_prime"),
     ("formats", "save_pls_json", "tau"),
-    ("formats", "write_long_matrix_csv", "col_ids"),
     ("metric_core", "path_space", "length"),
     ("metric_core", "circle_space", "circumference"),
     ("metric_core", "tripod_space", "leg_length"),

@@ -11,9 +11,9 @@ import pytest
 from nulldist import FiniteLengthSpace, path_space, time_separation
 from nulldist import cli, curvature
 from nulldist.cli import main
+from nulldist.cone import _GATHER_CAP
 from nulldist.errors import InvalidInputError, ModelConstraintError
 from nulldist.formats import (
-    _WRITE_CAP,
     load_cone_json,
     load_distance_matrix_csv,
     load_edge_list_csv,
@@ -42,11 +42,9 @@ def make_cone_inputs(tmp: Path, n_fiber=9, n_t=8, warping=None) -> Path:
     return tmp / "cone.json"
 
 
-def reference_long_matrix_bytes(mat, row_ids, col_ids=None) -> bytes:
+def reference_long_matrix_bytes(mat, row_ids, col_ids) -> bytes:
     """Long-form CSV formatted entry by entry with fmt, the writer's oracle."""
     mat = np.asarray(mat)
-    if col_ids is None:
-        col_ids = range(mat.shape[1])
     lines = ["row_id,col_id,value\n"]
     for r, rid in enumerate(row_ids):
         for c, cid in enumerate(col_ids):
@@ -85,7 +83,7 @@ def _writer_oracle_cases():
         # all four rows in one row block
         "signed_zeros_nan_one_block": _signed_zero_nan_rows(7),
         # one row per block: every signed zero and payload in its own block
-        "blocks_signed_zeros_nan": _signed_zero_nan_rows(_WRITE_CAP // 2 + 1),
+        "blocks_signed_zeros_nan": _signed_zero_nan_rows(_GATHER_CAP // 2 + 1),
         # 13 rows per block, 4 blocks; the values recur in every block
         "blocks_wide_repeated": rng.integers(0, 7, (40, 5000)) * 0.1,
     }
@@ -94,17 +92,19 @@ def _writer_oracle_cases():
         rng.integers(0, 4, (5, 7)) * 0.25, ["α", "точка", "点:3", "Ω-1", "r"]
     )
     cases["blocks_int_row_ids"] = (
-        rng.integers(0, 9, (7, _WRITE_CAP // 3)) / 7.0, [0, 7, -3, 2**60, 12, 5, 1]
+        rng.integers(0, 9, (7, _GATHER_CAP // 3)) / 7.0, [0, 7, -3, 2**60, 12, 5, 1]
     )
     return cases
 
 
 class TestFormats:
     @pytest.mark.parametrize("case", sorted(_writer_oracle_cases()))
-    @pytest.mark.parametrize("explicit_cols", [False, True])
-    def test_long_matrix_matches_per_entry_formatting(self, case, explicit_cols, tmp_path):
+    @pytest.mark.parametrize("label_cols", [False, True])
+    def test_long_matrix_matches_per_entry_formatting(self, case, label_cols, tmp_path):
+        # column ids as integers or as node labels
         mat, row_ids = _writer_oracle_cases()[case]
-        col_ids = [f"{j}:{j % 3}" for j in range(mat.shape[1])] if explicit_cols else None
+        n_c = mat.shape[1]
+        col_ids = [f"{j}:{j % 3}" for j in range(n_c)] if label_cols else range(n_c)
         write_long_matrix_csv(tmp_path / "m.csv", mat, row_ids, col_ids)
         assert (tmp_path / "m.csv").read_bytes() == reference_long_matrix_bytes(
             mat, row_ids, col_ids
@@ -112,7 +112,7 @@ class TestFormats:
 
     def test_block_cases_span_row_blocks(self):
         for name, (mat, _) in _writer_oracle_cases().items():
-            rows_per_block = _WRITE_CAP // max(mat.shape[1], 1)
+            rows_per_block = _GATHER_CAP // max(mat.shape[1], 1)
             assert (mat.shape[0] > 2 * rows_per_block) == name.startswith("blocks_"), name
 
     def test_distance_matrix_roundtrip(self, tmp_path):
@@ -135,13 +135,13 @@ class TestFormats:
     def test_long_matrix_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         mat = rng.uniform(0, 1, (3, 4))
-        write_long_matrix_csv(tmp_path / "m.csv", mat, ["a", "b", "c"])
+        write_long_matrix_csv(tmp_path / "m.csv", mat, ["a", "b", "c"], range(4))
         _, _, back = read_long_matrix_csv(tmp_path / "m.csv")
         assert np.array_equal(back, mat)  # 17 significant digits round-trip
 
     def test_long_matrix_exact_text(self, tmp_path):
         mat = np.array([[math.inf, -0.0, 1.0 / 3.0], [1e-300, 2.0, -1.5]])
-        write_long_matrix_csv(tmp_path / "m.csv", mat, ["a", 7])
+        write_long_matrix_csv(tmp_path / "m.csv", mat, ["a", 7], range(3))
         assert (tmp_path / "m.csv").read_bytes() == (
             b"row_id,col_id,value\n"
             b"a,0,inf\na,1,-0\na,2,0.33333333333333331\n"
@@ -149,8 +149,8 @@ class TestFormats:
         )
 
     @pytest.mark.parametrize("row_ids, col_ids, counts", [
-        (["a", "b"], None, "got 2 and 2"),
-        (["a", "b", "c", "d"], None, "got 4 and 2"),
+        (["a", "b"], ["x", "y"], "got 2 and 2"),
+        (["a", "b", "c", "d"], ["x", "y"], "got 4 and 2"),
         (["a", "b", "c"], ["x"], "got 3 and 1"),
     ])
     def test_long_matrix_ids_must_match_the_shape(self, row_ids, col_ids, counts, tmp_path):
@@ -844,6 +844,41 @@ class TestPreLengthIO:
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
         assert rep["pre_length"] == []
         assert rep["time_function"] == {"passed": False, "witness": [0, 1]}
+
+    def test_tau_of_wrong_length_exits_two(self, tmp_path, capsys):
+        # numpy's broadcast error used to reach the user, naming no input
+        from nulldist import DiscretePreLengthSpace
+        from nulldist.formats import save_pls_json
+
+        base = FiniteLengthSpace((0, 1, 2), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+        causal = np.triu(np.ones((3, 3), dtype=bool))
+        rho = np.triu(np.ones((3, 3)), 1)
+        save_pls_json(tmp_path / "pls.json", DiscretePreLengthSpace(base, causal, rho > 0, rho), [0.0, 1.0])
+        cfg = {"command": "validate", "inputs": {"pls": "pls.json"}, "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 2
+        assert "pls.json: tau has 2 entries for 3 points" in capsys.readouterr().err
+
+    def test_pls_with_infinite_distance_roundtrip(self, tmp_path):
+        # a two-component space: dist, rho and tau entries of inf are
+        # written as "inf" and read back
+        from nulldist import DiscretePreLengthSpace
+        from nulldist.formats import load_pls_json, save_pls_json
+
+        inf = math.inf
+        base = FiniteLengthSpace(("p", "q", "r"), np.array([[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]))
+        causal = np.array([[True, True, False], [False, True, False], [False, False, True]])
+        chrono = np.array([[False, True, False], [False, False, False], [False, False, False]])
+        rho = np.array([[0.0, inf, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        space = DiscretePreLengthSpace(base, causal, chrono, rho)
+        save_pls_json(tmp_path / "pls.json", space, [0.0, 1.0, inf])
+        doc = json.loads((tmp_path / "pls.json").read_text())
+        assert doc["dist"][0][2] == doc["rho"][0][1] == doc["tau"][2] == "inf"
+        back, tau = load_pls_json(tmp_path / "pls.json")
+        assert back.base.point_ids == base.point_ids
+        for got, want in ((back.base.dist, base.dist), (back.causal, causal), (back.chrono, chrono),
+                          (back.rho, rho), (tau, [0.0, 1.0, inf])):
+            assert got.dtype == np.asarray(want).dtype and np.array_equal(got, want)
 
     def test_pls_infinite_rho_roundtrip(self, tmp_path):
         from nulldist import DiscretePreLengthSpace, FiniteLengthSpace

@@ -859,6 +859,21 @@ def uncovered_pairs(table):
     return keep, clamped
 
 
+def link_count(grid, g, table):
+    """The links of the grid with level G-values g, by brute force: pairs
+    (T'(k, a, c), c) -> (k, a) with T' = min(table[k, a, c], k - 1) >= 0 and
+    no grid point strictly between their ends in the causal order."""
+    n, m = g.size, grid.m
+    lv = np.repeat(np.arange(n), m)
+    fb = np.tile(np.arange(m), n)
+    gap = np.abs(g[lv][None, :] - g[lv][:, None]) + grid.causal_slack
+    order = ((lv[:, None] <= lv[None, :]) & (grid.fiber.dist[np.ix_(fb, fb)] <= gap)).astype(float)
+    between = order @ order  # points z with p <= z <= q, both ends included; exact counts
+    clamped = np.minimum(table.astype(int), np.arange(n)[:, None, None] - 1)
+    k, a, c = np.nonzero(clamped >= 0)
+    return int(np.count_nonzero(between[clamped[k, a, c] * m + c, k * m + a] == 2))
+
+
 def index_entries(idx, n_levels, m):
     """(a, level, c) of every entry of one level's cover index but the padding."""
     w, a = np.nonzero(idx != n_levels * m)
@@ -944,6 +959,27 @@ class TestCoverIndex:
                     assert np.array_equal(got, keep[k])
                 # the widest column sets the width
                 assert idx.shape[0] == max(1, np.bincount(a, minlength=m).max())
+
+    @pytest.mark.parametrize(
+        "fiber, n_t",
+        [
+            *((path_space(m), n_t) for m in (9, 12, 17) for n_t in (m - 1, m)),
+            (circle_space(12), 12),
+            (circle_space(16), 16),
+            (tripod_space(4, 1 / 3), 12),
+        ],
+        ids=["path9-8", "path9-9", "path12-11", "path12-12", "path17-16", "path17-17",
+             "circle12-12", "circle16-16", "tripod4-12"],
+    )
+    def test_index_keeps_exactly_the_links(self, fiber, n_t):
+        # fiber spacing at or a little above the level step: every kept pair
+        # is a link, so no relay rule could drop one, and every link is kept
+        g = ConeGrid(IV, fiber, WarpingFunction.constant(1.0, IV), n_t)
+        n, m = g.n_levels, g.m
+        directions = (g.g_levels, -g.g_levels[::-1])
+        for g_dir, table, index in zip(directions, reference_tables(g), g._cover_index()):
+            kept = sum(int(np.count_nonzero(idx != n * m)) for idx in index)
+            assert kept == link_count(g, g_dir, table)
 
     def test_product_cone_keeps_three_neighbours(self):
         # fiber spacing equal to the level step: the pairs (a, a +- 1) and

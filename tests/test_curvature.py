@@ -67,19 +67,27 @@ class TestSampling:
         assert tris == []
 
     def test_filtered_seed_triangles_are_counted(self):
-        # the three extremal seed triangles have sides 2.73, 3.0 and 2.87
+        # the three extremal seed triangles, tried before any random attempt,
+        # have longest sides 2.73, 3.0 and 2.87
         g = flat_grid(n_t=30, n_f=21)
-        tris, diag = sample_timelike_triangles(g, 3, seed=1, size_bound=2.0, max_attempts=0)
-        assert tris == []
-        assert diag["filtered_by_size"] == 3
+        seeds, diag = sample_timelike_triangles(g, 3, seed=2)
+        assert diag["attempts"] == 0
+        assert [max(t.a, t.b, t.c) for t in seeds] == pytest.approx([2.732, 3.0, 2.866], abs=1e-3)
+        # each of the three random attempts admits its triangle, so the
+        # three filtered triangles are the seeds
+        tris, diag = sample_timelike_triangles(g, 3, seed=2, size_bound=2.5)
+        assert diag == {"attempts": 3, "filtered_by_size": 3, "found": 3}
+        assert all(max(t.a, t.b, t.c) < 2.5 for t in tris)
+        assert not {t.vertices() for t in seeds} & {t.vertices() for t in tris}
 
     def test_all_filtered_diagnostic(self):
         # vertical pairs are always chronological on a cone grid, so the
         # empty outcome arises through the size filter
         iv = Interval(0.0, 0.05)
         g = ConeGrid(iv, path_space(6, 1.0), WarpingFunction.constant(1.0, iv), 4)
-        tris, diag = sample_timelike_triangles(g, 4, seed=2, size_bound=1e-9, max_attempts=40)
+        tris, diag = sample_timelike_triangles(g, 4, seed=2, size_bound=1e-9)
         assert tris == []
+        assert diag["attempts"] == 240  # max(200, 60 * count)
         assert "note" in diag
         assert diag["filtered_by_size"] > 0
 
@@ -288,7 +296,6 @@ class TestWarpingConditions:
         ts = np.linspace(0, 1, 401)
         w = WarpingFunction.tabulated(ts, 1.0 + ts * ts)
         assert not concavity_check(w, 0.0).passed
-        assert concavity_check(w, 0.0, mode="convex").passed
 
     def test_compute_fiber_bound_cosh(self):
         w = WarpingFunction.cosh_type(1.0, 1.0, IV01)
