@@ -151,6 +151,9 @@ def load_pls_json(path: PathLike):
     space = DiscretePreLengthSpace(base, doc["causal"], doc["chrono"], doc["rho"])
     if "tau" not in doc:
         return space, None
+    # numpy reads a JSON null as NaN, which would pass for a stated "nan"
+    if isinstance(doc["tau"], list) and None in doc["tau"]:
+        raise InvalidInputError(f"{path}: tau[{doc['tau'].index(None)}] is null")
     tau = np.array(doc["tau"], dtype=float)
     if tau.shape != (base.n,):
         raise InvalidInputError(f"{path}: tau has {tau.size} entries for {base.n} points")

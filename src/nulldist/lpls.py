@@ -4,6 +4,40 @@ A space is a finite metric space together with a causal preorder, a
 transitive chronological relation contained in it, and a time-separation
 matrix satisfying the reverse triangle inequality with rho > 0 exactly on
 chronological pairs. Time functions are plain per-point value arrays.
+
+The null distance is a shortest path over the causally related pairs, each
+of weight |tau(u) - tau(v)|, and the sweep reads only the links among them.
+Rank the points by tau, ties by index. A related pair (i, j) with
+i <= j is relayed by a point k with i <= k <= j whose rank lies strictly
+between the ranks of i and j. Then tau(k) lies between tau(i) and tau(j),
+so the weights telescope, |tau(j) - tau(i)| = |tau(k) - tau(i)| +
+|tau(j) - tau(k)|, and the two shorter pairs are again related pairs of the
+same rank direction, each of strictly smaller rank span. Replacing relayed
+pairs by their two halves therefore ends, on pairs that no point relays (the
+links), and a path over links of the same cost exists for every path over
+related pairs. No transitivity, acyclicity or time-function property is
+used: the rule is exact for any relation and any finite tau. It holds in
+exact arithmetic; in floating point the two sides of the telescoped sum may
+differ by an ulp.
+
+Oriented from lower to higher rank the links form a DAG. A rising pass
+relaxes the links into each point from its lower-ranked neighbours, layer
+by layer of Kahn's layers of that DAG, and leaves every rising link relaxed;
+a falling pass does the same from the higher-ranked neighbours, layers in
+reverse. A pass that changes nothing right after a pass of the other
+direction leaves every link relaxed on the values it found, so those values
+are a fixed point of the relaxation. They start as the costs of the direct
+pairs and every update is the cost of a path, so no value falls below the
+shortest path, and a fixed point is the shortest path. A pass carries every
+value along a whole run of a path that is monotone in rank, and the runs of
+a path alternate in direction as the passes do, so a path of r runs is
+reached within r + 1 passes and certified by the next. Rounding never makes
+a sum of nonnegative weights fall when a cycle is added, so some shortest
+path is simple and has at most n - 1 runs: the sweep ends within n + 1
+passes, and 2n + 2 bound the loop. Costs from a source are summed along the
+path from that source, so the two orientations of a pair may differ by an
+ulp; the result takes the smaller, again the cost of a path, and is exactly
+symmetric.
 """
 
 from __future__ import annotations
@@ -15,7 +49,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError
-from .metric_core import FiniteLengthSpace, _monotone_runs, floyd_warshall
+from .cone import _GATHER_CAP
+from .metric_core import FiniteLengthSpace, _monotone_runs
 from .reporting import ValidationReport, Verdict
 
 FUTURE, PAST, TRIVIAL = "future", "past", "trivial"
@@ -49,6 +84,14 @@ class DiscretePreLengthSpace:
         return self.base.n
 
 
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The composition of boolean relations, (a @ b)[i, j] = any_k a[i, k] &
+    b[k, j], as one float32 BLAS product. Every term is 0 or 1, so a sum is 0
+    exactly when every term is, and a positive sum of nonnegative terms never
+    rounds to 0: the test is exact at any size."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
 def validate_pls(space: DiscretePreLengthSpace) -> ValidationReport:
     """Exhaustively check the pre-length-space axioms, with witnesses."""
     report = ValidationReport()
@@ -57,12 +100,11 @@ def validate_pls(space: DiscretePreLengthSpace) -> ValidationReport:
 
     for i in np.nonzero(~np.diag(causal))[0]:
         report.add("causal-not-reflexive", (int(i),))
-    comp = causal @ causal  # boolean matrix product = 2-step reachability
-    for i, j in np.argwhere(comp & ~causal):
+    for i, j in np.argwhere(_compose(causal, causal) & ~causal):
         report.add("causal-not-transitive", (int(i), int(j)))
     for i, j in np.argwhere(chrono & ~causal):
         report.add("chrono-not-in-causal", (int(i), int(j)))
-    for i, j in np.argwhere((chrono @ chrono) & ~chrono):
+    for i, j in np.argwhere(_compose(chrono, chrono) & ~chrono):
         report.add("chrono-not-transitive", (int(i), int(j)))
     for i, j in np.argwhere((rho > 0) != chrono):
         report.add(
@@ -181,25 +223,42 @@ def path_null_length(
 # null distance
 
 
-def _weight_matrix(space: DiscretePreLengthSpace, tau: np.ndarray) -> np.ndarray:
-    related = space.causal | space.causal.T
-    w = np.where(related, np.abs(tau[None, :] - tau[:, None]), np.inf)
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
 def null_distance_matrix(
     space: DiscretePreLengthSpace, tau: Sequence[float]
 ) -> np.ndarray:
     """Shortest-path matrix over causally related pairs, weight |tau(u)-tau(v)|.
 
-    One Floyd-Warshall pass over the dense weight matrix gives every pair;
-    the result is exactly symmetric. Pairs in different components of the
-    symmetrized causal graph come out as +inf, with a warning: such spaces
-    fail the connectivity hypothesis under which piecewise causal curves
-    between all pairs exist.
+    The sweep of the module docstring: the links are the related pairs that
+    no point relays, kept = (up & ~up∘up) | (down & ~down∘down) with up
+    (down) the strict causal pairs of rising (falling) rank. Values start as
+    |tau(u) - tau(v)| on related pairs and 0 on the diagonal, and passes over
+    the links' Kahn layers alternate between rising and falling rank until
+    the first pass after the first that changes nothing. The result is the
+    minimum of the swept matrix and its transpose, so it is exactly
+    symmetric. tau must hold one finite value per point, since the ranks
+    compare it. Pairs in different components of the symmetrized causal
+    graph come out as +inf, with a warning: such spaces fail the
+    connectivity hypothesis under which piecewise causal curves between all
+    pairs exist.
     """
-    out = floyd_warshall(_weight_matrix(space, np.asarray(tau, dtype=float)))
+    n = space.n
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape != (n,):
+        raise InvalidInputError(f"tau has shape {tau.shape} for {n} points")
+    if not np.all(np.isfinite(tau)):
+        raise InvalidInputError("tau must be finite")
+    order, bounds, arcs = _link_layers(space.causal, tau)
+    tau = tau[order]
+    # val[v, s] is the cost from source s to target v; row n stays +inf
+    val = np.full((n + 1, n), np.inf)
+    related = (space.causal | space.causal.T)[np.ix_(order, order)]
+    np.subtract(tau[:, None], tau[None, :], out=val[:n], where=related)
+    np.abs(val, out=val)
+    np.fill_diagonal(val[:n], 0.0)
+    _sweep(val, _layer_steps(arcs.T, tau, bounds), _layer_steps(arcs, tau, bounds[::-1]))
+    val = np.minimum(val[:n], val[:n].T)
+    pos = np.argsort(order)
+    out = val[np.ix_(pos, pos)]
     if np.any(np.isinf(out)):
         warnings.warn(
             "causal graph is disconnected; unreachable pairs reported as +inf "
@@ -207,6 +266,76 @@ def null_distance_matrix(
             stacklevel=2,
         )
     return out
+
+
+def _link_layers(causal: np.ndarray, tau: np.ndarray) -> tuple:
+    """The links, oriented from lower to higher rank, and their Kahn layers:
+    (order, bounds, arcs) with order the points layer by layer (each layer
+    in index order), bounds the layers' [lo, hi) in that order and arcs the
+    oriented links in that order, arcs[u, v] for u before v."""
+    n = tau.size
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.lexsort((np.arange(n), tau))] = np.arange(n)
+    rises = rank[:, None] < rank[None, :]
+    strict = causal & ~np.eye(n, dtype=bool)
+    up, down = strict & rises, strict & rises.T
+    kept = (up & ~_compose(up, up)) | (down & ~_compose(down, down))
+    arcs = (kept | kept.T) & rises
+    indeg = arcs.sum(axis=0)
+    left = np.ones(n, dtype=bool)
+    layers = []
+    while (layer := np.flatnonzero(left & (indeg == 0))).size:
+        left[layer] = False
+        indeg -= arcs[layer].sum(axis=0)
+        layers.append(layer)
+    order = np.concatenate([np.empty(0, dtype=np.intp), *layers])
+    ends = np.cumsum([0] + [layer.size for layer in layers]).tolist()
+    return order, list(zip(ends[:-1], ends[1:])), arcs[np.ix_(order, order)]
+
+
+def _sweep(val: np.ndarray, rising: list, falling: list) -> None:
+    """Alternate rising and falling passes over `val` in place, from a
+    rising one, until a pass after the first changes nothing; each step
+    lowers rows lo, lo + 1, ... to the minimum over their gathered rows plus
+    weights."""
+    n = val.shape[1]
+    for p in range(2 * n + 2):
+        changed = False
+        for lo, idx, w in rising if p % 2 == 0 else falling:
+            cand = val.take(idx.ravel(), axis=0).reshape(*idx.shape, n)
+            cand += w
+            cand = cand.min(axis=0)
+            rows = val[lo : lo + cand.shape[0]]
+            changed = changed or bool((cand < rows).any())
+            np.minimum(rows, cand, out=rows)
+        if p and not changed:
+            return
+    raise RuntimeError("null-distance passes did not settle")
+
+
+def _layer_steps(arcs: np.ndarray, tau: np.ndarray, bounds: list) -> list:
+    """The gathers of one pass: for each layer [lo, hi) in `bounds` order, in
+    blocks of its points, (lo, idx, w) with idx[k, a] the k-th point that
+    point lo + a reads from (row a + lo of `arcs`), padded with n, and w the
+    matching weights |tau[lo + a] - tau[idx]| as a (k, a, 1) array, 0 on the
+    padding. A block gathers at most _GATHER_CAP values unless one point's
+    neighbours alone hold more."""
+    n = tau.size
+    steps = []
+    for lo, hi in bounds:
+        pt, nb = np.nonzero(arcs[lo:hi])
+        if not pt.size:
+            continue
+        deg = np.bincount(pt, minlength=hi - lo)
+        slot = np.arange(pt.size) - np.repeat(np.cumsum(deg) - deg, deg)
+        idx = np.full((deg.max(), hi - lo), n)
+        idx[slot, pt] = nb
+        w = np.zeros((deg.max(), hi - lo, 1))
+        w[slot, pt, 0] = np.abs(tau[lo + pt] - tau[nb])
+        block = max(1, _GATHER_CAP // (idx.shape[0] * n))
+        steps.extend((lo + a, np.ascontiguousarray(idx[:, a : a + block]), np.ascontiguousarray(w[:, a : a + block]))
+                     for a in range(0, hi - lo, block))
+    return steps
 
 
 # ---------------------------------------------------------------------------

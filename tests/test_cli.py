@@ -859,6 +859,29 @@ class TestPreLengthIO:
         assert main(["--config", str(tmp_path / "cfg.json")]) == 2
         assert "pls.json: tau has 2 entries for 3 points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, status", [(None, 2), ("nan", 1)])
+    def test_null_tau_is_malformed_but_nan_is_no_time_function(self, tmp_path, capsys, entry, status):
+        # numpy reads a JSON null as NaN; only an explicit "nan" is a value
+        from nulldist import DiscretePreLengthSpace
+        from nulldist.formats import save_pls_json
+
+        base = FiniteLengthSpace((0, 1, 2), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+        causal = np.triu(np.ones((3, 3), dtype=bool))
+        rho = np.triu(np.ones((3, 3)), 1)
+        rho[0, 2] = 2.0
+        save_pls_json(tmp_path / "pls.json", DiscretePreLengthSpace(base, causal, rho > 0, rho), [0.0, 0.5, 1.0])
+        doc = json.loads((tmp_path / "pls.json").read_text())
+        doc["tau"][1] = entry
+        write(tmp_path / "pls.json", json.dumps(doc))
+        cfg = {"command": "validate", "inputs": {"pls": "pls.json"}, "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == status
+        if entry is None:
+            assert "pls.json: tau[1] is null" in capsys.readouterr().err
+        else:
+            rep = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert rep["time_function"] == {"passed": False, "witness": [0, 1]}
+
     def test_pls_with_infinite_distance_roundtrip(self, tmp_path):
         # a two-component space: dist, rho and tau entries of inf are
         # written as "inf" and read back

@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,18 +22,52 @@ from nulldist import (
     validate_pls,
 )
 from nulldist.errors import InvalidInputError
-from nulldist.lpls import FUTURE, PAST, TRIVIAL
+from nulldist.lpls import FUTURE, PAST, TRIVIAL, _compose
 from nulldist.metric_core import read_back_path
+
+
+def related_weights(space, tau):
+    """|tau(u) - tau(v)| on causally related pairs, 0 on the diagonal and
+    +inf elsewhere."""
+    tau = np.asarray(tau, dtype=float)
+    related = space.causal | space.causal.T
+    w = np.where(related, np.abs(tau[None, :] - tau[:, None]), np.inf)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def dense_null_distance(space, tau):
+    """The null-distance matrix by Floyd-Warshall over every related pair."""
+    dist = related_weights(space, tau)
+    for k in range(space.n):
+        np.minimum(dist, dist[:, k][:, None] + dist[k, :][None, :], out=dist)
+    return dist
+
+
+def assert_matches_dense(space, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mat = null_distance_matrix(space, tau)
+    ref = dense_null_distance(space, tau)
+    assert np.array_equal(np.isinf(mat), np.isinf(ref))
+    fin = np.isfinite(ref)
+    assert np.all(np.abs(mat[fin] - ref[fin]) <= 1e-12 * np.maximum(1.0, np.abs(ref[fin])))
+    assert np.array_equal(mat, mat.T)
+    return mat
+
+
+def relation_space(causal):
+    """A space on the given relation (made reflexive), with no chronology."""
+    n = causal.shape[0]
+    causal = causal | np.eye(n, dtype=bool)
+    base = FiniteLengthSpace(tuple(range(n)), np.ones((n, n)) - np.eye(n))
+    return DiscretePreLengthSpace(base, causal, np.zeros((n, n), bool), np.zeros((n, n)))
 
 
 def shortest_path(space, tau, mat, src, dst):
     """A minimizing causal path src -> dst, read back from one row of the
     null-distance matrix `mat`."""
-    tau = np.asarray(tau, dtype=float)
-    related = space.causal | space.causal.T
-    w = np.where(related, np.abs(tau[None, :] - tau[:, None]), np.inf)
-    np.fill_diagonal(w, 0.0)
-    return read_back_path(mat[src], w.__getitem__, src, dst)
+    return read_back_path(mat[src], related_weights(space, tau).__getitem__, src, dst)
 
 
 def chain_space(rhos):
@@ -224,6 +259,123 @@ class TestNullDistanceMatrix:
                     mat2 = null_distance_matrix(pruned, tau)
                 fin = np.isfinite(mat2)
                 assert np.all(mat2[fin] >= mat[fin] - 1e-12)
+
+
+    def test_empty_and_single_point_spaces(self):
+        for n in (0, 1):
+            assert np.array_equal(null_distance_matrix(relation_space(np.zeros((n, n), bool)), [0.0] * n),
+                                  np.zeros((n, n)))
+
+    @pytest.mark.parametrize("tau", [[0.0, 1.0], [0.0, 1.0, 2.0, 3.0], [[0.0, 1.0, 2.0]]])
+    def test_tau_of_wrong_shape_refused(self, tau):
+        with pytest.raises(InvalidInputError, match="tau has shape"):
+            null_distance_matrix(chain_space([1.0, 1.0]), tau)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_refused(self, bad):
+        with pytest.raises(InvalidInputError, match="tau must be finite"):
+            null_distance_matrix(chain_space([1.0, 1.0]), [0.0, bad, 2.0])
+
+
+class TestNullDistanceParity:
+    """The link sweep against Floyd-Warshall over every related pair."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_spaces_under_several_taus(self, seed):
+        rng = np.random.default_rng(seed)
+        space, tau = random_pre_length_space(int(rng.integers(2, 25)), seed)
+        for t in (tau, rng.permutation(tau), np.round(tau), np.full(space.n, 0.5)):
+            assert_matches_dense(space, t)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_non_transitive_and_cyclic_relations(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 30))
+        causal = rng.random((n, n)) < rng.uniform(0.03, 0.4)
+        if seed % 2:  # close some cycles
+            causal |= causal.T & (rng.random((n, n)) < 0.5)
+        tau = rng.normal(size=n) if seed % 3 else np.round(2 * rng.normal(size=n))
+        assert_matches_dense(relation_space(causal), tau)
+
+    def test_disconnected_space(self):
+        causal = np.zeros((6, 6), dtype=bool)
+        causal[0, 1] = causal[1, 2] = causal[3, 4] = causal[5, 4] = True
+        with pytest.warns(UserWarning, match="disconnected"):
+            null_distance_matrix(relation_space(causal), np.arange(6.0))
+        mat = assert_matches_dense(relation_space(causal), np.arange(6.0))
+        assert np.isinf(mat[0, 3]) and mat[3, 5] == 2.0
+
+    @pytest.mark.parametrize("n", [100, 250, 400])
+    def test_minkowski_sprinkles(self, n):
+        # uniform in the causal diamond of (0, 0) and (1, 0), with tau = t
+        rng = np.random.default_rng(n)
+        u, v = rng.random(n), rng.random(n)
+        t, x = 0.5 * (u + v), 0.5 * (u - v)
+        causal = t[None, :] - t[:, None] >= np.abs(x[None, :] - x[:, None])
+        mat = assert_matches_dense(relation_space(causal), t)
+        assert np.all(np.isfinite(mat))
+
+    def test_wide_layers_gather_in_blocks(self):
+        # every one of 120 minimal points lies below every one of 120
+        # maximal points: one layer gathers 120 rows of 240 values for each
+        # of its points, 27.6 MB in one gather, and the blocks keep it small
+        causal = np.zeros((240, 240), dtype=bool)
+        causal[:120, 120:] = True
+        space, tau = relation_space(causal), np.repeat([0.0, 1.0], 120)
+        tracemalloc.start()
+        try:
+            mat = null_distance_matrix(space, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert np.array_equal(mat, dense_null_distance(space, tau))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13, 20])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_fence_needs_one_pass_per_turn(self, k, shuffle):
+        # a_i <= b_i >= a_(i+1): 2k points with tau alternating 0, 1, whose
+        # ends are joined only along the fence, down and up at every point
+        causal = np.zeros((2 * k, 2 * k), dtype=bool)
+        for i in range(k):
+            causal[2 * i, 2 * i + 1] = True
+            if i + 1 < k:
+                causal[2 * i + 2, 2 * i + 1] = True
+        tau = np.arange(2 * k) % 2.0
+        if shuffle:
+            perm = np.random.default_rng(k).permutation(2 * k)
+            causal, tau = causal[np.ix_(perm, perm)], tau[perm]
+            ends = np.argsort(perm)[[0, 2 * k - 1]]
+        else:
+            ends = [0, 2 * k - 1]
+        mat = assert_matches_dense(relation_space(causal), tau)
+        assert mat[ends[0], ends[1]] == 2 * k - 1
+
+
+class TestCompose:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 7, 3), (40, 40, 40), (300, 200, 100)])
+    def test_equals_boolean_product(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        n, k, m = shape
+        for density in (0.0, 0.02, 0.3, 1.0):
+            a = rng.random((n, k)) < density
+            b = rng.random((k, m)) < density
+            got = _compose(a, b)
+            assert got.dtype == bool and np.array_equal(got, a @ b)
+
+    def test_validate_reports_the_boolean_products(self):
+        # the transitivity entries of validate_pls are those of numpy's
+        # boolean product on every space these tests build
+        rng = np.random.default_rng(7)
+        spaces = [chain_space([1.0, 2.0]), chain_space([0.5] * 6)]
+        spaces += [random_pre_length_space(n, seed)[0] for n, seed in ((6, 0), (12, 3), (20, 9))]
+        spaces += [random_relation_space(rng, bool(i % 2))[0] for i in range(10)]
+        spaces += [random_dag_space(rng) for _ in range(10)]
+        for space in spaces:
+            rep = validate_pls(space)
+            for kind, rel in (("causal-not-transitive", space.causal), ("chrono-not-transitive", space.chrono)):
+                want = [tuple(map(int, ij)) for ij in np.argwhere((rel @ rel) & ~rel)]
+                assert [v.where for v in rep.violations if v.kind == kind] == want
 
 
 class TestAntiLipschitz:
