@@ -24,6 +24,7 @@ from . import formats
 from .cone import (
     PAIR_BUDGET,
     ConeGrid,
+    _source_blocks,
     all_grid_points,
     null_distance,
     null_distance_guarantees,
@@ -152,9 +153,31 @@ def run_timesep(cfg, paths, out, seed):
             slack = via[ps, None] + rows[kq, ahead]
             np.subtract(rows[np.ix_(ps, ahead)], slack, out=slack)
             worst = min(worst, float(slack.min()))
+    # chronological pairs (the strict predicate) on which the DP reads 0: a
+    # single-level move cannot leave its fiber point when the step's G-gap is
+    # below the fiber spacing
+    chrono = zeros = 0
+    later = np.arange(grid.n_levels)[:, None]
+    for _, levels, _, block, dists, gaps, _ in _source_blocks(grid, res):
+        ahead = (later > levels[:, None, None]) & (dists < gaps - grid.causal_slack)
+        chrono += int(np.count_nonzero(ahead))
+        zeros += int(np.count_nonzero(ahead & (block == 0.0)))
+    notes = []
+    if zeros:
+        notes.append(
+            f"the DP reads 0 on {zeros} of {chrono} chronological pairs, as it does where a "
+            "level step's G-gap is below the fiber spacing and no single-level move leaves "
+            "its fiber point; use a finer fiber"
+        )
     formats.write_report_json(
         out / "report.json",
-        {"reverse_triangle_worst_slack": worst, "coverage": _coverage(grid, res)},
+        {
+            "reverse_triangle_worst_slack": worst,
+            "coverage": _coverage(grid, res),
+            "chronological_pairs": chrono,
+            "dp_zero_chronological_pairs": zeros,
+            "notes": notes,
+        },
     )
     return OK if worst >= -1e-9 else CHECK_FAILED
 

@@ -39,13 +39,24 @@ relays per pair are tried: a itself one level down, and the neighbour of a
 in the fiber's relative neighbourhood graph with the least d(a, c') +
 d(c', c). On a product cone whose fiber spacing equals the level step this
 keeps exactly c in {a - 1, a, a + 1}; a fiber that prunes nothing gets
-W_k = m, the full gather. The rule reads a pair only through the distances
-of (a, c), (a, c') and (c', c), so the index is built once per grid from
-pair classes, the pairs grouped by those three distances: each level
-evaluates the rule once per class, over the prefix of classes (sorted by
-distance) with T' >= 0, and expands only the kept classes into pairs. A
-level costs O(classes) plus its kept pairs, m^2 at worst, when every pair is
-a class of its own, as on a random point cloud. Rounding: the relay reads
+W_k = m, the full gather. The graph's edges are found from near neighbours
+first: a witness against edge (a, b) lies nearer to both ends than they lie
+to each other, so rounds test each undecided pair against the r-th nearest
+point of either end, and only the pairs the rounds leave get the full test
+against every point (`ConeGrid._relays`); on paths, circles, tripods and
+plane clouds the relays cost O(m^2 log m), and O(m^3) only at worst. The
+rule reads a pair only through the distances of (a, c), (a, c') and
+(c', c), so the index is built once per grid from pair classes, the pairs
+grouped by those three distances, sorted by distance, with T' >= 0 on a
+prefix of them at each level. The rule is evaluated on dense blocks of
+levels x the longest prefix among them, each under _GATHER_CAP
+evaluations, and only the kept classes are expanded into pairs, in runs of
+levels under _GATHER_CAP pairs: one sort of packed int32 keys (level in the
+run, pair, T') orders a run's pairs by level, column and fiber point, and
+one scatter lays them out in a buffer the run's levels share. A grid costs
+O(levels x classes) plus its kept pairs, m^2 classes at worst, when every
+pair is a class of its own, as on a random point cloud, in a few dozen
+numpy calls per block rather than per level. Rounding: the relay reads
 val[j, c'] - pi[j], which may differ from the dropped P[T'(k, a, c), c] by
 an ulp when the sums are not exact, so rows can move by ulps against a full
 gather; on dyadic grids every sum is exact and the rows are bitwise equal.
@@ -131,10 +142,6 @@ class ConeGrid:
         # f is positive on its domain; G must also increase in floating point
         if np.any(np.diff(self.g_levels) <= 0):
             raise InvalidInputError("warping must be strictly positive on the interval")
-        # warping at the level midpoints, for the time-separation step lengths
-        self.f_mid = np.asarray(
-            self.warping.value(0.5 * (self.t_levels[:-1] + self.t_levels[1:])), dtype=float
-        )
         self.f_min, self.f_max = self.warping.extrema(self.interval)
         # Exactly-null relations (d equal to the G-gap) must stay causal under
         # floating-point grid construction; the slack is far below one grid
@@ -237,9 +244,8 @@ class ConeGrid:
         column a holds T'(k, a, c)*m + c for the pairs (a, c) that no relay
         covers (module docstring), padded with the +inf row n_levels*m."""
         if self._cover is None:
-            # refused before the O(m^3) relays: the pair classes take up to
-            # m^2 entries per level, and flat indices into levels x pairs
-            # must fit int32
+            # the pair classes take up to m^2 entries per level, and flat
+            # indices into levels x pairs must fit int32
             if self.n_levels * self.m * self.m > _TABLE_CAP:
                 raise SizeBoundError(
                     "the sweep cover index over levels x fiber pairs would exceed "
@@ -254,19 +260,69 @@ class ConeGrid:
         """relay[a, c]: the neighbour c' of a in the fiber's relative
         neighbourhood graph with the least d(a, c') + d(c', c), ties to the
         smallest index; a itself when a has no neighbour. (a, b) is an edge
-        unless some point c has max(d(a, c), d(c, b)) < d(a, b)."""
-        d = self.fiber.dist
-        edge = np.zeros((self.m, self.m), dtype=bool)
-        for a in range(self.m - 1):
-            # the test is symmetric in (a, b): each pair once, with b > a
-            far = np.maximum(d[a][:, None], d[:, a + 1 :]) < d[a, a + 1 :]
-            edge[a, a + 1 :] = ~np.any(far, axis=0)
+        unless some witness c has max(d(a, c), d(c, b)) < d(a, b).
+
+        The test is symmetric in (a, b), so each pair is decided once, a < b,
+        and first against the near neighbours of its ends, where a witness,
+        nearer to both ends than they are to each other, is likely to sit:
+        round r tests each pair still undecided against the r-th nearest
+        other point of a and of b. A witness decides the pair; an r-th nearest
+        point at least d(a, b) from its end decides it an edge, since every
+        point nearer that end was tested. The rounds go on while each decides
+        at least half of its pairs, and the full test against every point
+        decides the rest. A round costs O(its pairs), so the rounds cost
+        O(m^2) when they halve the pairs: two rounds decide every pair on
+        paths, circles and tripods, and 8-11 rounds on plane clouds of
+        150-1000 points. With the sort of each point's distances and the
+        argmin over each point's neighbours, one rank at a time, that is
+        O(m^2 (log m + max degree)); the full test keeps the worst case at
+        O(m^3)."""
+        d, m = self.fiber.dist, self.m
+        if m < 2:
+            return np.zeros((m, m), dtype=np.intp)
+        flat = d.reshape(-1)
+        order = d.copy()
+        np.fill_diagonal(order, -np.inf)  # each point first in its own row
+        near = np.argsort(order, axis=1)[:, 1:]  # the other points by distance, nearest first
+        a, b = np.triu_indices(m, 1)
+        dab = flat.take(a * m + b)
+        edge = np.zeros((m, m), dtype=bool)
+        for r in range(m - 1):
+            n = a.size
+            c, dc = near[:, r], flat.take(np.arange(m) * m + near[:, r])
+            da, db = dc.take(a), dc.take(b)
+            lune = ((da < dab) & (flat.take(c.take(a) * m + b) < dab)) | (
+                (db < dab) & (flat.take(c.take(b) * m + a) < dab)
+            )
+            known = (da >= dab) | (db >= dab)  # every point nearer an end tested
+            found = known & ~lune
+            edge[a[found], b[found]] = True
+            left = ~(lune | known)
+            a, b, dab = a[left], b[left], dab[left]
+            if not a.size or 2 * a.size > n:  # done, or the round decided under half
+                break
+        block = max(1, _GATHER_CAP // m)
+        for lo in range(0, a.size, block):
+            pa, pb, pd = a[lo : lo + block], b[lo : lo + block], dab[lo : lo + block]
+            lone = ~np.any(np.maximum(d[pa], d[pb]) < pd[:, None], axis=1)
+            edge[pa[lone], pb[lone]] = True
         edge |= edge.T
-        relay = np.repeat(np.arange(self.m)[:, None], self.m, axis=1)
-        for a in range(self.m):
-            nbrs = np.nonzero(edge[a])[0]
-            if nbrs.size:
-                relay[a] = nbrs[np.argmin(d[a, nbrs][:, None] + d[nbrs], axis=0)]
+        # each point's neighbours ascending, padded with the point itself at
+        # an infinite hop; the argmin runs over the neighbour ranks, a strict
+        # drop moving on, so ties go to the smallest index
+        src, nbr = np.nonzero(edge)
+        deg = np.bincount(src, minlength=m)
+        rank = np.arange(src.size) - np.repeat(np.cumsum(deg) - deg, deg)
+        nbrs = np.repeat(np.arange(m)[:, None], deg.max(), axis=1)
+        hop = np.full(nbrs.shape, np.inf)
+        nbrs[src, rank], hop[src, rank] = nbr, d[src, nbr]
+        best = hop[:, :1] + d[nbrs[:, 0]]
+        relay = np.repeat(nbrs[:, :1], m, axis=1)
+        for r in range(1, nbrs.shape[1]):
+            via = hop[:, r : r + 1] + d[nbrs[:, r]]
+            drop = via < best
+            np.copyto(relay, nbrs[:, r : r + 1], where=drop)
+            np.minimum(best, via, out=best)
         return relay
 
     def _pair_classes(self, inv: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -298,38 +354,58 @@ class ConeGrid:
         pairs: np.ndarray,
         offsets: np.ndarray,
     ) -> list[np.ndarray]:
-        # level by level, with T' = min(table[k], k - 1) read once per pair
-        # class: a class goes when T' = -1, when a one level down covers it
-        # (T'(k-1, a, c) >= T'), or when the relay covers it: at
-        # j = T'(k, a, c') both table[j, w] and j - 1 reach T'. T' is -1 on
-        # level 0 and falls with the distance, so the classes with T' >= 0
-        # are a prefix. Flat indices fit int32 under _TABLE_CAP; j = -1 wraps
-        # to a valid read that j > T' then discards
+        # the rule on blocks of levels x the class prefix, with T' =
+        # min(table[k], k - 1) read once per pair class: a class goes when
+        # T' = -1, when a one level down covers it (T'(k-1, a, c) >= T'), or
+        # when the relay covers it: at j = T'(k, a, c') both table[j, w] and
+        # j - 1 reach T'. T' is -1 on level 0 and falls with the distance, so
+        # the classes with T' >= 0 are a prefix, and a class past a level's
+        # prefix (T' = -1) is never kept. A block's levels keep its class
+        # evaluations under _GATHER_CAP entries, at least one level. Flat
+        # indices fit int32 under _TABLE_CAP; j = -1 wraps to a valid read
+        # that j > T' then discards
         m, (n_lv, n_u) = self.m, table.shape
         flat, sizes = table.reshape(-1), np.diff(offsets)
-        ends = np.searchsorted(u, np.count_nonzero(table >= 0, axis=1)).tolist()
+        ends = np.searchsorted(u, np.count_nonzero(table >= 0, axis=1))  # rise with k
+        keyed = pairs * n_lv  # a pair's key on a run's first level
+        span = m * m * n_lv  # the keys of one level
+        most = (1 << 31) // span  # levels in a run of int32 keys
         index = [np.full((1, m), n_lv * m, dtype=np.int32)]
-        for k in range(1, n_lv):
-            n = ends[k]
-            cur = np.minimum(table[k].take(u[:n]), k - 1)
-            prev = np.minimum(table[k - 1].take(u[:n]), k - 2)
-            j = np.minimum(table[k].take(v[:n]), k - 1)
+        k0 = 1
+        while k0 < n_lv:
+            k1 = k0 + max(1, np.count_nonzero(np.arange(1, n_lv - k0 + 1) * ends[k0:] <= _GATHER_CAP))
+            n = ends[k1 - 1]
+            lv = np.arange(k0 - 1, k1, dtype=table.dtype)[:, None]
+            clamped = np.minimum(table[k0 - 1 : k1].take(u[:n], axis=1), lv - 1)
+            prev, cur = clamped[:-1], clamped[1:]
+            j = np.minimum(table[k0:k1].take(v[:n], axis=1), lv[1:] - 1)
             via = flat.take(j.astype(np.int32) * n_u + w[:n])
-            kept = np.flatnonzero((prev < cur) & ((j <= cur) | (via < cur)))
-            # the kept classes' pairs, sorted by pair with their level; a
-            # column's entries are then contiguous
-            counts = sizes[kept]
-            pos = np.repeat(offsets[kept] - (np.cumsum(counts) - counts), counts)
-            pos += np.arange(pos.size)
-            key = np.sort(pairs[pos] * n_lv + np.repeat(cur[kept].astype(np.int32), counts))
-            pair = key // n_lv
-            a = pair // m
-            bounds = np.searchsorted(a, np.arange(m + 1))
-            counts = np.diff(bounds)
-            idx = np.full((max(1, int(counts.max())), m), n_lv * m, dtype=np.int32)
-            rank = np.arange(a.size) - np.repeat(bounds[:-1], counts)
-            idx[rank, a] = (key - pair * n_lv) * m + pair - a * m  # level * m + c
-            index.append(idx)
+            kept = np.flatnonzero((prev < cur) & ((j <= cur) | (via < cur)))  # level * n + class
+            # the kept classes' pairs, expanded in runs of levels that hold
+            # under _GATHER_CAP pairs (at least one level) and whose keys
+            # (level in the run * m^2 + pair) * n_lv + T' fit int32; sorted,
+            # a level's column holds its entries contiguously
+            first = np.searchsorted(kept, np.arange(k1 - k0 + 1) * n)  # each level's first kept class
+            level = kept // n
+            base = level * span + cur.ravel().take(kept)
+            cls = kept - level * n
+            counts = sizes.take(cls)
+            before = np.append(0, np.cumsum(counts))  # the block's pairs before each kept class
+            done = before[first]
+            shift = offsets.take(cls) - before[:-1]
+            s0 = 0
+            while s0 < k1 - k0:
+                s1 = np.searchsorted(done, done[s0] + _GATHER_CAP, side="right") - 1
+                s1 = min(max(s1, s0 + 1), s0 + most)
+                lo, hi = first[s0], first[s1]
+                pos = np.repeat(shift[lo:hi], counts[lo:hi])
+                pos += np.arange(done[s0], done[s1])
+                key = keyed.take(pos)
+                key += np.repeat((base[lo:hi] - s0 * span).astype(np.int32), counts[lo:hi])
+                key.sort()
+                index += _lay_out(key, s1 - s0, m, n_lv)
+                s0 = s1
+            k0 = k1
         return index
 
     def _move_index(self) -> tuple[np.ndarray, ...]:
@@ -358,6 +434,26 @@ class ConeGrid:
             depth = np.searchsorted(du.min(axis=1), np.isfinite(table).sum(axis=1))
             self._moves = (nbrs, du, depth, dist, table)
         return self._moves
+
+
+def _lay_out(key: np.ndarray, n_run: int, m: int, n_lv: int) -> list[np.ndarray]:
+    """The int32 (W, m) gather index of each level of a run of n_run levels
+    from their kept pairs' sorted keys (level in the run * m^2 + a*m + c) *
+    n_lv + T': column a holds T'*m + c for its pairs (a, c) by c ascending,
+    padded with n_lv*m, and W is the widest column's count, at least 1. The
+    run's levels share one buffer."""
+    pair = key // n_lv
+    group = pair // m  # level in the run * m + a
+    bounds = np.searchsorted(group, np.arange(n_run * m + 1))
+    counts = np.diff(bounds)
+    size = np.maximum(counts.reshape(n_run, m).max(axis=1), 1) * m
+    start = np.cumsum(size) - size
+    out = np.full(int(start[-1] + size[-1]), n_lv * m, dtype=np.int32)
+    # entry e of group (l, a) goes to start[l] + (e - bounds[group]) * m + a
+    at = np.repeat((start[:, None] + np.arange(m)).ravel() - bounds[:-1] * m, counts)
+    at += np.arange(0, key.size * m, m)
+    out[at] = (key - pair * n_lv) * m + pair - group * m  # T' * m + c
+    return [out[s : s + n].reshape(-1, m) for s, n in zip(start.tolist(), size.tolist())]
 
 
 def _table_dtype(n_levels: int) -> np.dtype:
@@ -704,13 +800,18 @@ class TimeSeparationResult(_SourceRows):
 
 def _level_step_weights(grid: ConeGrid, i, dist: np.ndarray) -> np.ndarray:
     """Lengths of fiber moves over distances `dist` on the step level i -> i+1:
-    sqrt(dt^2 - f(mid)^2 d^2) on strict moves, zero on exactly-null moves and
-    -inf on moves that are not causal. A column of levels i broadcasts to one
-    row per level."""
+    dt*sqrt(1 - lam^2) with lam = d / (G[i+1] - G[i]) on strict moves, zero on
+    exactly-null moves and -inf on moves that are not causal. A column of
+    levels i broadcasts to one row per level.
+
+    The strict weight is certified: the fiber curve of speed lam / f(t) over
+    the step is causal (f x' = lam < 1), covers exactly d, and has length
+    exactly dt*sqrt(1 - lam^2), so on a geodesic fiber every DP value is the
+    length of a causal curve and never exceeds the time separation."""
     gap = grid.g_levels[i + 1] - grid.g_levels[i]
     dt = grid.t_levels[i + 1] - grid.t_levels[i]
-    fd = grid.f_mid[i] * dist
-    w = np.sqrt(np.clip(dt * dt - fd * fd, 0.0, None))
+    lam = dist / gap
+    w = dt * np.sqrt(np.clip(1.0 - lam * lam, 0.0, None))
     w = np.where(dist < gap - grid.causal_slack, w, 0.0)
     return np.where(dist <= gap + grid.causal_slack, w, -np.inf)
 
@@ -761,7 +862,8 @@ def time_separation(
     """Longest-path approximation of the time separation from below.
 
     Dynamic program over the DAG of causally related pairs on consecutive
-    t-levels; segment length sqrt(dt^2 - f(mid)^2 d^2) clamped at zero, and
+    t-levels; segment length dt*sqrt(1 - lam^2) with lam = d / (G-gap), the
+    length of a causal curve over the step (`_level_step_weights`), and
     exactly-null steps contribute zero, so a positive output certifies a
     chronological pair. One pass over the levels serves every source.
     """

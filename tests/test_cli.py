@@ -1011,10 +1011,22 @@ class TestReadmeSamples:
         assert rep["null_length"] == rep["total_variation"] == 0.5
         assert rep["t_endpoint_error"] == rep["max_nullity_defect"] == 0.0
 
+    @pytest.mark.parametrize("n_t, zeros", [(None, 0), (80, 3120)])
+    def test_timesep_reports_the_zero_chronological_pairs(self, n_t, zeros, tmp_path, monkeypatch):
+        # at n_t = 80 a level step's G-gap is half the fiber spacing, so the
+        # DP cannot leave a source's fiber point; the exit status stays 0
+        extra = [] if n_t is None else ["--n-t", str(n_t)]
+        assert self.run_sample("timesep", tmp_path, monkeypatch, extra) == 0
+        rep = json.loads((tmp_path / "out_timesep" / "report.json").read_text())
+        assert rep["chronological_pairs"] == (1220 if n_t is None else 3260)
+        assert rep["dp_zero_chronological_pairs"] == zeros
+        assert len(rep["notes"]) == (1 if zeros else 0)
+        assert all("finer fiber" in note for note in rep["notes"])
+
     @staticmethod
-    def run_sample(command, tmp_path, monkeypatch):
+    def run_sample(command, tmp_path, monkeypatch, extra=()):
         script = Path(__file__).resolve().parents[1] / "scripts" / "make_inputs.py"
         monkeypatch.setattr(sys, "argv", [str(script), "--dir", str(tmp_path)])
         runpy.run_path(str(script), run_name="__main__")
         monkeypatch.chdir(tmp_path)
-        return main(["--config", f"scenario_{command}.json"])
+        return main(["--config", f"scenario_{command}.json", *extra])

@@ -902,6 +902,62 @@ def reference_relays(fiber):
     return relay
 
 
+def reference_cover_levels(grid, table, u, v, w, pairs, offsets):
+    """ConeGrid._cover_levels level by level: the cover rule over the level's
+    class prefix, then the kept classes' pairs sorted by pair with their
+    level and scattered into the level's (W, m) index."""
+    m, (n_lv, n_u) = grid.m, table.shape
+    flat, sizes = table.reshape(-1), np.diff(offsets)
+    ends = np.searchsorted(u, np.count_nonzero(table >= 0, axis=1)).tolist()
+    index = [np.full((1, m), n_lv * m, dtype=np.int32)]
+    for k in range(1, n_lv):
+        n = ends[k]
+        cur = np.minimum(table[k].take(u[:n]), k - 1)
+        prev = np.minimum(table[k - 1].take(u[:n]), k - 2)
+        j = np.minimum(table[k].take(v[:n]), k - 1)
+        via = flat.take(j.astype(np.int32) * n_u + w[:n])
+        kept = np.flatnonzero((prev < cur) & ((j <= cur) | (via < cur)))
+        counts = sizes[kept]
+        pos = np.repeat(offsets[kept] - (np.cumsum(counts) - counts), counts)
+        pos += np.arange(pos.size)
+        key = np.sort(pairs[pos] * n_lv + np.repeat(cur[kept].astype(np.int32), counts))
+        pair = key // n_lv
+        a = pair // m
+        bounds = np.searchsorted(a, np.arange(m + 1))
+        counts = np.diff(bounds)
+        idx = np.full((max(1, int(counts.max())), m), n_lv * m, dtype=np.int32)
+        rank = np.arange(a.size) - np.repeat(bounds[:-1], counts)
+        idx[rank, a] = (key - pair * n_lv) * m + pair - a * m  # level * m + c
+        index.append(idx)
+    return index
+
+
+def random_line(n, seed):
+    """n sorted uniform random points of [0, 1] with their distances."""
+    xs = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n))
+    return FiniteLengthSpace(tuple(range(n)), np.abs(xs[:, None] - xs[None, :]))
+
+
+def assert_index_equals_the_level_loop(g):
+    up, rev, inv = g._level_tables()
+    classes = g._pair_classes(inv)
+    for table, index in zip((up, rev), g._cover_index()):
+        ref = reference_cover_levels(g, table, *classes)
+        assert len(index) == len(ref) == g.n_levels
+        for idx, want in zip(index, ref):
+            assert idx.dtype == want.dtype and idx.shape == want.shape
+            assert np.array_equal(idx, want)
+
+
+# grids whose index keeps many pairs per point: the blocked expansion does
+# most of its work there
+LARGE_EXPANSION_GRIDS = {
+    "cosh-path201": (path_space(201, 1.0), WarpingFunction.cosh_type(1.0, 1.3, IV), 200),
+    "cloud150": (plane_cloud(150, 1), WarpingFunction.constant(1.0, IV), 40),
+    "line120": (random_line(120, 2), WarpingFunction.constant(1.0, IV), 60),
+}
+
+
 def cached_arrays(obj):
     """Every array an object holds in its attributes, through tuples and
     lists."""
@@ -959,6 +1015,8 @@ class TestCoverIndex:
                     assert np.array_equal(got, keep[k])
                 # the widest column sets the width
                 assert idx.shape[0] == max(1, np.bincount(a, minlength=m).max())
+        # blocks of levels give bitwise the index of one level at a time
+        assert_index_equals_the_level_loop(g)
 
     @pytest.mark.parametrize(
         "fiber, n_t",
@@ -1010,11 +1068,50 @@ class TestCoverIndex:
         want[a == c] = np.where(np.arange(m) == 0, 1, 0)
         assert np.array_equal(relay, want)
 
+    @pytest.mark.parametrize("name", list(LARGE_EXPANSION_GRIDS))
+    def test_large_expansion_index_equals_the_level_loop(self, name):
+        fiber, warping, n_t = LARGE_EXPANSION_GRIDS[name]
+        g = ConeGrid(IV, fiber, warping, n_t)
+        assert_index_equals_the_level_loop(g)
+        # many pairs per point: the levels are laid out in several runs
+        kept = sum(int(np.count_nonzero(idx != g.n_levels * g.m)) for idx in g._cover_index()[0])
+        assert kept > 4 * _GATHER_CAP
+
     def test_relays_equal_the_full_lune_test(self):
-        # the edge test runs once per unordered pair; a random plane cloud
-        # has distinct distances and a sparse, irregular graph
-        fiber = plane_cloud(60, 4)
-        assert np.array_equal(small_grid(fiber=fiber)._relays(), reference_relays(fiber))
+        # paths, circles and tripods are full of tied distances, so near
+        # points come in ties; on the equidistant fiber no point is nearer
+        # than the pair's own ends, so no near witness exists; plane clouds
+        # have distinct distances and a sparse, irregular graph
+        fibers = [
+            path_space(201, 1.0),
+            circle_space(40, 1.0),
+            circle_space(41, 1.0),
+            tripod_space(14, 1 / 3),
+            EQUIDISTANT,
+            plane_cloud(60, 4),
+            plane_cloud(150, 1),
+            path_space(1),
+            path_space(2),
+            path_space(3),
+        ]
+        for fiber in fibers:
+            assert np.array_equal(small_grid(fiber=fiber)._relays(), reference_relays(fiber))
+
+    def test_index_build_stays_in_blocks(self):
+        # beside the index it returns, the build holds the sweep tables,
+        # fiber-pair arrays and blocks of _GATHER_CAP entries; expanding every
+        # level's kept pairs at once would take more than the index itself
+        for name in ("cosh-path201", "cloud150"):
+            fiber, warping, n_t = LARGE_EXPANSION_GRIDS[name]
+            g = ConeGrid(IV, fiber, warping, n_t)
+            tracemalloc.start()
+            try:
+                index = g._cover_index()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            held = sum(idx.nbytes for c in index for idx in c)
+            assert peak - held < g._table_bytes() + 64 * g.m * g.m + 128 * _GATHER_CAP
 
     @pytest.mark.parametrize(
         "warping",
@@ -1039,7 +1136,6 @@ def reference_time_separation_row(grid, p):
     for i in range(p[0], grid.n_t):
         gap = grid.g_levels[i + 1] - grid.g_levels[i]
         dt = grid.t_levels[i + 1] - grid.t_levels[i]
-        f_mid = float(grid.warping.value(0.5 * (grid.t_levels[i] + grid.t_levels[i + 1])))
         nxt = {}
         for j, v in val.items():
             for k in range(m):
@@ -1048,12 +1144,41 @@ def reference_time_separation_row(grid, p):
                     continue
                 w = 0.0
                 if d < gap - grid.causal_slack:
-                    w = math.sqrt(max(dt * dt - (f_mid * d) * (f_mid * d), 0.0))
+                    lam = d / gap
+                    w = dt * math.sqrt(max(1.0 - lam * lam, 0.0))
                 nxt[k] = max(nxt.get(k, -math.inf), v + w)
         val = nxt
         for k, v in val.items():
             row[(i + 1) * m + k] = max(v, 0.0)
     return row
+
+
+def strip_time_separation(warping, t0, t1, delta):
+    """The time separation of a cone over a geodesic fiber between points
+    at times t0 < t1 and fiber distance delta below their G-gap (arrays of
+    pairs): a maximizer keeps its momentum c, so it reaches
+    delta(c) = int c / (f sqrt(f^2 + c^2)) dt with length
+    tau(c) = int f / sqrt(f^2 + c^2) dt. 64-node Gauss-Legendre in t; c
+    grows by 4x until the reach passes delta, then 80 halvings, and tau is
+    read at the bracket's short end, so it errs high."""
+    x, wts = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * (t1 - t0)[:, None]
+    f = warping.value(half * x + 0.5 * (t0 + t1)[:, None])
+
+    def reach(c):
+        return (half * wts * c[:, None] / (f * np.sqrt(f * f + c[:, None] ** 2))).sum(axis=1)
+
+    lo, hi = np.zeros_like(delta), np.ones_like(delta)
+    for _ in range(100):
+        grow = reach(hi) < delta
+        if not grow.any():
+            break
+        lo, hi = np.where(grow, hi, lo), np.where(grow, 4.0 * hi, hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        short = reach(mid) < delta
+        lo, hi = np.where(short, mid, lo), np.where(short, hi, mid)
+    return (half * wts * f / np.sqrt(f * f + lo[:, None] ** 2)).sum(axis=1)
 
 
 class TestTimeSeparation:
@@ -1142,6 +1267,32 @@ class TestTimeSeparation:
                     assert v[0] == u[0] + 1
                     assert g.causal_relation(u, v) != NONE
         assert positive >= 3
+
+    @pytest.mark.parametrize("n_t", [20, 40])
+    def test_rows_stay_below_the_strip_time_separation(self, n_t):
+        # the tripod is geodesic, so the time separation of two cone points
+        # is the strip value at their fiber distance, and every DP value is
+        # the length of a causal curve. The midpoint weight
+        # sqrt(dt^2 - f_mid^2 d^2) overshot under cosh, where 1/f is
+        # concave: 0.0225194 against 0.0225121 from (0, 42) to (3, 39) at
+        # n_t = 40
+        warping = WarpingFunction.cosh_type(1.0, 1.3, IV)
+        g = ConeGrid(IV, tripod_space(14, 1 / 3), warping, n_t)
+        lv = np.repeat(np.arange(g.n_levels), g.m)
+        fb = np.tile(np.arange(g.m), g.n_levels)
+        for i0 in (0, n_t // 4):
+            res = time_separation(g, [(i0, j) for j in range(g.m)])
+            d = g.fiber.dist[:, fb]  # source fiber point by grid point
+            chrono = (lv > i0) & (d < g.g_levels[lv] - g.g_levels[i0] - g.causal_slack)
+            # one strip value per target level and fiber distance
+            levels = np.broadcast_to(lv, d.shape)[chrono]
+            keys, inv = np.unique(np.stack([levels, d[chrono]]), axis=1, return_inverse=True)
+            tau = np.zeros(res.rows.shape)
+            tau[chrono] = strip_time_separation(
+                warping, np.full(keys.shape[1], g.t_levels[i0]), g.t_levels[keys[0].astype(int)], keys[1]
+            )[inv]
+            assert np.all(res.rows <= tau + 1e-12), float(np.max(res.rows - tau))
+            assert np.all(res.rows[~chrono] == 0.0)
 
     @pytest.mark.parametrize(
         "fiber,warping,n_t,n_src",
@@ -1232,7 +1383,7 @@ class TestTimeSeparation:
         assert g._moves[4].shape[0] == g.n_t
         # the level arrays, the sweeps' cover index and the move index with
         # its step table: nothing else
-        held = [g.t_levels, g.g_levels, g.f_mid, *g._moves, *g._cover[0], *g._cover[1]]
+        held = [g.t_levels, g.g_levels, *g._moves, *g._cover[0], *g._cover[1]]
         assert sorted(map(id, cached_arrays(g))) == sorted(map(id, held))
 
     @pytest.mark.parametrize(
