@@ -24,7 +24,6 @@ from . import formats
 from .cone import (
     PAIR_BUDGET,
     ConeGrid,
-    _source_blocks,
     all_grid_points,
     null_distance,
     null_distance_guarantees,
@@ -153,15 +152,7 @@ def run_timesep(cfg, paths, out, seed):
             slack = via[ps, None] + rows[kq, ahead]
             np.subtract(rows[np.ix_(ps, ahead)], slack, out=slack)
             worst = min(worst, float(slack.min()))
-    # chronological pairs (the strict predicate) on which the DP reads 0: a
-    # single-level move cannot leave its fiber point when the step's G-gap is
-    # below the fiber spacing
-    chrono = zeros = 0
-    later = np.arange(grid.n_levels)[:, None]
-    for _, levels, _, block, dists, gaps, _ in _source_blocks(grid, res):
-        ahead = (later > levels[:, None, None]) & (dists < gaps - grid.causal_slack)
-        chrono += int(np.count_nonzero(ahead))
-        zeros += int(np.count_nonzero(ahead & (block == 0.0)))
+    chrono, zeros = res.zero_chronological_pairs()
     notes = []
     if zeros:
         notes.append(

@@ -41,10 +41,10 @@ d(c', c). On a product cone whose fiber spacing equals the level step this
 keeps exactly c in {a - 1, a, a + 1}; a fiber that prunes nothing gets
 W_k = m, the full gather. The graph's edges are found from near neighbours
 first: a witness against edge (a, b) lies nearer to both ends than they lie
-to each other, so rounds test each undecided pair against the r-th nearest
-point of either end, and only the pairs the rounds leave get the full test
-against every point (`ConeGrid._relays`); on paths, circles, tripods and
-plane clouds the relays cost O(m^2 log m), and O(m^3) only at worst. The
+to each other, so round r tests each undecided pair against the r-th
+nearest point of either end, until the round that reaches b from a decides
+the pair (`ConeGrid._relays`); on paths, circles, tripods and plane clouds
+the relays cost O(m^2 log m), and O(m^3) only at worst. The
 rule reads a pair only through the distances of (a, c), (a, c') and
 (c', c), so the index is built once per grid from pair classes, the pairs
 grouped by those three distances, sorted by distance, with T' >= 0 on a
@@ -209,6 +209,14 @@ class ConeGrid:
         (b,) give the (b, n_levels, m) stack of their rows."""
         return self.fiber.dist[j][..., None, :] <= _level_gaps(self.g_levels, i) + self.causal_slack
 
+    def chronological_row(self, i, j) -> np.ndarray:
+        """Boolean (n_levels, m) array: points in the chronological future of
+        (i, j), the strict predicate of causal_relation (levels k <= i have
+        a G-gap of at most 0 and drop out). Arrays of levels i and fibers j
+        of shape (b,) give the (b, n_levels, m) stack of their rows."""
+        gaps = (self.g_levels - self.g_levels[np.asarray(i)][..., None])[..., None]
+        return self.fiber.dist[j][..., None, :] < gaps - self.causal_slack
+
     # -- cover index for the sweep engine ----------------------------------
 
     def _level_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,15 +276,15 @@ class ConeGrid:
         round r tests each pair still undecided against the r-th nearest
         other point of a and of b. A witness decides the pair; an r-th nearest
         point at least d(a, b) from its end decides it an edge, since every
-        point nearer that end was tested. The rounds go on while each decides
-        at least half of its pairs, and the full test against every point
-        decides the rest. A round costs O(its pairs), so the rounds cost
-        O(m^2) when they halve the pairs: two rounds decide every pair on
-        paths, circles and tripods, and 8-11 rounds on plane clouds of
-        150-1000 points. With the sort of each point's distances and the
-        argmin over each point's neighbours, one rank at a time, that is
-        O(m^2 (log m + max degree)); the full test keeps the worst case at
-        O(m^3)."""
+        point nearer that end was tested. The round that reaches b in a's
+        list does so at the latest, so the rounds end by round m - 2. A round
+        costs O(its pairs), so the rounds cost O(m^2) when they halve the
+        pairs: two rounds decide every pair on paths, circles and tripods,
+        and 8-11 rounds on plane clouds of 150-1000 points. With the sort of
+        each point's distances and the argmin over each point's neighbours,
+        one rank at a time, that is O(m^2 (log m + max degree)); rounds that
+        decide few pairs each, as between two far clusters, reach O(m^3) at
+        worst."""
         d, m = self.fiber.dist, self.m
         if m < 2:
             return np.zeros((m, m), dtype=np.intp)
@@ -288,7 +296,6 @@ class ConeGrid:
         dab = flat.take(a * m + b)
         edge = np.zeros((m, m), dtype=bool)
         for r in range(m - 1):
-            n = a.size
             c, dc = near[:, r], flat.take(np.arange(m) * m + near[:, r])
             da, db = dc.take(a), dc.take(b)
             lune = ((da < dab) & (flat.take(c.take(a) * m + b) < dab)) | (
@@ -299,13 +306,8 @@ class ConeGrid:
             edge[a[found], b[found]] = True
             left = ~(lune | known)
             a, b, dab = a[left], b[left], dab[left]
-            if not a.size or 2 * a.size > n:  # done, or the round decided under half
+            if not a.size:
                 break
-        block = max(1, _GATHER_CAP // m)
-        for lo in range(0, a.size, block):
-            pa, pb, pd = a[lo : lo + block], b[lo : lo + block], dab[lo : lo + block]
-            lone = ~np.any(np.maximum(d[pa], d[pb]) < pd[:, None], axis=1)
-            edge[pa[lone], pb[lone]] = True
         edge |= edge.T
         # each point's neighbours ascending, padded with the point itself at
         # an infinite hop; the argmin runs over the neighbour ranks, a strict
@@ -796,6 +798,24 @@ def null_distance_guarantees(grid: ConeGrid, result: NullDistanceResult) -> Guar
 @dataclass(eq=False)
 class TimeSeparationResult(_SourceRows):
     """Time-separation rows, zero where no positive separation is found."""
+
+    def zero_chronological_pairs(self) -> tuple[int, int]:
+        """(chronological pairs from the sources, those on which the row
+        reads 0). The dynamic program reads 0 on a chronological pair where a
+        level step's G-gap is below the fiber spacing, since no single-level
+        move then leaves its fiber point; a finer fiber resolves it. Sources
+        go in blocks whose rows hold at most _GATHER_CAP entries, at least
+        one source."""
+        grid = self.grid
+        block = max(1, _GATHER_CAP // grid.n_points)
+        src = np.array(self.sources, dtype=int).reshape(-1, 2)
+        chrono = zeros = 0
+        for lo in range(0, len(src), block):
+            levels, fibers = src[lo : lo + block].T
+            ahead = grid.chronological_row(levels, fibers).reshape(levels.size, -1)
+            chrono += int(np.count_nonzero(ahead))
+            zeros += int(np.count_nonzero(ahead & (self.rows[lo : lo + block] == 0.0)))
+        return chrono, zeros
 
 
 def _level_step_weights(grid: ConeGrid, i, dist: np.ndarray) -> np.ndarray:

@@ -171,6 +171,26 @@ class TestCausalRelation:
                      for l in range(g.m)] for k in range(g.n_levels)]
             assert np.array_equal(g.causal_row(*p), want)
 
+    @pytest.mark.parametrize(
+        "fiber, warping",
+        [
+            (path_space(17, 1.0), WarpingFunction.constant(1.0, IV)),
+            (circle_space(12, 2.0), WarpingFunction.cosh_type(0.5, 2.0, IV)),
+            (CLOUD, TABULATED),
+        ],
+        ids=["exactly-null-path", "cosh-circle", "tabulated-cloud"],
+    )
+    def test_chronological_row_is_the_strict_predicate(self, fiber, warping):
+        g = ConeGrid(IV, fiber, warping, 8)
+        rng = np.random.default_rng(7)
+        levels, fibers = rng.integers(0, g.n_levels, 12), rng.integers(0, g.m, 12)
+        for p in zip(levels.tolist(), fibers.tolist()):
+            want = [[g.causal_relation(p, (k, l)) == CHRONOLOGICAL for l in range(g.m)]
+                    for k in range(g.n_levels)]
+            assert np.array_equal(g.chronological_row(*p), want)
+        stack = g.chronological_row(levels, fibers)
+        assert np.array_equal(stack, [g.chronological_row(int(i), int(j)) for i, j in zip(levels, fibers)])
+
 
 class TestThresholdTables:
     @staticmethod
