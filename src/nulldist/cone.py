@@ -20,7 +20,8 @@ pi[i']: the update of (k, a) takes pi[k] + min over c of P[T'(k, a, c), c],
 where T(k, a, c) is the last level i <= k with (i, a) causal to (k, c) or
 -1, T'(k, a, c) = min(T(k, a, c), k - 1) and P[-1, c] = +inf. T reads the
 pair only through its distance, so it is kept per distinct fiber distance: a
-(levels, U) table for U distinct distances, one search per level. The
+(levels, U) table for U distinct distances, built in blocks of levels from
+one search of each level pair's G-gap among the distances. The
 minima of every level sit in one (levels + 1)*m by sources array whose last
 m rows stay +inf, and one int32 (W_k, m) index per level gathers them in a
 single take.
@@ -238,13 +239,26 @@ class ConeGrid:
 
     def _last_causal_levels(self, g: np.ndarray, dist: np.ndarray) -> np.ndarray:
         # causal_row's expression |G_i - G_k| + slack only falls as i rises
-        # towards k, so the causal levels i <= k form a prefix and one search
-        # down from k finds its end; entries run from -1 to g.size - 1 and
-        # fall as the distance grows
-        table = np.empty((g.size, dist.size), dtype=_table_dtype(g.size))
-        for k in range(g.size):
-            gap = np.abs(g - g[k]) + self.causal_slack
-            table[k] = k - np.searchsorted(gap[k::-1], dist, side="left")
+        # towards k, so the causal levels i <= k form a prefix, and its end
+        # is k less the levels i <= k with |G_i - G_k| + slack < dist[u].
+        # Those are counted in blocks of levels k under _GATHER_CAP entries:
+        # searchsorted(dist, gap, "right") is the first distance index u at
+        # which level i fails (dist ascends), and a running sum over u of how
+        # many levels fail first at each u counts them exactly. Entries run
+        # from -1 to g.size - 1 and fall as the distance grows.
+        n, n_d = g.size, dist.size
+        table = np.empty((n, n_d), dtype=_table_dtype(n))
+        block = max(1, _GATHER_CAP // (n + n_d + 1))  # levels k per block
+        for k0 in range(0, n, block):
+            k1 = min(n, k0 + block)
+            k = np.arange(k0, k1)[:, None]
+            fails_at = np.searchsorted(dist, np.abs(g[:k1] - g[k]) + self.causal_slack, side="right")
+            fails_at[np.arange(k1) > k] = n_d  # levels above k never count
+            fails_at += (k - k0) * (n_d + 1)  # one histogram row per level k
+            hist = np.bincount(fails_at.ravel(), minlength=k.size * (n_d + 1)).reshape(k.size, n_d + 1)
+            rows = table[k0:k1]
+            np.cumsum(hist[:, :n_d], axis=1, out=rows)  # counts up to k + 1 fit the table's dtype
+            np.subtract(k, rows, out=rows)
         return table
 
     def _cover_index(self) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -2,9 +2,11 @@
 
 CSV: comma-separated, UTF-8, LF line endings, mandatory header row; floats
 serialized with 17 significant digits so they round-trip exactly. Matrices
-are written in long form (row_id, col_id, value); each distinct value of a
-block of rows is formatted once, and the bytes equal per-entry `.17g`
-formatting.
+are written in long form (row_id, col_id, value); a block of rows finds its
+distinct values with one sort and each entry's by a binary search, each
+distinct value is formatted once, and the bytes equal per-entry `.17g`
+formatting. A distance-matrix CSV is read with csv.reader for its header
+and numpy's C parser (np.loadtxt) for the numbers.
 JSON documents (reports, manifests, pre-length spaces) are written by one
 writer with sorted keys; non-finite floats become the strings "inf", "-inf"
 and "nan".
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -40,21 +43,44 @@ def fmt(x: float) -> str:
 
 
 def load_distance_matrix_csv(path: PathLike) -> FiniteLengthSpace:
-    """Distance-matrix CSV: a header row of point ids, then the square matrix."""
+    """Distance-matrix CSV: a header row of point ids, then one line of the
+    square matrix per point. csv.reader reads the header and np.loadtxt the
+    numbers: decimal and exponent forms, inf and nan, cells padded with
+    spaces or quoted. Forms float() also took (digit separators as in 1_0,
+    non-ASCII digits) are refused, and so is a blank line, which loadtxt
+    would skip and csv.reader counted as a row."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise InvalidInputError(f"{path}: empty file")
-    ids = [c.strip() for c in rows[0]]
-    data = rows[1:]
-    if len(data) != len(ids):
-        raise InvalidInputError(
-            f"{path}: expected {len(ids)} matrix rows, found {len(data)}"
-        )
-    try:
-        mat = np.array([[float(c) for c in row] for row in data])
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: non-numeric entry ({exc})") from exc
+        header = next(csv.reader(fh), [])
+        if not header:
+            raise InvalidInputError(f"{path}: empty file or blank header row")
+        ids = [c.strip() for c in header]
+        n_lines, blank, error = 0, False, None
+
+        def lines():
+            nonlocal n_lines, blank
+            for line in fh:
+                n_lines += 1
+                blank = blank or not line.rstrip("\r\n")
+                yield line
+
+        body = lines()
+        # loadtxt skips blank lines and warns when it finds no row, so it
+        # runs only on a body whose first line holds numbers
+        first = next(body, "")
+        if first.rstrip("\r\n"):
+            try:
+                mat = np.loadtxt(
+                    itertools.chain([first], body), delimiter=",", comments=None, quotechar='"', ndmin=2
+                )
+            except ValueError as exc:
+                error = exc
+        n_lines += sum(1 for _ in fh)  # the lines after a parse error
+    if n_lines != len(ids):
+        raise InvalidInputError(f"{path}: expected {len(ids)} matrix rows, found {n_lines}")
+    if blank:
+        raise InvalidInputError(f"{path}: blank line in the matrix")
+    if error is not None:
+        raise InvalidInputError(f"{path}: non-numeric entry ({error})") from error
     return FiniteLengthSpace(tuple(ids), mat, "matrix-input")
 
 
@@ -173,10 +199,12 @@ def write_long_matrix_csv(
     """Matrix as long-form triples (row_id, col_id, value).
 
     Rows go in blocks of at most _GATHER_CAP entries (at least one row).
-    Each distinct value of a block is formatted once: values are keyed by
-    their bit pattern, so -0.0 and 0.0 (and NaN payloads) stay apart, and
-    the bytes equal fmt(v) on every entry. Each row's lines are one join of
-    its (row id, ",col_id,", value line) parts.
+    Values are keyed by their bit pattern, so -0.0 and 0.0 (and NaN
+    payloads) stay apart. One sort of a block's keys and a neighbour
+    inequality give its distinct keys, a binary search gives each entry's
+    index among them, and each distinct value is formatted once; the bytes
+    equal fmt(v) on every entry. Each row's lines are one join of its
+    (row id, ",col_id,", value line) parts.
     """
     rows = np.asarray(rows)
     n_c = rows.shape[1]
@@ -190,33 +218,18 @@ def write_long_matrix_csv(
         fh.write("row_id,col_id,value\n")
         for lo in range(0, len(row_ids), block):
             ids = row_ids[lo : lo + block]
-            blk = np.ascontiguousarray(rows[lo : lo + len(ids)], dtype=float)
-            bits, inverse = np.unique(blk.view(np.int64), return_inverse=True)
+            keys = np.ascontiguousarray(rows[lo : lo + len(ids)], dtype=float).view(np.int64).reshape(-1)
+            bits = np.sort(keys)
+            first = np.ones(bits.size, dtype=bool)  # first of its run of equal keys
+            np.not_equal(bits[1:], bits[:-1], out=first[1:])
+            bits = bits[first]
             # format(v, ".17g") is fmt(v) on a Python float
             strs = np.array([f"{v:.17g}\n" for v in bits.view(float).tolist()], dtype=object)
-            # the inverse's shape for 2-D input differs between numpy versions
-            vals = strs.take(inverse.reshape(-1)).reshape(len(ids), n_c).tolist()
+            vals = strs.take(np.searchsorted(bits, keys)).reshape(len(ids), n_c).tolist()
             for rid, row in zip(ids, vals):
                 parts[0::3] = [f"{rid}"] * n_c
                 parts[2::3] = row
                 fh.write("".join(parts))
-
-
-def read_long_matrix_csv(path: PathLike) -> tuple[list, list, np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["row_id", "col_id", "value"]:
-            raise InvalidInputError(f"{path}: bad long-form header {header}")
-        entries = [(r, c, float(v)) for r, c, v in reader]
-    row_ids = list(dict.fromkeys(r for r, _, _ in entries))
-    col_ids = list(dict.fromkeys(c for _, c, _ in entries))
-    ri = {r: i for i, r in enumerate(row_ids)}
-    ci = {c: i for i, c in enumerate(col_ids)}
-    mat = np.full((len(row_ids), len(col_ids)), np.nan)
-    for r, c, v in entries:
-        mat[ri[r], ci[c]] = v
-    return row_ids, col_ids, mat
 
 
 def write_table_csv(path: PathLike, header: Sequence[str], rows: Sequence[Sequence]) -> None:

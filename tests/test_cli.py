@@ -1,8 +1,11 @@
+import csv
 import hashlib
 import json
 import math
 import runpy
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,6 @@ from nulldist.formats import (
     load_cone_json,
     load_distance_matrix_csv,
     load_edge_list_csv,
-    read_long_matrix_csv,
     save_distance_matrix_csv,
     fmt,
     write_long_matrix_csv,
@@ -50,6 +52,24 @@ def reference_long_matrix_bytes(mat, row_ids, col_ids) -> bytes:
         for c, cid in enumerate(col_ids):
             lines.append(f"{rid},{cid},{fmt(mat[r, c])}\n")
     return "".join(lines).encode("utf-8")
+
+
+def read_long_matrix_csv(path: Path) -> tuple[list, list, np.ndarray]:
+    """Long-form CSV back to (row ids, col ids, matrix), entry by entry: the
+    reference reader of the writer's output."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        assert header == ["row_id", "col_id", "value"], header
+        entries = [(r, c, float(v)) for r, c, v in reader]
+    row_ids = list(dict.fromkeys(r for r, _, _ in entries))
+    col_ids = list(dict.fromkeys(c for _, c, _ in entries))
+    ri = {r: i for i, r in enumerate(row_ids)}
+    ci = {c: i for i, c in enumerate(col_ids)}
+    mat = np.full((len(row_ids), len(col_ids)), np.nan)
+    for r, c, v in entries:
+        mat[ri[r], ci[c]] = v
+    return row_ids, col_ids, mat
 
 
 _NAN_PAYLOADS = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(float)
@@ -97,6 +117,44 @@ def _writer_oracle_cases():
     return cases
 
 
+# Distance-matrix CSVs with their outcome: the parsed matrix, or a fragment of
+# the refusal's message (the CLI exits 2). Every outcome but the digit
+# separator's is the former csv.reader and float() loader's, which accepted
+# 1_0 as 10; some messages differ.
+_LOADER_CASES = {
+    "plain": ("a,b\n0,1.5\n1.5,0\n", [[0.0, 1.5], [1.5, 0.0]]),
+    "padded_spaces": ("a, b\n 0 , 1.5\n1.5 ,\t0 \n", [[0.0, 1.5], [1.5, 0.0]]),
+    "quoted_cells": ('a,b\n"0","1.5"\n1.5,"0"\n', [[0.0, 1.5], [1.5, 0.0]]),
+    "crlf": ("a,b\r\n0,1.5\r\n1.5,0\r\n", [[0.0, 1.5], [1.5, 0.0]]),
+    "exponent_and_signs": ("a,b\n-0,15E-1\n+1.5e0,0.\n", [[-0.0, 1.5], [1.5, 0.0]]),
+    "nan": ("a,b\n0,nan\nnan,0\n", "NaN distances"),
+    "empty_field": ("a,b\n0,\n1.5,0\n", "non-numeric entry"),
+    "ragged_row": ("a,b\n0,1.5,2\n1.5,0\n", "non-numeric entry"),
+    "hash_in_cell": ("a,b\n0,1.5#\n1.5,0\n", "non-numeric entry"),
+    "hex_float": ("a,b\n0,0x1.8p0\n1.5,0\n", "non-numeric entry"),
+    "non_numeric": ("a,b\n0,x\n1.5,0\n", "non-numeric entry"),
+    "header_only": ("a,b\n", "expected 2 matrix rows, found 0"),
+    "empty_file": ("", "empty file"),
+    "body_2x3": ("a,b\n0,1.5,2\n1.5,0,2\n", "must be square"),
+    # loadtxt skips blank lines; csv.reader counted them as rows
+    "blank_line_middle": ("a,b\n0,1.5\n\n1.5,0\n", "expected 2 matrix rows, found 3"),
+    "blank_line_end": ("a,b\n0,1.5\n1.5,0\n\n", "expected 2 matrix rows, found 3"),
+    # a blank line in place of a row (csv.reader gave a ragged matrix)
+    "blank_first_row": ("a,b\n\n1.5,0\n", "blank line in the matrix"),
+    "blank_last_row": ("a,b\n0,1.5\n\r\n", "blank line in the matrix"),
+    # float() read 1_0 as 10; loadtxt refuses it
+    "digit_separator": ("a,b\n0,1_0\n1_0,0\n", "non-numeric entry"),
+}
+
+
+def reference_load_distance_matrix(path: Path) -> np.ndarray:
+    """The matrix of a distance-matrix CSV cell by cell, with csv.reader and
+    float(): the loader's former code."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return np.array([[float(c) for c in row] for row in rows[1:]])
+
+
 class TestFormats:
     @pytest.mark.parametrize("case", sorted(_writer_oracle_cases()))
     @pytest.mark.parametrize("label_cols", [False, True])
@@ -125,6 +183,56 @@ class TestFormats:
         space = FiniteLengthSpace(("a", 7), np.array([[0.0, 0.1 + 0.2], [0.30000000000000004, -0.0]]))
         save_distance_matrix_csv(tmp_path / "m.csv", space)
         assert (tmp_path / "m.csv").read_bytes() == b"a,7\n0,0.30000000000000004\n0.30000000000000004,-0\n"
+
+    @pytest.mark.parametrize("case", sorted(_LOADER_CASES))
+    def test_distance_matrix_loader_cases(self, case, tmp_path):
+        text, want = _LOADER_CASES[case]
+        (tmp_path / "m.csv").write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            # loadtxt warns on a body with no rows; the loader must not call it so
+            warnings.simplefilter("error")
+            if isinstance(want, str):
+                with pytest.raises(InvalidInputError, match=want):
+                    load_distance_matrix_csv(tmp_path / "m.csv")
+            else:
+                got = load_distance_matrix_csv(tmp_path / "m.csv").dist
+                assert got.tobytes() == np.array(want).tobytes()
+        cfg = {"command": "validate", "inputs": {"space": "m.csv"}, "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == (2 if isinstance(want, str) else 0)
+
+    @pytest.mark.parametrize("style", ["fmt", "repr", "quoted_crlf"])
+    def test_distance_matrix_loader_matches_float(self, style, tmp_path):
+        # 17-digit, shortest-repr and quoted CRLF cells, with signed zeros,
+        # subnormals and infinite distances between components
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, 1e3, 40) * 10.0 ** rng.integers(-320, 3, 40)
+        mat = np.abs(x[:, None] - x[None, :])
+        mat[:3, 3:] = mat[3:, :3] = math.inf
+        mat[0, 0] = -0.0
+        cell = {"fmt": fmt, "repr": lambda v: repr(float(v)), "quoted_crlf": lambda v: f'"{fmt(v)}"'}[style]
+        end = "\r\n" if style == "quoted_crlf" else "\n"
+        text = ",".join(map(str, range(40))) + end
+        text += "".join(",".join(map(cell, row)) + end for row in mat)
+        (tmp_path / "m.csv").write_bytes(text.encode("utf-8"))
+        got = load_distance_matrix_csv(tmp_path / "m.csv").dist
+        assert got.tobytes() == reference_load_distance_matrix(tmp_path / "m.csv").tobytes()
+        assert got.tobytes() == mat.tobytes()
+
+    def test_distance_matrix_loads_within_three_matrices(self, tmp_path):
+        # csv.reader held one str per cell, 14 times the matrix at 300 points;
+        # loadtxt parses the lines into the array as they pass
+        x = np.sort(np.random.default_rng(5).random(300))
+        space = FiniteLengthSpace(tuple(range(300)), np.abs(x[:, None] - x[None, :]))
+        save_distance_matrix_csv(tmp_path / "m.csv", space)
+        tracemalloc.start()
+        try:
+            back = load_distance_matrix_csv(tmp_path / "m.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * space.dist.nbytes
+        assert back.dist.tobytes() == space.dist.tobytes()
 
     def test_edge_list(self, tmp_path):
         write(tmp_path / "e.csv", "src,dst,weight\n0,1,1.0\n1,2,0.5\n")

@@ -254,6 +254,42 @@ class TestThresholdTables:
             assert got.dtype == exp.dtype
             assert np.array_equal(got, exp)
 
+    @pytest.mark.parametrize("n_t", [12, 40, 200, 400])
+    @pytest.mark.parametrize(
+        "fiber",
+        [path_space(33, 1.0), circle_space(20, 1.0), tripod_space(6, 0.3), CLOUD, None],
+        ids=["path", "circle", "tripod", "random", "gap-distances"],
+    )
+    @pytest.mark.parametrize(
+        "warping",
+        [
+            WarpingFunction.constant(1.0, IV),
+            WarpingFunction.affine(1.0, 1.5, IV),
+            WarpingFunction.exponential(1.0, -2.0, IV),
+            WarpingFunction.cosh_type(1.0, 1.2, IV),
+        ],
+        ids=["constant", "affine", "exponential", "cosh"],
+    )
+    def test_tables_equal_the_per_level_loop(self, fiber, warping, n_t):
+        # 401 levels take several blocks of levels under _GATHER_CAP entries
+        if fiber is None:
+            # distances equal to |G_i - G_0| + slack as the tables compute
+            # it: those pairs are causal, which a strict comparison would
+            # lose. d(0, j) is the j-th gap and d(i, j) the larger of two
+            # gaps, a metric; it stays under G's range, so the slack holds
+            probe = ConeGrid(IV, path_space(2, 0.5), warping, n_t)
+            gaps = np.abs(probe.g_levels - probe.g_levels[0]) + probe.causal_slack
+            gaps = gaps[[n_t // 6, n_t // 3, n_t // 2]]
+            d = np.zeros((4, 4))
+            d[0, 1:] = d[1:, 0] = gaps
+            d[1:, 1:] = np.maximum.outer(gaps, gaps) * (1.0 - np.eye(3))
+            fiber = FiniteLengthSpace(tuple(range(4)), d)
+            assert ConeGrid(IV, fiber, warping, n_t).causal_slack == probe.causal_slack
+        g = ConeGrid(IV, fiber, warping, n_t)
+        for got, exp in zip(expanded_tables(g), reference_tables(g)):
+            assert got.dtype == exp.dtype
+            assert np.array_equal(got, exp)
+
     @pytest.mark.parametrize(
         "fiber",
         [path_space(33, 1.0), circle_space(20, 1.0), tripod_space(6, 0.3), CLOUD],
