@@ -41,7 +41,6 @@ def main() -> None:
         n_triangles=4,
         n_probe=4,
         tol=0.25,
-        side_cap=2.0,
     )
     rows += rows_from(flat, "flat-product")
 

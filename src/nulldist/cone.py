@@ -518,9 +518,7 @@ def all_grid_points(grid: ConeGrid) -> list[tuple[int, int]]:
     return [(i, j) for i in range(grid.n_levels) for j in range(grid.m)]
 
 
-def stratified_sources(
-    grid: ConeGrid, max_entries: float = PAIR_BUDGET, seed: int = 0
-) -> list[tuple[int, int]]:
+def stratified_sources(grid: ConeGrid, max_entries: float, seed: int) -> list[tuple[int, int]]:
     """Deterministic stratified source sample: all pairs from these rows stay
     below `max_entries` checked entries. Strata cover both endpoints and the
     interior of the t-grid and of the fiber."""

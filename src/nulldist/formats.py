@@ -7,9 +7,9 @@ distinct values with one sort and each entry's by a binary search, each
 distinct value is formatted once, and the bytes equal per-entry `.17g`
 formatting. A distance-matrix CSV is read with csv.reader for its header
 and numpy's C parser (np.loadtxt) for the numbers.
-JSON documents (reports, manifests, pre-length spaces) are written by one
-writer with sorted keys; non-finite floats become the strings "inf", "-inf"
-and "nan".
+JSON reports and manifests are written by one writer with sorted keys;
+non-finite floats become the strings "inf", "-inf" and "nan", which the
+pre-length-space reader parses back as floats.
 """
 
 from __future__ import annotations
@@ -154,19 +154,6 @@ def load_cone_json(path: PathLike) -> ConeGrid:
 
 # ---------------------------------------------------------------------------
 # discrete pre-length spaces
-
-
-def save_pls_json(path: PathLike, space: DiscretePreLengthSpace, tau=None) -> None:
-    doc = {
-        "points": list(space.base.point_ids),
-        "dist": space.base.dist,
-        "causal": space.causal.astype(int),
-        "chrono": space.chrono.astype(int),
-        "rho": space.rho,
-    }
-    if tau is not None:
-        doc["tau"] = list(map(float, tau))
-    write_report_json(path, doc)
 
 
 def load_pls_json(path: PathLike):

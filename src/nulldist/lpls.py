@@ -281,16 +281,24 @@ def _link_layers(causal: np.ndarray, tau: np.ndarray) -> tuple:
     up, down = strict & rises, strict & rises.T
     kept = (up & ~_compose(up, up)) | (down & ~_compose(down, down))
     arcs = (kept | kept.T) & rises
+    layers = _kahn_layers(arcs)
+    order = np.concatenate([np.empty(0, dtype=np.intp), *layers])
+    ends = np.cumsum([0] + [layer.size for layer in layers]).tolist()
+    return order, list(zip(ends[:-1], ends[1:])), arcs[np.ix_(order, order)]
+
+
+def _kahn_layers(arcs: np.ndarray) -> list:
+    """Kahn layers of the relation `arcs`: each round takes the points of
+    in-degree 0 left, in index order, and removes their arcs. On a cycle the
+    layers hold fewer than n points."""
     indeg = arcs.sum(axis=0)
-    left = np.ones(n, dtype=bool)
+    left = np.ones(arcs.shape[0], dtype=bool)
     layers = []
     while (layer := np.flatnonzero(left & (indeg == 0))).size:
         left[layer] = False
         indeg -= arcs[layer].sum(axis=0)
         layers.append(layer)
-    order = np.concatenate([np.empty(0, dtype=np.intp), *layers])
-    ends = np.cumsum([0] + [layer.size for layer in layers]).tolist()
-    return order, list(zip(ends[:-1], ends[1:])), arcs[np.ix_(order, order)]
+    return layers
 
 
 def _sweep(val: np.ndarray, rising: list, falling: list) -> None:
@@ -506,16 +514,8 @@ def rho_length_and_time_separation(
         i, j = map(int, np.argwhere(causal & causal.T)[0])
         raise InvalidInputError(f"causal cycle between {i} and {j}")
     n = space.n
-    # Kahn layers: each round takes the points of in-degree 0 left, in index
-    # order, and removes their edges
-    indeg = causal.sum(axis=0)
-    left = np.ones(n, dtype=bool)
-    order: list[int] = []
-    while (layer := np.flatnonzero(left & (indeg == 0))).size:
-        left[layer] = False
-        indeg -= causal[layer].sum(axis=0)
-        order.extend(layer.tolist())
-    if left.any():
+    order = [v for layer in _kahn_layers(causal) for v in layer.tolist()]
+    if len(order) < n:
         raise InvalidInputError("causal relation contains a cycle")
     # row s holds the longest chains from s, -inf where no chain reaches; a
     # column is final once its node comes up in topological order, and every

@@ -79,7 +79,7 @@ def circle_space(n_points: int, circumference: float = 1.0) -> FiniteLengthSpace
     return FiniteLengthSpace(tuple(range(n_points)), dist.astype(float), "matrix-input")
 
 
-def tripod_space(leg_points: int, leg_length: float = 1.0) -> FiniteLengthSpace:
+def tripod_space(leg_points: int, leg_length: float) -> FiniteLengthSpace:
     """Three segments of equal length glued at a hub.
 
     Point 0 is the hub; leg k occupies indices [1 + k*leg_points,
@@ -274,18 +274,6 @@ class Correspondence:
         if not all(0 <= i < n_a for i in left) or not all(0 <= j < n_b for j in right):
             raise InvalidInputError("correspondence index out of range")
         return left == set(range(n_a)) and right == set(range(n_b))
-
-
-def all_correspondences(n_a: int, n_b: int) -> Iterator[Correspondence]:
-    """Every correspondence between index sets (exhaustive; tiny inputs only)."""
-    if n_a * n_b > 12:
-        raise SizeBoundError("full enumeration limited to |A|*|B| <= 12")
-    cells = list(itertools.product(range(n_a), range(n_b)))
-    for mask in range(1, 1 << len(cells)):
-        pairs = tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
-        corr = Correspondence(pairs)
-        if corr.is_valid_for(n_a, n_b):
-            yield corr
 
 
 def distortion(corr: Correspondence, a: FiniteLengthSpace, b: FiniteLengthSpace) -> float:

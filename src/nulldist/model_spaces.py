@@ -94,12 +94,9 @@ def comparison_angle_many(
 # Lorentzian model planes
 
 
-def _form(K: float) -> np.ndarray:
-    return np.diag([-1.0, 1.0, 1.0]) if K > 0 else np.diag([-1.0, -1.0, 1.0])
-
-
 def _inner(K: float, p: np.ndarray, q: np.ndarray) -> float:
-    g = np.diagonal(_form(K))
+    # the signature of the ambient form: (-, +, +) for K > 0, (-, -, +) else
+    g = np.array((-1.0, 1.0, 1.0) if K > 0 else (-1.0, -1.0, 1.0))
     return float(np.sum(g * p * q))
 
 

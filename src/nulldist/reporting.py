@@ -67,7 +67,7 @@ class GuaranteeReport:
     def ok(self) -> bool:
         return all(len(v) == 0 for v in self.violations.values())
 
-    def record(self, name: str, margin: float, witness: Optional[Any] = None) -> None:
+    def record(self, name: str, margin: float, witness: Optional[Any]) -> None:
         prev = self.worst.get(name)
         if prev is None or margin < prev:
             self.worst[name] = float(margin)

@@ -1,16 +1,19 @@
+import itertools
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
 
 from nulldist import (
+    Correspondence,
     DiscretePreLengthSpace,
     FiniteLengthSpace,
     Interval,
     WarpingFunction,
 )
 from nulldist.cone import _level_step_weights
+from nulldist.formats import write_report_json
 from nulldist.metric_core import distortion
 
 
@@ -47,6 +50,33 @@ def random_pre_length_space(n: int, seed: int) -> tuple[DiscretePreLengthSpace, 
     pos[order] = np.arange(n)
     tau = pos + rng.uniform(0.0, 0.45, n)
     return DiscretePreLengthSpace(base, causal, chrono, rho_mat), tau
+
+
+def save_pls_json(path, space: DiscretePreLengthSpace, tau=None) -> None:
+    """A pre-length-space document as `load_pls_json` reads it, with tau
+    when given."""
+    doc = {
+        "points": list(space.base.point_ids),
+        "dist": space.base.dist,
+        "causal": space.causal.astype(int),
+        "chrono": space.chrono.astype(int),
+        "rho": space.rho,
+    }
+    if tau is not None:
+        doc["tau"] = list(map(float, tau))
+    write_report_json(path, doc)
+
+
+def all_correspondences(n_a: int, n_b: int) -> Iterator[Correspondence]:
+    """Every correspondence between index sets: the brute-force reference of
+    the exact GH distance (tiny inputs only)."""
+    assert n_a * n_b <= 12, "full enumeration limited to |A|*|B| <= 12"
+    cells = list(itertools.product(range(n_a), range(n_b)))
+    for mask in range(1, 1 << len(cells)):
+        pairs = tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
+        corr = Correspondence(pairs)
+        if corr.is_valid_for(n_a, n_b):
+            yield corr
 
 
 @pytest.fixture

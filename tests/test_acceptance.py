@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 import nulldist as nd
-from conftest import dense_lift_distortion, lifted_product_space, random_pre_length_space
+from conftest import (
+    all_correspondences,
+    dense_lift_distortion,
+    lifted_product_space,
+    random_pre_length_space,
+)
 from nulldist import (
     ConeGrid,
     Interval,
@@ -23,7 +28,6 @@ from nulldist import (
 from nulldist.cone import stratified_sources
 from nulldist.curvature import _triangle_from_vertices
 from nulldist.lpls import DiscretePreLengthSpace
-from nulldist.metric_core import all_correspondences
 
 IV = Interval(0.0, 1.0)
 PAIR_BUDGET = 1_000_000

@@ -1,23 +1,24 @@
-"""The surface of the library: every parameter with a default, and every
-name the package exports.
+"""The surface of the library: every parameter with a default, every
+name the package exports, and a caller for every public module-level name.
 
 Read from the sources with `ast`, without importing the package. An option
 is a parameter that some caller outside the tests varies: library, CLI,
 script or benchmark code. A parameter that only tests set is a constant, and
 a default that no caller reads goes. A new option needs a deliberate edit of
 PINNED below. A new export, or one that no code uses any more, needs a
-deliberate edit of EXPORTS.
+deliberate edit of EXPORTS. A public function or class that is neither
+exported nor named by library, script or benchmark code is a test helper,
+and lives in the tests.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nulldist"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nulldist"
 
 PINNED = {
     ("cli", "main", "argv"),
-    ("cone", "stratified_sources", "max_entries"),
-    ("cone", "stratified_sources", "seed"),
     ("cone", "null_distance", "sources"),
     ("cone", "null_distance", "weight_levels"),
     ("cone", "time_separation", "sources"),
@@ -31,13 +32,10 @@ PINNED = {
     ("curvature", "persistence_experiment", "warping_limit"),
     ("curvature", "persistence_experiment", "k_primes"),
     ("curvature", "persistence_experiment", "k_prime"),
-    ("formats", "save_pls_json", "tau"),
     ("metric_core", "path_space", "length"),
     ("metric_core", "circle_space", "circumference"),
-    ("metric_core", "tripod_space", "leg_length"),
     ("metric_core", "quadruple_curvature_check", "tol"),
     ("reporting", "ValidationReport.add", "detail"),
-    ("reporting", "GuaranteeReport.record", "witness"),
     ("warping", "WarpingFunction.tabulated", "domain"),
     ("warping", "WarpingFunction.critical_points", "interval"),
     ("warping", "WarpingFunction.extrema", "interval"),
@@ -119,3 +117,39 @@ def test_exports_are_pinned():
         elif isinstance(node, ast.Assign):
             assert all(t.id.startswith("_") for t in node.targets), "exports come from modules"
     assert found == EXPORTS, "exports changed: edit the pin deliberately"
+
+
+def named(node: ast.AST) -> set:
+    """The names a node refers to: bare names, attributes and imports. A
+    string (a docstring included) names nothing."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rpartition(".")[2])
+    return out
+
+
+def test_library_functions_have_a_caller():
+    # the callers: library, scripts and benchmark, each top-level statement
+    # apart, so that a definition's own body does not count as its caller
+    statements = []
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py")
+    ):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            statements.append((path, node, named(node)))
+    uncalled = []
+    for path, node, _ in statements:
+        if path.parent != SRC or path.stem == "__init__":
+            continue
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") or node.name in EXPORTS.get(path.stem, ()):
+            continue
+        if not any(node.name in names for _, other, names in statements if other is not node):
+            uncalled.append(f"{path.stem}.{node.name}")
+    assert uncalled == [], f"no caller outside the tests, move them into the tests: {uncalled}"

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import save_pls_json
 from nulldist import FiniteLengthSpace, path_space, time_separation
 from nulldist import cli, curvature
 from nulldist.cli import main
@@ -916,7 +917,7 @@ class TestDeterminism:
 class TestPreLengthIO:
     def test_pls_roundtrip_and_validate(self, tmp_path):
         from conftest import random_pre_length_space
-        from nulldist.formats import load_pls_json, save_pls_json
+        from nulldist.formats import load_pls_json
 
         space, tau = random_pre_length_space(6, 11)
         save_pls_json(tmp_path / "pls.json", space, tau)
@@ -938,7 +939,6 @@ class TestPreLengthIO:
 
     def test_nan_tau_is_no_time_function(self, tmp_path):
         from nulldist import DiscretePreLengthSpace
-        from nulldist.formats import save_pls_json
 
         base = FiniteLengthSpace((0, 1, 2), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
         causal = np.triu(np.ones((3, 3), dtype=bool))
@@ -956,7 +956,6 @@ class TestPreLengthIO:
     def test_tau_of_wrong_length_exits_two(self, tmp_path, capsys):
         # numpy's broadcast error used to reach the user, naming no input
         from nulldist import DiscretePreLengthSpace
-        from nulldist.formats import save_pls_json
 
         base = FiniteLengthSpace((0, 1, 2), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
         causal = np.triu(np.ones((3, 3), dtype=bool))
@@ -971,7 +970,6 @@ class TestPreLengthIO:
     def test_null_tau_is_malformed_but_nan_is_no_time_function(self, tmp_path, capsys, entry, status):
         # numpy reads a JSON null as NaN; only an explicit "nan" is a value
         from nulldist import DiscretePreLengthSpace
-        from nulldist.formats import save_pls_json
 
         base = FiniteLengthSpace((0, 1, 2), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
         causal = np.triu(np.ones((3, 3), dtype=bool))
@@ -994,7 +992,7 @@ class TestPreLengthIO:
         # a two-component space: dist, rho and tau entries of inf are
         # written as "inf" and read back
         from nulldist import DiscretePreLengthSpace
-        from nulldist.formats import load_pls_json, save_pls_json
+        from nulldist.formats import load_pls_json
 
         inf = math.inf
         base = FiniteLengthSpace(("p", "q", "r"), np.array([[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]))
@@ -1013,7 +1011,7 @@ class TestPreLengthIO:
 
     def test_pls_infinite_rho_roundtrip(self, tmp_path):
         from nulldist import DiscretePreLengthSpace, FiniteLengthSpace
-        from nulldist.formats import load_pls_json, save_pls_json
+        from nulldist.formats import load_pls_json
 
         base = FiniteLengthSpace((0, 1), np.array([[0.0, 1.0], [1.0, 0.0]]))
         causal = np.array([[True, True], [False, True]])
@@ -1028,7 +1026,6 @@ class TestPreLengthIO:
         # "inf" stands for an infinite separation; other floats, signed
         # zeros included, are written as json writes them
         from nulldist import DiscretePreLengthSpace, FiniteLengthSpace
-        from nulldist.formats import save_pls_json
 
         base = FiniteLengthSpace((0, 1, 2), np.array([[0.0, 1.0, 2.5], [1.0, 0.0, 1.5], [2.5, 1.5, 0.0]]))
         causal = np.triu(np.ones((3, 3), dtype=bool))

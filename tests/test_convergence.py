@@ -14,15 +14,11 @@ from nulldist import (
     sup_norm,
     uniform_total_boundedness,
 )
-from conftest import dense_lift_distortion, lifted_product_space
+from conftest import all_correspondences, dense_lift_distortion, lifted_product_space
 from nulldist.cone import null_distance, stratified_sources
 from nulldist.convergence import PAIR_BUDGET
 from nulldist.errors import InvalidInputError
-from nulldist.metric_core import (
-    FiniteLengthSpace,
-    all_correspondences,
-    gh_distance_exact,
-)
+from nulldist.metric_core import FiniteLengthSpace, gh_distance_exact
 
 IV = Interval(0.0, 1.0)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_correspondences
 from nulldist import (
     Correspondence,
     FiniteLengthSpace,
@@ -30,7 +31,6 @@ from nulldist.metric_core import (
     QUADRUPLE_SAMPLE_CAP,
     QuadrupleVerdict,
     _monotone_runs,
-    all_correspondences,
     verify_net,
 )
 from nulldist.model_spaces import comparison_angle_many
