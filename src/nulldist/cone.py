@@ -62,6 +62,17 @@ val[j, c'] - pi[j], which may differ from the dropped P[T'(k, a, c), c] by
 an ulp when the sums are not exact, so rows can move by ulps against a full
 gather; on dyadic grids every sum is exact and the rows are bitwise equal.
 
+The index is a function of the sweep table and the pair classes, so when
+the time-reversed table equals the forward one, as on every constant
+warping over the uniform t-grid (every product cone), both directions read
+the forward index and the reversed one is not built; the cached index
+arrays are read-only, so neither direction can change the other's. The
+start values, the weight gap on each source's causal points (the test of
+`ConeGrid._causal`, which `causal_row` makes too), are written in blocks
+of levels x every source of a chunk, sources last as in the swept values,
+so each block is one contiguous write; finished rows are copied out in
+blocks of points, each a transposed tile that stays in cache.
+
 An ascending pass leaves every future-directed edge relaxed and a descending
 pass every past-directed one, so a pass that changes nothing certifies the
 fixed point when it runs right after a pass of the other direction, on the
@@ -76,8 +87,9 @@ one. Each batch keeps its own stop rule and count: the quiet-pass test is
 reduced to one flag per batch, and a batch that stops leaves the chunk, the
 others going on without its columns. Every step acts on each column alone
 (gathers along the levels, minima over gathered rows, elementwise sums),
-and a band-closure round that leaves a column unchanged leaves it unchanged
-in every later round, so each batch ends bitwise as it would alone.
+and a band-closure step after the first that leaves a column unchanged
+leaves it unchanged in every later step, so each batch ends bitwise as it
+would alone.
 
 A pass pair finds one turn of a path, so a minimizer that zigzags between
 two adjacent levels, as minimizers of a nonlinear time function phi do where
@@ -87,18 +99,22 @@ joins the two levels and costs pi[k+1] - pi[k], so closing the band is a
 shortest path over its edges, the fiber pairs causal across the step (the
 leading rows of the move index the time-separation DP reads), from the
 band's current values. Band by band, the closure relaxes every edge into the
-lower level, then into the higher one, until a round changes nothing.
-Round r reaches every path of up to 2r - 1 edges, and a shortest path on the
-band's 2m points has at most 2m - 1, so m rounds bound the loop. It is
-exact: every value it writes is the cost of a path of causal edges, so no
-value drops below the null distance. It runs once, after the fourth pass, so
-runs that settle sooner, such as phi = t or phi = 2t + 5 on a product cone,
-keep their arithmetic bit for bit; bands with self edges only (depth 1) are
-skipped, since the passes already close them. The closure
-lowers values on both levels of a band, and past-directed edges from those
-values are relaxed only by a descending pass, so the ascending pass right
-after it certifies nothing: such runs stop at the sixth pass at the
-earliest.
+lower level, then every edge into the higher one, and so on by turns. After
+step s every path of up to s - 1 edges is reached, and a shortest path on
+the band's 2m points has at most 2m - 1, so 2m steps bound the loop. It
+stops at the first step after the first that changes nothing, the passes'
+certificate on two levels: the quiet step leaves its level as the step
+before read it, so the next step would relax the same edges from the same
+values again. It ends bitwise where whole rounds of both steps, run until a
+round changes nothing, would end. It is exact: every value it writes is the
+cost of a path of causal edges, so no value drops below the null distance.
+It runs once, after the fourth pass, so runs that settle sooner, such as
+phi = t or phi = 2t + 5 on a product cone, keep their arithmetic bit for
+bit; bands with self edges only (depth 1) are skipped, since the passes
+already close them. The closure lowers values on both levels of a band,
+and past-directed edges from those values are relaxed only by a descending
+pass, so the ascending pass right after it certifies nothing: such runs
+stop at the sixth pass at the earliest.
 """
 
 from __future__ import annotations
@@ -118,7 +134,11 @@ from .warping import Interval, WarpingFunction
 DEFAULT_N_T = 200  # t-steps of a cone document that gives no n_t
 PAIR_BUDGET = 1_000_000  # checked entries a source sample stays under
 _TABLE_CAP = 3e8  # levels x fiber pairs: cover-index pair-class work and int32 flat indices
-_GATHER_CAP = 1 << 16  # entries per block: time-separation columns, band points, checked rows, CSV rows
+# entries per block: time-separation columns, band points, checked rows, CSV
+# rows and the sweeps' start values (levels x a chunk's sources); the sweeps
+# copy finished rows out in blocks of _GATHER_CAP // 16 values (32 KB), a
+# transposed tile that stays in cache
+_GATHER_CAP = 1 << 16
 _CHUNK_CAP = 1 << 18  # null-distance values swept side by side: whole batches, at least one
 _BATCH = 64  # sources per null-distance sweep batch
 CHRONOLOGICAL, CAUSAL, NONE = "chronological", "causal", "none"
@@ -208,7 +228,12 @@ class ConeGrid:
         """Boolean (n_levels, m) array: points causally comparable with (i, j)
         in either time direction. Arrays of levels i and fibers j of shape
         (b,) give the (b, n_levels, m) stack of their rows."""
-        return self.fiber.dist[j][..., None, :] <= _level_gaps(self.g_levels, i) + self.causal_slack
+        return self._causal(self.fiber.dist[j][..., None, :], _level_gaps(self.g_levels, i))
+
+    def _causal(self, d: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """The causal test of fiber distances d against G-gaps |G_k - G_i|,
+        broadcast together: causal_row's, and the sweeps' start values'."""
+        return d <= gaps + self.causal_slack
 
     def chronological_row(self, i, j) -> np.ndarray:
         """Boolean (n_levels, m) array: points in the chronological future of
@@ -275,7 +300,13 @@ class ConeGrid:
                 )
             up, rev, inv = self._level_tables()
             classes = self._pair_classes(inv)
-            self._cover = tuple(self._cover_levels(t, *classes) for t in (up, rev))
+            fwd = self._cover_levels(up, *classes)
+            # the index is a function of the table and the classes, so a
+            # time-symmetric grid's reversed index is the forward one
+            back = fwd if np.array_equal(up, rev) else self._cover_levels(rev, *classes)
+            for idx in itertools.chain(fwd, back):
+                idx.flags.writeable = False  # shared, so no direction may write it
+            self._cover = (fwd, back)
         return self._cover
 
     def _relays(self) -> np.ndarray:
@@ -595,16 +626,20 @@ def _sweep_rows(
     # last m rows stay +inf for the cover index's padding; a view of one
     # buffer, narrowed with val as batches stop
     buf = np.empty((n_lv + 1) * m * b)
-    # the start values, the weight gap on the points causal to the source,
-    # written in blocks of sources whose causal masks hold _GATHER_CAP entries
-    val = np.full((n_lv, m, b), np.inf)
+    # the start values, the weight gap on the points causal to the source and
+    # +inf elsewhere, written in blocks of levels x every source, sources
+    # last as in val, so each block is contiguous; a block's causal mask
+    # holds _GATHER_CAP entries, at least one level
+    val = np.empty((n_lv, m, b))
     src = np.array(sources, dtype=int).reshape(-1, 2)
-    block = max(1, _GATHER_CAP // grid.n_points)
-    for lo in range(0, b, block):
-        levels, fibers = src[lo : lo + block].T
-        causal = grid.causal_row(levels, fibers).transpose(1, 2, 0)
-        np.copyto(val[:, :, lo : lo + block], _level_gaps(pi, levels).transpose(1, 2, 0), where=causal)
-    val[src[:, 0], src[:, 1], np.arange(b)] = 0.0
+    levels, dists = src[:, 0], grid.fiber.dist[src[:, 1]].T  # d(x_s, c) at [c, s]
+    block = max(1, _GATHER_CAP // (m * b))
+    for k0 in range(0, n_lv, block):
+        k = slice(k0, k0 + block)
+        causal = grid._causal(dists, np.abs(grid.g_levels[k, None, None] - grid.g_levels[levels]))
+        val[k] = np.abs(pi[k, None, None] - pi[levels])
+        np.putmask(val[k], ~causal, np.inf)
+    val[levels, src[:, 1], np.arange(b)] = 0.0
     # Gauss-Seidel passes reassociate sums, so late iterations can keep
     # shaving single ulps; improvements below this threshold do not count
     # as progress (they are still applied). Scales exactly with the weights,
@@ -644,7 +679,11 @@ def _sweep_rows(
         stop = quiet > 0
         for s, o, q in zip(batches[stop], offsets[stop], quiet[stop]):
             width = min(_BATCH, b - s)
-            out[s : s + width] = val[:, :, o : o + width].reshape(n_lv * m, width).T
+            done = val[:, :, o : o + width].reshape(n_lv * m, width)
+            # transposed in blocks of points, _GATHER_CAP // 16 values each
+            tile = max(1, _GATHER_CAP // (16 * width))
+            for lo in range(0, n_lv * m, tile):
+                out[s : s + width, lo : lo + tile] = done[lo : lo + tile].T
             sweeps[s // _BATCH] = p // 2 if q == 2 else (p + 2) // 2
         if stop.all():
             return sweeps
@@ -689,12 +728,13 @@ def _ascend(
 
 def _close_bands(grid: ConeGrid, val: np.ndarray, pi: np.ndarray) -> None:
     """Close each band k, k+1 of val, in ascending order, by shortest paths
-    over its edges of cost pi[k+1] - pi[k] (module docstring): a round
-    relaxes every edge into level k, then every edge into level k + 1. The
-    band's graph is the move index's first depth[k] rows, the entries past
-    the finite prefix of the step's table row padded with their column's
-    point. The gathers run in blocks of band points, each under _GATHER_CAP
-    entries unless one point's neighbours over all columns exceed it."""
+    over its edges of cost pi[k+1] - pi[k] (module docstring): steps relax
+    every edge into level k, then every edge into level k + 1, by turns,
+    until a step after the first changes nothing. The band's graph is the
+    move index's first depth[k] rows, the entries past the finite prefix of
+    the step's table row padded with their column's point. The gathers run
+    in blocks of band points, each under _GATHER_CAP entries unless one
+    point's neighbours over all columns exceed it."""
     m, b = grid.m, val.shape[2]
     moves, du, depth, _, table = grid._move_index()
     n_dist = np.isfinite(table).sum(axis=1)
@@ -704,16 +744,17 @@ def _close_bands(grid: ConeGrid, val: np.ndarray, pi: np.ndarray) -> None:
         nbrs = np.where(du[:deg] < n_dist[k], moves[:deg], np.arange(m, dtype=np.int32))
         step = pi[k + 1] - pi[k]
         block = max(1, _GATHER_CAP // (nbrs.shape[0] * b))  # band points per block
-        for _ in range(m):
+        ends = ((val[k + 1], val[k]), (val[k], val[k + 1]))  # (src, dst) of each step
+        for s in range(2 * m):
+            src, dst = ends[s % 2]
             changed = False
-            for src, dst in ((val[k + 1], val[k]), (val[k], val[k + 1])):
-                for lo in range(0, m, block):
-                    cand = src.take(nbrs[:, lo : lo + block], axis=0).min(axis=0)
-                    cand += step
-                    out = dst[lo : lo + block]
-                    changed |= (cand < out).any()
-                    np.minimum(out, cand, out=out)
-            if not changed:
+            for lo in range(0, m, block):
+                cand = src.take(nbrs[:, lo : lo + block], axis=0).min(axis=0)
+                cand += step
+                out = dst[lo : lo + block]
+                changed |= (cand < out).any()
+                np.minimum(out, cand, out=out)
+            if s and not changed:
                 break
 
 

@@ -120,14 +120,16 @@ def sample_timelike_triangles(
         return row_cache[p]
 
     def admit(x: tuple, y: tuple, z: tuple) -> None:
+        # the sides are the raw rows' entries, so the sign and size tests
+        # need no path: only a triangle that passes both is read back
         nonlocal filtered
-        tri = _triangle(grid, x, y, z, rho_row)
-        if tri is None:
+        sides = [rho_row(p)[grid.node(*q)] for p, q in ((x, y), (y, z), (x, z))]
+        if min(sides) <= 0:  # -inf off the future: _triangle returns None
             return
-        if max(tri.a, tri.b, tri.c) >= size_bound:
+        if max(sides) >= size_bound:
             filtered += 1
             return
-        triangles.append(tri)
+        triangles.append(_triangle(grid, x, y, z, rho_row))
 
     # extremal seeds first: vertices spread across the fiber catch branching
     # geometry that uniform sampling tends to miss

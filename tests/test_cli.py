@@ -492,9 +492,10 @@ class TestCommands:
         n_dist = np.unique(load_distance_matrix_csv(tmp_path / "fiber.csv").dist).size
         assert n_dist == 9
         assert rep.get("table_bytes") == (None if sweeps is None else 2 * 9 * n_dist * 2)
-        # both int32 cover indices over 9 fiber points: one padding row on
-        # level 0, the pairs (a, a) and (a, a +- 1) on each of the 8 above
-        assert rep.get("cover_index_bytes") == (None if sweeps is None else 2 * (1 + 8 * 3) * 9 * 4)
+        # one int32 cover index over 9 fiber points, which the constant
+        # warping's two time directions share: one padding row on level 0,
+        # the pairs (a, a) and (a, a +- 1) on each of the 8 above
+        assert rep.get("cover_index_bytes") == (None if sweeps is None else (1 + 8 * 3) * 9 * 4)
 
     def test_nulldist_builds_the_sweep_tables_once(self, tmp_path, monkeypatch):
         # the report's table_bytes used to build both sweep tables again; the

@@ -11,6 +11,7 @@ import pytest
 from conftest import reference_time_separation_path
 
 import nulldist
+from nulldist import cone
 from nulldist import (
     ConeGrid,
     DiscretePreLengthSpace,
@@ -616,6 +617,50 @@ def reference_close_bands(grid, val, pi):
         band[:, cols] = closed
 
 
+def round_loop_close_bands(grid, val, pi):
+    """_close_bands with its former stop rule: whole rounds, a step into
+    level k then one into level k + 1, until a whole round changes nothing."""
+    m, b = grid.m, val.shape[2]
+    moves, du, depth, _, table = grid._move_index()
+    n_dist = np.isfinite(table).sum(axis=1)
+    for k, deg in enumerate(depth.tolist()):
+        if deg == 1:
+            continue
+        nbrs = np.where(du[:deg] < n_dist[k], moves[:deg], np.arange(m, dtype=np.int32))
+        step = pi[k + 1] - pi[k]
+        block = max(1, _GATHER_CAP // (nbrs.shape[0] * b))
+        for _ in range(m):
+            changed = False
+            for src, dst in ((val[k + 1], val[k]), (val[k], val[k + 1])):
+                for lo in range(0, m, block):
+                    cand = src.take(nbrs[:, lo : lo + block], axis=0).min(axis=0)
+                    cand += step
+                    out = dst[lo : lo + block]
+                    changed |= (cand < out).any()
+                    np.minimum(out, cand, out=out)
+            if not changed:
+                break
+
+
+class TakeCounter(np.ndarray):
+    """An array that counts the takes made from it and from its views: one
+    per block of a closure step."""
+
+    takes = 0
+
+    def take(self, *args, **kwargs):
+        TakeCounter.takes += 1
+        return np.asarray(self).take(*args, **kwargs)
+
+
+def closure_takes(close, grid, val, pi):
+    """Close a copy of val by `close`; returns the result and its takes."""
+    out = val.copy().view(TakeCounter)
+    TakeCounter.takes = 0
+    close(grid, out, pi)
+    return np.asarray(out), TakeCounter.takes
+
+
 _XS = np.sort(np.random.default_rng(5).uniform(0.0, 0.8, 14))
 IRREGULAR = FiniteLengthSpace(tuple(range(_XS.size)), np.abs(_XS[:, None] - _XS[None, :]))
 CLOSURE_FIBERS = [path_space(33, 1.0), circle_space(24, 1.0), tripod_space(8, 0.25)]
@@ -693,6 +738,8 @@ class TestBandClosure:
         val[rng.random(val.shape) < 0.2] = np.inf
         want = val.copy()
         reference_close_bands(g, want, g.t_levels)
+        rounds, round_steps = closure_takes(round_loop_close_bands, g, val, g.t_levels)
+        assert closure_takes(_close_bands, g, val, g.t_levels)[1] < round_steps
         tracemalloc.start()
         try:
             _close_bands(g, val, g.t_levels)
@@ -703,6 +750,7 @@ class TestBandClosure:
         fin = np.isfinite(want)
         assert np.array_equal(np.isfinite(val), fin)
         assert np.abs(val[fin] - want[fin]).max() <= 1e-14
+        assert np.array_equal(val, rounds)
 
     @pytest.mark.parametrize("fiber", CLOSURE_FIBERS, ids=["path", "circle", "tripod"])
     @pytest.mark.parametrize(
@@ -723,6 +771,31 @@ class TestBandClosure:
         assert np.any(g._move_index()[2] > 1)
         oracle = dijkstra_rows(causal_weights(g, pi), [g.node(*p) for p in sources])
         assert np.abs(res.rows - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("fiber", CLOSURE_FIBERS, ids=["path", "circle", "tripod"])
+    @pytest.mark.parametrize(
+        "warping",
+        [WarpingFunction.affine(0.5, 1.0, IV), WarpingFunction.cosh_type(0.5, 1.2, IV)],
+        ids=["affine", "cosh"],
+    )
+    def test_first_quiet_step_ends_the_band(self, fiber, warping):
+        # a step that changes nothing right after a step into the other
+        # level certifies the band, so stopping there gives bitwise the
+        # values of the round loop, in fewer steps
+        g = ConeGrid(IV, fiber, warping, 40)
+        pi = g.t_levels + 0.5 * g.t_levels**2
+        rng = np.random.default_rng(6)
+        val = rng.uniform(0.0, 2.0, (g.n_levels, g.m, 8))
+        val[rng.random(val.shape) < 0.2] = np.inf
+        swept, passes = plain_sweeps(g, [(0, 0), (20, g.m // 2), (40, g.m - 1)], pi)
+        for p in passes + passes:
+            p()
+        for start in (val, swept):
+            got, steps = closure_takes(_close_bands, g, start, pi)
+            want, round_steps = closure_takes(round_loop_close_bands, g, start, pi)
+            assert not np.array_equal(want, start)
+            assert np.array_equal(got, want)
+            assert steps < round_steps
 
     def test_dyadic_rows_equal_plain_sweeps(self):
         # every sum is exact on this grid, so the closure may not move a bit
@@ -897,6 +970,66 @@ class TestSideBySideBatches:
         assert peak < 3.5 * res.rows.nbytes
         for s in (0, 15):
             assert np.array_equal(res.rows[s], null_distance(g, [sources[s]]).rows[0])
+
+
+def first_pass_values(monkeypatch, grid, sources, pi):
+    """The start values of the first chunk of a null_distance call on
+    `sources`, as the first ascending pass receives them."""
+    seen = []
+    ascend = cone._ascend
+
+    def spy(val, *args):
+        if not seen:
+            seen.append(val.copy())
+        return ascend(val, *args)
+
+    monkeypatch.setattr(cone, "_ascend", spy)
+    null_distance(grid, sources, weight_levels=pi)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def per_source_start_values(grid, sources, pi):
+    """(n_levels, m, sources): each source's weight gap on its causal_row,
+    +inf elsewhere, 0 at the source."""
+    cols = []
+    for i, j in sources:
+        col = np.where(grid.causal_row(i, j), np.abs(pi - pi[i])[:, None], np.inf)
+        col[i, j] = 0.0
+        cols.append(col)
+    return np.stack(cols, axis=2)
+
+
+class TestStartValues:
+    """The sweeps' start values are built in blocks of levels x every source
+    of a chunk, from the causal test that causal_row makes."""
+
+    def test_product_grid(self, monkeypatch):
+        # 40401 points: a block holds 20 levels of the 16 sources
+        g = ConeGrid(IV, path_space(201, 1.0), WarpingFunction.constant(1.0, IV), 200)
+        rng = np.random.default_rng(9)
+        sources = [(int(rng.integers(0, g.n_levels)), int(rng.integers(0, g.m))) for _ in range(16)]
+        got = first_pass_values(monkeypatch, g, sources, g.t_levels)
+        assert np.array_equal(got, per_source_start_values(g, sources, g.t_levels))
+
+    def test_all_sources_chunk(self, monkeypatch):
+        # 1681 points, all of them sources: the first chunk holds 128, and a
+        # block 12 levels of them
+        g = small_grid(n_t=40, n_f=41)
+        sources = all_grid_points(g)
+        chunk = _BATCH * (_CHUNK_CAP // (g.n_points * _BATCH))
+        assert chunk == 128 and _GATHER_CAP // (g.m * chunk) == 12
+        got = first_pass_values(monkeypatch, g, sources, g.t_levels)
+        assert np.array_equal(got, per_source_start_values(g, sources[:chunk], g.t_levels))
+
+    def test_warped_grid(self, monkeypatch):
+        g = ConeGrid(IV, CLOSURE_FIBERS[2], WarpingFunction.cosh_type(0.5, 1.2, IV), 40)
+        pi = g.t_levels + 0.5 * g.t_levels**2
+        points = all_grid_points(g)
+        pick = np.random.default_rng(3).choice(len(points), 40, replace=False)
+        sources = [points[i] for i in pick]
+        got = first_pass_values(monkeypatch, g, sources, pi)
+        assert np.array_equal(got, per_source_start_values(g, sources, pi))
 
 
 def uncovered_pairs(table):
@@ -1152,6 +1285,57 @@ class TestCoverIndex:
         ]
         for fiber in fibers:
             assert np.array_equal(small_grid(fiber=fiber)._relays(), reference_relays(fiber))
+
+    @pytest.mark.parametrize(
+        "fiber", [path_space(17, 1.0), circle_space(12, 1.0), tripod_space(4, 0.3)],
+        ids=["path", "circle", "tripod"],
+    )
+    @pytest.mark.parametrize("n_t", [16, 13], ids=["dyadic", "non-dyadic"])
+    def test_time_symmetric_grids_share_one_index(self, fiber, n_t):
+        # a constant warping's two sweep tables are equal, and the index is a
+        # function of the table: the reversed direction reads the forward list
+        g = ConeGrid(IV, fiber, WarpingFunction.constant(1.3, IV), n_t)
+        up, rev, inv = g._level_tables()
+        assert np.array_equal(up, rev)
+        fwd, back = g._cover_index()
+        assert fwd is back
+        ref = reference_cover_levels(g, rev, *g._pair_classes(inv))
+        assert len(fwd) == len(ref) == g.n_levels
+        for idx, want in zip(fwd, ref):
+            assert idx.shape == want.shape and np.array_equal(idx, want)
+
+    @pytest.mark.parametrize(
+        "warping",
+        [
+            WarpingFunction.affine(1.0, 1.5, IV),
+            WarpingFunction.exponential(1.0, -2.0, IV),
+            WarpingFunction.cosh_type(1.0, 1.3, IV),
+        ],
+        ids=["affine", "exponential", "cosh"],
+    )
+    def test_warped_grids_keep_two_indices(self, warping):
+        g = ConeGrid(IV, path_space(17, 1.0), warping, 16)
+        up, rev, inv = g._level_tables()
+        assert not np.array_equal(up, rev)
+        index = g._cover_index()
+        assert index[0] is not index[1]
+        assert any(not np.array_equal(a, b) for a, b in zip(*index))
+        classes = g._pair_classes(inv)
+        for table, levels in zip((up, rev), index):
+            for idx, want in zip(levels, reference_cover_levels(g, table, *classes)):
+                assert idx.shape == want.shape and np.array_equal(idx, want)
+
+    @pytest.mark.parametrize(
+        "warping",
+        [WarpingFunction.constant(1.0, IV), WarpingFunction.cosh_type(1.0, 1.3, IV)],
+        ids=["shared", "two"],
+    )
+    def test_cached_index_is_read_only(self, warping):
+        g = ConeGrid(IV, path_space(9, 1.0), warping, 8)
+        for levels in g._cover_index():
+            for idx in (levels[0], levels[-1]):
+                with pytest.raises(ValueError):
+                    idx[0, 0] = 0
 
     def test_index_build_stays_in_blocks(self):
         # beside the index it returns, the build holds the sweep tables,

@@ -91,6 +91,82 @@ class TestSampling:
         assert "note" in diag
         assert diag["filtered_by_size"] > 0
 
+    def test_size_bound_applies_before_the_read_back(self, monkeypatch):
+        # the README curvature cone: a side at or above the bound is read off
+        # the raw rows, so only the returned triangles' sides are read back,
+        # and the sample is the one of the former read-back-first admission
+        g = flat_grid(n_t=40, n_f=41, t_max=2.0)
+        calls = []
+        read = curvature._read_back
+        filtered = 0
+        for seed in range(1, 9):
+            want, want_diag = reference_sample_timelike_triangles(g, 5, seed, 1.5)
+            monkeypatch.setattr(curvature, "_read_back", lambda *a: calls.append(a) or read(*a))
+            tris, diag = sample_timelike_triangles(g, 5, seed=seed, size_bound=1.5)
+            monkeypatch.undo()
+            assert len(calls) == 3 * len(tris)
+            calls.clear()
+            assert diag == want_diag
+            assert [t.vertices() for t in tris] == [t.vertices() for t in want]
+            for t, w in zip(tris, want):
+                assert (t.a, t.b, t.c) == (w.a, w.b, w.c)
+                for name, (path, acc) in t.side_paths.items():
+                    assert path == w.side_paths[name][0]
+                    assert np.array_equal(acc, w.side_paths[name][1])
+            filtered += diag["filtered_by_size"]
+        assert filtered > 0
+
+
+def reference_sample_timelike_triangles(grid, count, seed, size_bound):
+    """sample_timelike_triangles with its former admission: every candidate
+    is read back into a triangle first, and the size bound applied after."""
+    rng = np.random.default_rng(seed)
+    triangles, filtered, attempts = [], 0, 0
+    row_cache = {}
+
+    def rho_row(p):
+        if p not in row_cache:
+            row_cache[p] = _dp_rows(grid, [p], grid.n_t)[0]
+        return row_cache[p]
+
+    def admit(x, y, z):
+        nonlocal filtered
+        tri = curvature._triangle(grid, x, y, z, rho_row)
+        if tri is None:
+            return
+        if max(tri.a, tri.b, tri.c) >= size_bound:
+            filtered += 1
+            return
+        triangles.append(tri)
+
+    d = grid.fiber.dist
+    j1, j2 = map(int, np.unravel_index(int(np.argmax(d)), d.shape))
+    j3 = int(np.argmax(np.minimum(d[j1], d[j2])))
+    mid, top = grid.n_levels // 2, grid.n_levels - 1
+    for x, y, z in (
+        ((0, j1), (mid, j3), (top, j2)),
+        ((0, j1), (mid, j2), (top, j1)),
+        ((0, j3), (mid, j1), (top, j2)),
+    ):
+        if len(triangles) < count and grid.m > 1:
+            admit(x, y, z)
+    while len(triangles) < count and attempts < max(200, 60 * count):
+        attempts += 1
+        x = (int(rng.integers(0, max(1, grid.n_levels - 2))), int(rng.integers(0, grid.m)))
+        fut_x = np.nonzero(rho_row(x) > 0)[0]
+        if fut_x.size == 0:
+            continue
+        y = grid.point(int(rng.choice(fut_x)))
+        fut_y = np.nonzero(rho_row(y) > 0)[0]
+        good = fut_y[rho_row(x)[fut_y] > 0]
+        if good.size == 0:
+            continue
+        admit(x, y, grid.point(int(rng.choice(good))))
+    diag = {"attempts": attempts, "filtered_by_size": filtered, "found": len(triangles)}
+    if not triangles:
+        diag["note"] = "no admissible triangles (size filter or too few chronological triples)"
+    return triangles, diag
+
 
 def read_back(g, p, q):
     return _read_back(g, _dp_rows(g, [p], g.n_t)[0], p, q)
