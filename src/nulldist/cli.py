@@ -24,6 +24,8 @@ from . import formats
 from .cone import (
     PAIR_BUDGET,
     ConeGrid,
+    _resolve_sources,
+    _sweep_chunks,
     all_grid_points,
     null_distance,
     null_distance_guarantees,
@@ -36,6 +38,7 @@ from .errors import InvalidInputError
 from .lpls import check_time_function, validate_pls
 from .metric_core import epsilon_net, gh_distance_exact, validate_metric, verify_net
 from .nullcurve import null_curve, verify_null_curve
+from .reporting import GuaranteeReport
 from .warping import Interval
 
 ENGINE_ERROR, PARSE_ERROR, CHECK_FAILED, OK = 3, 2, 1, 0
@@ -69,8 +72,8 @@ def _pick_sources(grid, params, seed):
     return stratified_sources(grid, float(params.get("max_entries", PAIR_BUDGET)), seed)
 
 
-def _coverage(grid, res):
-    return {"sources": len(res.sources), "grid_points": grid.n_points}
+def _coverage(grid, sources):
+    return {"sources": len(sources), "grid_points": grid.n_points}
 
 
 def run_validate(cfg, paths, out, seed):
@@ -104,24 +107,29 @@ def run_validate(cfg, paths, out, seed):
 def run_nulldist(cfg, paths, out, seed):
     grid = _load_grid(cfg, paths)
     params = cfg.get("params", {})
-    sources = _pick_sources(grid, params, seed)
-    res = null_distance(grid, sources=sources)
-    rep = null_distance_guarantees(grid, res)
-    formats.write_long_matrix_csv(
-        out / "nulldist.csv",
-        res.rows,
-        [f"{i}:{j}" for i, j in res.sources],
-        _node_labels(grid),
-    )
+    # the size refusals come before nulldist.csv is opened: the engine's
+    # bound on "all", and the cover index's, built here once for every chunk
+    sources = _resolve_sources(grid, _pick_sources(grid, params, seed))
     c_up, c_rev = grid._cover_index()  # one list when the grid is time-symmetric
+    rep, sweeps = GuaranteeReport(), []
+
+    def block(chunk):
+        res = null_distance(grid, sources=chunk)
+        rep.merge(null_distance_guarantees(grid, res))
+        sweeps.extend(res.sweeps)
+        return [f"{i}:{j}" for i, j in res.sources], res.rows
+
+    # one chunk of rows at a time: swept, checked, written, then dropped
+    blocks = (block(chunk) for _, chunk in _sweep_chunks(grid, sources))
+    formats.write_long_matrix_csv(out / "nulldist.csv", blocks, _node_labels(grid))
     formats.write_report_json(
         out / "report.json",
         {
             "worst_margins": rep.worst,
             "violations": rep.violations,
             "notes": rep.notes,
-            "coverage": _coverage(grid, res),
-            "sweeps": list(res.sweeps),
+            "coverage": _coverage(grid, sources),
+            "sweeps": sweeps,
             "table_bytes": grid._table_bytes(),
             "cover_index_bytes": sum(i.nbytes for i in (c_up if c_up is c_rev else c_up + c_rev)),
         },
@@ -135,13 +143,11 @@ def run_timesep(cfg, paths, out, seed):
     sources = _pick_sources(grid, params, seed)
     res = time_separation(grid, sources=sources)
     formats.write_long_matrix_csv(
-        out / "timesep.csv",
-        res.rows,
-        [f"{i}:{j}" for i, j in res.sources],
-        _node_labels(grid),
+        out / "timesep.csv", [([f"{i}:{j}" for i, j in res.sources], res.rows)], _node_labels(grid)
     )
     # reverse triangle inequality rows[p] >= rows[p, q] + rows[q] along chains
-    # p < q through computed sources q, one reduction per q over every p
+    # p < q through computed sources q, one reduction per q over every p; it
+    # reads across sources, so every row is held at once
     rows = res.rows
     levels = np.array([i for i, _ in res.sources], dtype=int)
     worst = 0.0
@@ -165,7 +171,7 @@ def run_timesep(cfg, paths, out, seed):
         out / "report.json",
         {
             "reverse_triangle_worst_slack": worst,
-            "coverage": _coverage(grid, res),
+            "coverage": _coverage(grid, res.sources),
             "chronological_pairs": chrono,
             "dp_zero_chronological_pairs": zeros,
             "notes": notes,

@@ -89,7 +89,12 @@ others going on without its columns. Every step acts on each column alone
 (gathers along the levels, minima over gathered rows, elementwise sums),
 and a band-closure step after the first that leaves a column unchanged
 leaves it unchanged in every later step, so each batch ends bitwise as it
-would alone.
+would alone. `_sweep_chunks` is the chunk rule. `null_distance` writes
+every chunk into the one result it returns; the CLI's `nulldist` and
+`convergence.null_convergence_check` call it one chunk at a time instead,
+checking and writing each chunk's rows before the next, so they hold one
+chunk x n_points rows rather than the whole matrix, with every row and
+sweep count bitwise the same.
 
 A pass pair finds one turn of a path, so a minimizer that zigzags between
 two adjacent levels, as minimizers of a nonlinear time function phi do where
@@ -606,11 +611,21 @@ def null_distance(
         raise InvalidInputError("weight_levels must be strictly increasing")
 
     rows = np.empty((len(sources), grid.n_points))
-    chunk = _BATCH * max(1, _CHUNK_CAP // (grid.n_points * _BATCH))
     sweeps = []
-    for lo in range(0, len(sources), chunk):
-        sweeps += _sweep_rows(grid, sources[lo : lo + chunk], pi, rows[lo : lo + chunk])
+    for lo, chunk in _sweep_chunks(grid, sources):
+        sweeps += _sweep_rows(grid, chunk, pi, rows[lo : lo + len(chunk)])
     return NullDistanceResult(grid, tuple(sources), rows, pi, tuple(sweeps))
+
+
+def _sweep_chunks(grid: ConeGrid, sources: Sequence) -> Iterator[tuple[int, Sequence]]:
+    """The sources as (offset, chunk) in the chunks one level loop sweeps
+    side by side: whole batches of _BATCH sources, as many as fit under
+    _CHUNK_CAP values, at least one. A chunk's rows and sweep counts are
+    bitwise the same whether `null_distance` gets the chunk alone or the
+    whole list, so a caller can sweep, use and drop one chunk at a time."""
+    size = _BATCH * max(1, _CHUNK_CAP // (grid.n_points * _BATCH))
+    for lo in range(0, len(sources), size):
+        yield lo, sources[lo : lo + size]
 
 
 def _sweep_rows(

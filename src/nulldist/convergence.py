@@ -5,7 +5,9 @@ distances with an explicit two-sided estimate; correspondences between
 fibers lift to product cones keeping their distortion exactly; a uniform
 upper bound on the warpings makes the whole family totally bounded with a
 single product net. The bounds f_min and f_max these estimates use are the
-exact extrema of each warping kind, not samples.
+exact extrema of each warping kind, not samples. The deviation check sweeps
+the limit and the members one chunk of sources at a time, so it holds two
+chunks of null-distance rows, not one matrix per cone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import PAIR_BUDGET, _GATHER_CAP, ConeGrid, _grid_error, null_distance, stratified_sources
+from .cone import (
+    PAIR_BUDGET,
+    _GATHER_CAP,
+    ConeGrid,
+    _grid_error,
+    _sweep_chunks,
+    null_distance,
+    stratified_sources,
+)
 from .errors import InvalidInputError, ParameterError
 from .metric_core import (
     Correspondence,
@@ -123,27 +133,45 @@ def null_convergence_check(
     Members with eps >= f_min / 4 are excluded with a diagnostic. Pairs are
     all grid pairs while the count stays within `max_entries`, otherwise a
     deterministic stratified source sample.
+
+    The sources go in the sweep engine's chunks (`cone._sweep_chunks`): the
+    limit's rows of a chunk, then each member's, which are checked against
+    them and dropped. Each member's margins over the chunks fold by max and
+    min, which is exact, so no more than two chunks of rows are alive at
+    once and the margins equal those of the full matrices bit for bit.
     """
-    interval = (seq.limit.domain.a, seq.limit.domain.b)
-    grid_lim = ConeGrid(Interval(*interval), fiber, seq.limit, n_t)
+    interval = Interval(seq.limit.domain.a, seq.limit.domain.b)
+    grid_lim = ConeGrid(interval, fiber, seq.limit, n_t)
     f_min = grid_lim.f_min
     sources = stratified_sources(grid_lim, max_entries, seed)
-    base = null_distance(grid_lim, sources=sources)
+    eps = [sup_norm(seq.limit, f_j) for f_j in seq.members]
+    grids = {
+        j: ConeGrid(interval, fiber, f_j, n_t)
+        for j, f_j in enumerate(seq.members)
+        if not eps[j] > f_min / 4.0
+    }
 
+    def chunk_margins(chunk):
+        base = null_distance(grid_lim, sources=chunk).rows
+        return [
+            _sandwich_margins(base, null_distance(grid_j, sources=chunk).rows, eps[j], f_min)
+            for j, grid_j in grids.items()
+        ]
+
+    per_chunk = [chunk_margins(chunk) for _, chunk in _sweep_chunks(grid_lim, sources)]
+    # each checked member's (sup_deviation, lower, upper) per chunk
+    margins = {j: np.array([c[k] for c in per_chunk]).T for k, j in enumerate(grids)}
+    n_pairs = len(sources) * grid_lim.n_points
     members: list[MemberCheck] = []
-    for j, f_j in enumerate(seq.members):
-        eps = sup_norm(seq.limit, f_j)
-        if eps > f_min / 4.0:
+    for j, e in enumerate(eps):
+        if j not in margins:
             members.append(
-                MemberCheck(j, eps, math.nan, math.nan, math.nan, 0, True,
-                            f"eps={eps!r} > f_min/4={f_min / 4.0!r}")
+                MemberCheck(j, e, math.nan, math.nan, math.nan, 0, True,
+                            f"eps={e!r} > f_min/4={f_min / 4.0!r}")
             )
             continue
-        grid_j = ConeGrid(Interval(*interval), fiber, f_j, n_t)
-        d_j = null_distance(grid_j, sources=sources).rows
-        margins = _sandwich_margins(base.rows, d_j, eps, f_min)
-        members.append(MemberCheck(j, eps, *margins, base.rows.size))
-        del d_j  # not alive beside the next member's rows
+        dev, low, up = margins[j]
+        members.append(MemberCheck(j, e, float(np.max(dev)), float(np.min(low)), float(np.min(up)), n_pairs))
 
     active = [m for m in members if not m.excluded]
     by_eps = sorted(active, key=lambda m: -m.eps)

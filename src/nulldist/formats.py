@@ -2,8 +2,9 @@
 
 CSV: comma-separated, UTF-8, LF line endings, mandatory header row; floats
 serialized with 17 significant digits so they round-trip exactly. Matrices
-are written in long form (row_id, col_id, value); a block of rows finds its
-distinct values with one sort and each entry's by a binary search, each
+are written in long form (row_id, col_id, value) from blocks of rows that
+the caller hands over one at a time; a group of rows finds its distinct
+values with one sort and each entry's by a binary search, each
 distinct value is formatted once, and the bytes equal per-entry `.17g`
 formatting. A distance-matrix CSV is read with csv.reader for its header
 and numpy's C parser (np.loadtxt) for the numbers.
@@ -20,7 +21,7 @@ import itertools
 import json
 import math
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -179,44 +180,64 @@ def load_pls_json(path: PathLike):
 
 def write_long_matrix_csv(
     path: PathLike,
-    rows: np.ndarray,
-    row_ids: Sequence,
+    blocks: Iterable[tuple[Sequence, np.ndarray]],
     col_ids: Sequence,
 ) -> None:
-    """Matrix as long-form triples (row_id, col_id, value).
+    """Matrix as long-form triples (row_id, col_id, value), its rows given
+    as (row ids, rows) blocks in order. The blocks are read one at a time, so
+    a caller can compute each after the one before is written and hold one
+    block of rows, not the matrix. A block's ids must match its shape; on
+    any error, that mismatch or one raised while a block is computed, the
+    file is removed and the error raised.
 
-    Rows go in blocks of at most _GATHER_CAP entries (at least one row).
+    Rows go in groups of at most _GATHER_CAP entries (at least one row).
     Values are keyed by their bit pattern, so -0.0 and 0.0 (and NaN
-    payloads) stay apart. One sort of a block's keys and a neighbour
+    payloads) stay apart. One sort of a group's keys and a neighbour
     inequality give its distinct keys, a binary search gives each entry's
     index among them, and each distinct value is formatted once; the bytes
-    equal fmt(v) on every entry. Each row's lines are one join of its
-    (row id, ",col_id,", value line) parts.
+    equal fmt(v) on every entry, however the rows are split into blocks.
+    Each row's lines are one join of its (row id, ",col_id,", value line)
+    parts.
     """
-    rows = np.asarray(rows)
-    n_c = rows.shape[1]
-    if (len(row_ids), len(col_ids)) != rows.shape:
-        raise InvalidInputError(f"a {rows.shape[0]} x {n_c} matrix needs {rows.shape[0]} row ids and "
-                                f"{n_c} col ids, got {len(row_ids)} and {len(col_ids)}")
-    block = max(1, _GATHER_CAP // max(n_c, 1))  # rows per block
-    parts = [""] * (3 * n_c)
+    path = Path(path)
+    parts = [""] * (3 * len(col_ids))
     parts[1::3] = [f",{cid}," for cid in col_ids]
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("row_id,col_id,value\n")
-        for lo in range(0, len(row_ids), block):
-            ids = row_ids[lo : lo + block]
-            keys = np.ascontiguousarray(rows[lo : lo + len(ids)], dtype=float).view(np.int64).reshape(-1)
-            bits = np.sort(keys)
-            first = np.ones(bits.size, dtype=bool)  # first of its run of equal keys
-            np.not_equal(bits[1:], bits[:-1], out=first[1:])
-            bits = bits[first]
-            # format(v, ".17g") is fmt(v) on a Python float
-            strs = np.array([f"{v:.17g}\n" for v in bits.view(float).tolist()], dtype=object)
-            vals = strs.take(np.searchsorted(bits, keys)).reshape(len(ids), n_c).tolist()
-            for rid, row in zip(ids, vals):
-                parts[0::3] = [f"{rid}"] * n_c
-                parts[2::3] = row
-                fh.write("".join(parts))
+    try:
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            fh.write("row_id,col_id,value\n")
+            for block in blocks:
+                _write_long_rows(fh, parts, *block)
+                del block  # not alive while the next block is computed
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _write_long_rows(fh, parts: list, row_ids: Sequence, rows: np.ndarray) -> None:
+    """One block of `write_long_matrix_csv`; parts holds every column's
+    ",col_id," at [1::3]."""
+    rows = np.asarray(rows)
+    n_c = len(parts) // 3
+    if (len(row_ids), n_c) != rows.shape:
+        raise InvalidInputError(
+            f"a {rows.shape[0]} x {rows.shape[1]} matrix needs {rows.shape[0]} row ids and "
+            f"{rows.shape[1]} col ids, got {len(row_ids)} and {n_c}"
+        )
+    group = max(1, _GATHER_CAP // max(n_c, 1))  # rows per group
+    for lo in range(0, len(row_ids), group):
+        ids = row_ids[lo : lo + group]
+        keys = np.ascontiguousarray(rows[lo : lo + len(ids)], dtype=float).view(np.int64).reshape(-1)
+        bits = np.sort(keys)
+        first = np.ones(bits.size, dtype=bool)  # first of its run of equal keys
+        np.not_equal(bits[1:], bits[:-1], out=first[1:])
+        bits = bits[first]
+        # format(v, ".17g") is fmt(v) on a Python float
+        strs = np.array([f"{v:.17g}\n" for v in bits.view(float).tolist()], dtype=object)
+        vals = strs.take(np.searchsorted(bits, keys)).reshape(len(ids), n_c).tolist()
+        for rid, row in zip(ids, vals):
+            parts[0::3] = [f"{rid}"] * n_c
+            parts[2::3] = row
+            fh.write("".join(parts))
 
 
 def write_table_csv(path: PathLike, header: Sequence[str], rows: Sequence[Sequence]) -> None:

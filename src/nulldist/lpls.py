@@ -112,17 +112,25 @@ def validate_pls(space: DiscretePreLengthSpace) -> ValidationReport:
             (int(i), int(j)),
             f"rho={rho[i, j]!r}, chrono={bool(chrono[i, j])}",
         )
-    # reverse triangle inequality over causal chains x <= y <= z
+    # reverse triangle inequality over causal chains x <= y <= z: every
+    # point's past xs and future zs, ascending, are slices of one nonzero of
+    # causal.T and one of causal; witnesses are sought only in failing blocks
+    past_y, past = np.nonzero(causal.T)
+    fut_y, fut = np.nonzero(causal)
+    past_at = np.searchsorted(past_y, np.arange(n + 1))
+    fut_at = np.searchsorted(fut_y, np.arange(n + 1))
     for y in range(n):
-        xs = np.nonzero(causal[:, y])[0]
-        zs = np.nonzero(causal[y, :])[0]
+        xs = past[past_at[y] : past_at[y + 1]]
+        zs = fut[fut_at[y] : fut_at[y + 1]]
         if xs.size == 0 or zs.size == 0:
             continue
         lhs = rho[np.ix_(xs, zs)]
         rhs = rho[xs, y][:, None] + rho[y, zs][None, :]
         with np.errstate(invalid="ignore"):
-            bad = np.argwhere(lhs < rhs - 1e-12)
-        for a, c in bad:
+            fails = lhs < rhs - 1e-12
+        if not fails.any():
+            continue
+        for a, c in np.argwhere(fails):
             x, z = int(xs[a]), int(zs[c])
             if x == y or z == y:
                 continue

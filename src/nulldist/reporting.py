@@ -75,3 +75,15 @@ class GuaranteeReport:
             self.violations.setdefault(name, []).append(witness)
         else:
             self.violations.setdefault(name, [])
+
+    def merge(self, other: "GuaranteeReport") -> None:
+        """Fold in a report on further entries as if its records had
+        followed this report's: per inequality the lower worst margin (the
+        earlier one on ties), violations and notes appended in order."""
+        for name, margin in other.worst.items():
+            prev = self.worst.get(name)
+            if prev is None or margin < prev:
+                self.worst[name] = margin
+        for name, found in other.violations.items():
+            self.violations.setdefault(name, []).extend(found)
+        self.notes.extend(other.notes)

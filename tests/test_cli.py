@@ -14,8 +14,15 @@ import pytest
 from conftest import save_pls_json
 from nulldist import FiniteLengthSpace, path_space, time_separation
 from nulldist import cli, curvature
+from nulldist import cone as cone_module
 from nulldist.cli import main
-from nulldist.cone import _GATHER_CAP
+from nulldist.cone import (
+    _GATHER_CAP,
+    _sweep_chunks,
+    all_grid_points,
+    null_distance,
+    null_distance_guarantees,
+)
 from nulldist.errors import InvalidInputError, ModelConstraintError
 from nulldist.formats import (
     load_cone_json,
@@ -164,9 +171,21 @@ class TestFormats:
         mat, row_ids = _writer_oracle_cases()[case]
         n_c = mat.shape[1]
         col_ids = [f"{j}:{j % 3}" for j in range(n_c)] if label_cols else range(n_c)
-        write_long_matrix_csv(tmp_path / "m.csv", mat, row_ids, col_ids)
+        write_long_matrix_csv(tmp_path / "m.csv", [(row_ids, mat)], col_ids)
         assert (tmp_path / "m.csv").read_bytes() == reference_long_matrix_bytes(
             mat, row_ids, col_ids
+        )
+
+    @pytest.mark.parametrize("case", sorted(_writer_oracle_cases()))
+    def test_long_matrix_bytes_do_not_depend_on_the_blocks(self, case, tmp_path):
+        # a first row, an empty block and two uneven blocks, handed over by a
+        # generator: the bytes of one block
+        mat, row_ids = _writer_oracle_cases()[case]
+        cuts = [0, 1, 1, (2 * len(row_ids) + 1) // 3, len(row_ids)]
+        blocks = ((row_ids[a:b], mat[a:b]) for a, b in zip(cuts, cuts[1:]))
+        write_long_matrix_csv(tmp_path / "m.csv", blocks, range(mat.shape[1]))
+        assert (tmp_path / "m.csv").read_bytes() == reference_long_matrix_bytes(
+            mat, row_ids, range(mat.shape[1])
         )
 
     def test_block_cases_span_row_blocks(self):
@@ -244,13 +263,13 @@ class TestFormats:
     def test_long_matrix_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         mat = rng.uniform(0, 1, (3, 4))
-        write_long_matrix_csv(tmp_path / "m.csv", mat, ["a", "b", "c"], range(4))
+        write_long_matrix_csv(tmp_path / "m.csv", [(["a", "b", "c"], mat)], range(4))
         _, _, back = read_long_matrix_csv(tmp_path / "m.csv")
         assert np.array_equal(back, mat)  # 17 significant digits round-trip
 
     def test_long_matrix_exact_text(self, tmp_path):
         mat = np.array([[math.inf, -0.0, 1.0 / 3.0], [1e-300, 2.0, -1.5]])
-        write_long_matrix_csv(tmp_path / "m.csv", mat, ["a", 7], range(3))
+        write_long_matrix_csv(tmp_path / "m.csv", [(["a", 7], mat)], range(3))
         assert (tmp_path / "m.csv").read_bytes() == (
             b"row_id,col_id,value\n"
             b"a,0,inf\na,1,-0\na,2,0.33333333333333331\n"
@@ -266,9 +285,26 @@ class TestFormats:
         # short row ids used to drop rows silently, long ones and wrong col
         # ids failed inside numpy; nothing is written
         with pytest.raises(InvalidInputError) as exc:
-            write_long_matrix_csv(tmp_path / "m.csv", np.zeros((3, 2)), row_ids, col_ids)
+            write_long_matrix_csv(tmp_path / "m.csv", [(row_ids, np.zeros((3, 2)))], col_ids)
         assert str(exc.value) == f"a 3 x 2 matrix needs 3 row ids and 2 col ids, {counts}"
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("fail", ["row_ids", "col_count", "raised"])
+    def test_long_matrix_leaves_no_file_when_a_later_block_fails(self, fail, tmp_path):
+        # the second block has too few row ids, a column too many, or raises
+        # while it is computed; the first block is written by then, and a
+        # file from an earlier run is gone too
+        path = write(tmp_path / "m.csv", "stale\n")
+
+        def blocks():
+            yield ["a", "b"], np.zeros((2, 3))
+            if fail == "raised":
+                raise RuntimeError("engine error")
+            yield (["c"], np.zeros((2, 3))) if fail == "row_ids" else (["c", "d"], np.zeros((2, 4)))
+
+        with pytest.raises(RuntimeError if fail == "raised" else InvalidInputError):
+            write_long_matrix_csv(path, blocks(), ["x", "y", "z"])
+        assert not path.exists()
 
     def test_report_booleans_stay_booleans(self, tmp_path):
         write_report_json(tmp_path / "r.json", {"ok": True, "bad": np.bool_(False), "n": 1})
@@ -897,6 +933,127 @@ class TestEngineErrors:
         monkeypatch.setattr(cli, "null_distance", stuck)
         assert main(["--config", str(tmp_path / "cfg.json")]) == cli.ENGINE_ERROR == 3
         assert "error: null-distance sweeps did not stabilize" in capsys.readouterr().err
+
+
+def reference_nulldist_outputs(grid, sources, out: Path) -> None:
+    """nulldist.csv and report.json of the one-shot code: `null_distance`
+    over every source, one `null_distance_guarantees`, one writer call."""
+    res = null_distance(grid, sources=sources)
+    rep = null_distance_guarantees(grid, res)
+    labels = [f"{i}:{j}" for i, j in all_grid_points(grid)]
+    out.mkdir()
+    write_long_matrix_csv(out / "nulldist.csv", [([f"{i}:{j}" for i, j in res.sources], res.rows)], labels)
+    c_up, c_rev = grid._cover_index()
+    write_report_json(out / "report.json", {
+        "worst_margins": rep.worst,
+        "violations": rep.violations,
+        "notes": rep.notes,
+        "coverage": {"sources": len(res.sources), "grid_points": grid.n_points},
+        "sweeps": list(res.sweeps),
+        "table_bytes": grid._table_bytes(),
+        "cover_index_bytes": sum(i.nbytes for i in (c_up if c_up is c_rev else c_up + c_rev)),
+    })
+
+
+class TestStreamingNulldist:
+    """`nulldist` sweeps, checks and writes one chunk of sources at a time."""
+
+    AFFINE = {"kind": "affine", "params": {"intercept": 0.5, "slope": 1.0}}
+
+    @pytest.mark.parametrize("n_fiber, n_t, warping, n_sources, n_chunks, status", [
+        pytest.param(41, 40, None, None, 14, 0, id="readme_cone"),
+        pytest.param(33, 40, AFFINE, None, 8, 0, id="warped"),
+        # chunks of 320 and 180 sources, each with upper-bound misses and
+        # their notes, which the report merges in source order
+        pytest.param(13, 60, AFFINE, 500, 2, 1, id="explicit_list"),
+    ])
+    def test_outputs_equal_the_one_shot_run(self, n_fiber, n_t, warping, n_sources, n_chunks, status, tmp_path):
+        cone = make_cone_inputs(tmp_path, n_fiber=n_fiber, n_t=n_t, warping=warping)
+        grid = load_cone_json(cone)
+        sources = all_grid_points(grid)
+        if n_sources is not None:
+            pick = np.random.default_rng(5).choice(len(sources), n_sources, replace=False)
+            sources = [sources[k] for k in pick]
+            assert n_sources % 64
+        assert len(list(_sweep_chunks(grid, sources))) == n_chunks
+        c_up, c_rev = grid._cover_index()
+        assert (c_up is c_rev) == (warping is None)  # the affine cone's reversed index differs
+        cfg = {
+            "command": "nulldist",
+            "inputs": {"cone": "cone.json"},
+            "params": {"sources": "all" if n_sources is None else [list(p) for p in sources]},
+            "output_dir": str(tmp_path / "out"),
+        }
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == status
+        reference_nulldist_outputs(grid, sources, tmp_path / "ref")
+        for name in ("nulldist.csv", "report.json"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+        if status:
+            missed = json.loads((tmp_path / "out" / "report.json").read_text())["violations"]["upper-bound"]
+            chunk = sources[: len(next(_sweep_chunks(grid, sources))[1])]
+            assert 0 < sum(tuple(src) in chunk for src, _ in missed) < len(missed)
+
+    def test_peak_memory_is_a_fraction_of_the_matrix(self, tmp_path):
+        # the README cone: 1681 points, so the full matrix holds 22.6 MB; a
+        # chunk of 128 sources holds 1.7 MB
+        make_cone_inputs(tmp_path, n_fiber=41, n_t=40)
+        cfg = {"command": "nulldist", "inputs": {"cone": "cone.json"}, "params": {"sources": "all"}}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0  # imports and first-call caches before the traced run
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1681 * 1681 * 8 / 3
+
+    @pytest.mark.parametrize("bound", ["all_sources", "cover_index"])
+    def test_size_refusals_come_before_the_csv_is_opened(self, bound, tmp_path, monkeypatch, capsys):
+        # 81 x 81 = 6561 points refuse "all"; a cap below 9 levels x 9^2
+        # fiber pairs refuses the cover index of even one source
+        if bound == "all_sources":
+            make_cone_inputs(tmp_path, n_fiber=81, n_t=80)
+        else:
+            make_cone_inputs(tmp_path)
+            monkeypatch.setattr(cone_module, "_TABLE_CAP", 9 * 81 - 1)
+        cfg = {"command": "nulldist", "inputs": {"cone": "cone.json"},
+               "params": {"sources": "all" if bound == "all_sources" else [[0, 0]]},
+               "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        opened = []
+        monkeypatch.setattr(cli.formats, "write_long_matrix_csv", lambda *args: opened.append(args))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 2
+        assert ("6561 points refused" if bound == "all_sources" else "size cap") in capsys.readouterr().err
+        assert opened == []
+
+    def test_engine_error_in_a_later_chunk_leaves_no_csv(self, tmp_path, monkeypatch, capsys):
+        # 25 x 25 points: two chunks of 384 and 241 sources; the second fails
+        # after the first chunk's rows are written, and an earlier run's file
+        # goes as well
+        make_cone_inputs(tmp_path, n_fiber=25, n_t=24)
+        cfg = {"command": "nulldist", "inputs": {"cone": "cone.json"}, "params": {"sources": "all"},
+               "output_dir": str(tmp_path / "out")}
+        write(tmp_path / "cfg.json", json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 0
+        assert (tmp_path / "out" / "nulldist.csv").exists()
+        calls = []
+        sweep = cone_module._sweep_rows
+
+        def second_fails(grid, sources, pi, out):
+            calls.append(len(sources))
+            if len(calls) == 2:
+                assert (tmp_path / "out" / "nulldist.csv").stat().st_size > 0
+                raise RuntimeError("null-distance sweeps did not stabilize")
+            return sweep(grid, sources, pi, out)
+
+        monkeypatch.setattr(cone_module, "_sweep_rows", second_fails)
+        assert main(["--config", str(tmp_path / "cfg.json")]) == cli.ENGINE_ERROR == 3
+        assert calls == [384, 241]
+        assert "error: null-distance sweeps did not stabilize" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "nulldist.csv").exists()
 
 
 class TestDeterminism:

@@ -1,3 +1,8 @@
+import dataclasses
+import math
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,8 +20,8 @@ from nulldist import (
     uniform_total_boundedness,
 )
 from conftest import all_correspondences, dense_lift_distortion, lifted_product_space
-from nulldist.cone import null_distance, stratified_sources
-from nulldist.convergence import PAIR_BUDGET
+from nulldist.cone import _sweep_chunks, null_distance, stratified_sources
+from nulldist.convergence import PAIR_BUDGET, MemberCheck, _sandwich_margins
 from nulldist.errors import InvalidInputError
 from nulldist.metric_core import FiniteLengthSpace, gh_distance_exact
 
@@ -94,6 +99,30 @@ class TestSupNorm:
             sup_norm(a, b)
 
 
+def reference_members(seq, fiber, n_t, max_entries):
+    """Every member check of the one-shot code: the limit's rows over every
+    source, each member's, and one `_sandwich_margins` call on the two."""
+    grid_lim = ConeGrid(IV, fiber, seq.limit, n_t)
+    f_min = grid_lim.f_min
+    sources = stratified_sources(grid_lim, max_entries, 0)
+    base = null_distance(grid_lim, sources).rows
+    out = []
+    for j, f_j in enumerate(seq.members):
+        eps = sup_norm(seq.limit, f_j)
+        if eps > f_min / 4.0:
+            out.append(MemberCheck(j, eps, math.nan, math.nan, math.nan, 0, True,
+                                   f"eps={eps!r} > f_min/4={f_min / 4.0!r}"))
+            continue
+        d_j = null_distance(ConeGrid(IV, fiber, f_j, n_t), sources).rows
+        out.append(MemberCheck(j, eps, *_sandwich_margins(base, d_j, eps, f_min), base.size))
+    return out
+
+
+def member_bits(m):
+    """A member check with its floats as bit patterns."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in dataclasses.astuple(m))
+
+
 class TestSandwich:
     def test_constant_sequence_zero_deviation(self):
         seq = WarpingSequence(
@@ -140,6 +169,46 @@ class TestSandwich:
             assert m.lower_margin == float(np.min(d_j - lower))
             assert m.upper_margin == float(np.min(upper - d_j))
             assert m.n_pairs == d_f.size
+
+    @pytest.mark.parametrize("n_fiber, n_t, limit, family, max_entries, n_chunks", [
+        # the README sample: 861 points, every pair, chunks of 256 sources
+        pytest.param(21, 40, 1.0, (1.1, 1.01), PAIR_BUDGET, 4, id="readme_sequence"),
+        # 1809 points, a stratified sample of 150 sources, chunks of 128
+        pytest.param(9, 200, (1.0, 0.5), ((1.1, 0.4), (1.03, 0.47)), 150 * 1809, 2, id="stratified"),
+        # eps = 0.5 > f_min/4 excludes the middle member
+        pytest.param(21, 40, 1.0, (1.1, 1.5, 1.01), PAIR_BUDGET, 4, id="one_excluded"),
+    ])
+    def test_members_equal_the_one_shot_check(self, n_fiber, n_t, limit, family, max_entries, n_chunks):
+        def warping(w):
+            return WarpingFunction.constant(w, IV) if isinstance(w, float) else WarpingFunction.affine(*w, IV)
+
+        seq = WarpingSequence(tuple(map(warping, family)), warping(limit), 0.9)
+        fiber = path_space(n_fiber, 1.0)
+        grid_lim = ConeGrid(IV, fiber, seq.limit, n_t)
+        sources = stratified_sources(grid_lim, max_entries, 0)
+        assert len(list(_sweep_chunks(grid_lim, sources))) == n_chunks
+        assert (len(sources) < grid_lim.n_points) == (max_entries < PAIR_BUDGET)
+        got = null_convergence_check(seq, fiber, n_t, max_entries=max_entries)
+        want = reference_members(seq, fiber, n_t, max_entries)
+        assert [member_bits(m) for m in got.members] == [member_bits(m) for m in want]
+        assert [m.excluded for m in got.members] == [len(family) == 3 and j == 1 for j in range(len(family))]
+
+    def test_holds_less_than_two_matrices(self):
+        # the README sample: one full matrix of 861 x 861 values is 5.9 MB,
+        # and the one-shot check held the limit's and a member's at once
+        seq = WarpingSequence(
+            tuple(WarpingFunction.constant(v, IV) for v in (1.1, 1.01)), WarpingFunction.constant(1.0, IV), 0.9
+        )
+        fiber = path_space(21, 1.0)
+        null_convergence_check(seq, fiber, 40)  # first-call caches before the traced run
+        tracemalloc.start()
+        try:
+            rep = null_convergence_check(seq, fiber, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.members[0].n_pairs == 861 * 861
+        assert peak < 2 * 861 * 861 * 8
 
     def test_exclusion_diagnostic(self):
         seq = WarpingSequence(

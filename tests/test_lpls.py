@@ -86,6 +86,28 @@ def chain_space(rhos):
     return DiscretePreLengthSpace(base, causal, chrono, rho)
 
 
+def reference_reverse_triangle(space):
+    """The reverse-triangle entries of validate_pls, as strings, from its
+    former loop: each point's past and future by their own np.nonzero, and
+    np.argwhere on every block."""
+    causal, rho, out = space.causal, space.rho, []
+    for y in range(space.n):
+        xs = np.nonzero(causal[:, y])[0]
+        zs = np.nonzero(causal[y, :])[0]
+        if xs.size == 0 or zs.size == 0:
+            continue
+        lhs = rho[np.ix_(xs, zs)]
+        rhs = rho[xs, y][:, None] + rho[y, zs][None, :]
+        with np.errstate(invalid="ignore"):
+            bad = np.argwhere(lhs < rhs - 1e-12)
+        for a, c in bad:
+            x, z = int(xs[a]), int(zs[c])
+            if x == y or z == y:
+                continue
+            out.append(f"reverse-triangle at {(x, y, z)}: rho[{x},{z}]={lhs[a, c]!r} < {rhs[a, c]!r}")
+    return out
+
+
 class TestValidate:
     def test_two_chain_valid(self):
         s = chain_space([1.0])
@@ -112,6 +134,33 @@ class TestValidate:
         for seed in range(25):
             space, _ = random_pre_length_space(6, seed)
             assert validate_pls(space).ok, f"seed {seed}"
+
+    def test_reverse_triangle_matches_the_per_point_loop(self):
+        # random valid spaces with rho lowered on some causal pairs, raised to
+        # +inf on others, and a relation that is not transitive: the
+        # reverse-triangle entries close the report, as the per-point loop
+        # wrote them, kind, order and message
+        rng = np.random.default_rng(31)
+        spaces = []
+        for n, seed in ((6, 1), (25, 2), (40, 3), (60, 4)):
+            space, _ = random_pre_length_space(n, seed)
+            rho = space.rho.copy()
+            causal = space.causal.copy()
+            i, j = np.nonzero(causal & ~np.eye(n, dtype=bool))
+            lower = rng.random(i.size) < 0.15
+            rho[i[lower], j[lower]] *= rng.uniform(0.0, 0.9, lower.sum())
+            rho[i[lower][:2], j[lower][:2]] = np.inf
+            causal[rng.integers(0, n, 3), rng.integers(0, n, 3)] = True
+            spaces.append(DiscretePreLengthSpace(space.base, causal, rho > 0, rho))
+        spaces.append(chain_space([1.0, 1.0]))
+        found = 0
+        for space in spaces:
+            got = [str(v) for v in validate_pls(space).violations]
+            want = reference_reverse_triangle(space)
+            found += len(want)
+            assert got[len(got) - len(want) :] == want
+            assert not any(g.startswith("reverse-triangle") for g in got[: len(got) - len(want)])
+        assert found > 100
 
 
 class TestTimeFunction:
